@@ -256,6 +256,8 @@ void run_assembly(const RunOptions& options, Tracer& tracer, Report& report) {
   std::vector<double> walls;
   if (!options.trace) {
     repeat_for(options.seconds, 3, [&] { timed_pass(untraced, walls); });
+    // The median pass: the pooled pass needs every core at once, so its
+    // fast tail is luck in the pool's scheduling, not a steadier figure.
     const double wall = median(walls);
     report.note(describe("setup_s", setup_times));
     report.note(describe("wall_s", walls));

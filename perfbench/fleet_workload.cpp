@@ -11,9 +11,11 @@
 //         scheduling rounds with retries and transfers; planning is cheap.
 //
 // One pass = a fresh controller (set-up, timed apart) running the whole
-// request stream to completion. Every pass is checked: all workflows
-// succeed with the expected job count, per-tenant totals sum to the fleet
-// totals, and the fleet digest equals the first pass's.
+// request stream to completion. fleet-stream passes cycle over several
+// request streams drawn from the run seed. Every pass is checked: all
+// workflows succeed with the expected job count, per-tenant totals sum to
+// the fleet totals, and the fleet digest equals that of the stream's
+// warm-up pass.
 #include <algorithm>
 #include <cstdio>
 #include <limits>
@@ -41,9 +43,13 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kTenants = 4;
 // Set-up takes microseconds, so every pass is preceded by this many extra
-// (discarded) set-ups: setup_s is then a median over samples spread across
-// the whole run, like wall_s.
+// (discarded) set-ups: setup_s is then a median over many samples spread
+// across the whole run.
 constexpr std::size_t kExtraSetups = 8;
+// fleet-stream passes cycle over this many request streams drawn from the
+// run seed, so that no single stream's arrival pattern and peak backlog
+// set a run's figures.
+constexpr std::size_t kStreamSeeds = 4;
 const std::vector<double> kWeights{4.0, 2.0, 1.0, 1.0};
 
 struct FleetSizing {
@@ -158,6 +164,14 @@ std::size_t plan_jobs(const workload::ShapeSpec& spec, const std::string& site,
       .size();
 }
 
+/// One request stream's reference, fixed by its warm-up pass: the seed it
+/// is drawn from, every request's expected job count and the fleet digest.
+struct Reference {
+  std::uint64_t seed = 0;
+  std::vector<std::size_t> expected_jobs;
+  std::uint64_t digest = 0;
+};
+
 /// One pass's set-up: the request stream and a fresh controller on a
 /// fresh clock (declared first, so it outlives the controller).
 struct Fleet {
@@ -188,23 +202,27 @@ void run_fleet(const RunOptions& options, bool stream, Tracer& tracer,
   Tracer untraced(false);
 
   std::vector<double> setup_times;
-  const auto timed_setup = [&](Tracer& t) {
+  const auto timed_setup = [&](Tracer& t, const Reference& ref) {
     Tracer::Span span(t, "setup");
-    Fleet fleet = set_up(stream, size, options.seed, t);
+    Fleet fleet = set_up(stream, size, ref.seed, t);
     setup_times.push_back(span.elapsed());
     return fleet;
   };
 
-  // Warm-up pass: fixes the expected job count of every request (the
-  // closed form plus the planner's stage-in/stage-out pair when
-  // unclustered; the replayed plan when clustered) and the digest every
-  // later pass must reproduce.
-  std::vector<std::size_t> expected_jobs(size.workflows, 0);
-  std::uint64_t digest = 0;
-  {
-    Fleet fleet = timed_setup(untraced);
+  // Warm-up pass per request stream: fixes the expected job count of every
+  // request (the closed form plus the planner's stage-in/stage-out pair
+  // when unclustered; the replayed plan when clustered) and the digest
+  // every later pass on that stream must reproduce.
+  const std::size_t streams = stream && !options.smoke ? kStreamSeeds : 1;
+  std::vector<Reference> refs(streams);
+  std::string digests;
+  for (std::size_t k = 0; k < streams; ++k) {
+    Reference& ref = refs[k];
+    ref.seed = streams == 1 ? options.seed : options.seed * streams + k;
+    ref.expected_jobs.assign(size.workflows, 0);
+    Fleet fleet = timed_setup(untraced, ref);
     const waas::FleetResult result = fleet.controller->run(fleet.requests);
-    digest = result.digest;
+    ref.digest = result.digest;
     for (const auto& outcome : result.outcomes) {
       const auto& spec = fleet.requests.at(outcome.index).spec;
       const std::size_t planned = plan_jobs(spec, outcome.platform, size.cluster_size);
@@ -212,12 +230,17 @@ void run_fleet(const RunOptions& options, bool stream, Tracer& tracer,
         report.check(planned == workload::closed_form_counts(spec).jobs + 2,
                      "planned job count equals the closed form + stage pair");
       }
-      expected_jobs.at(outcome.index) = planned;
+      ref.expected_jobs.at(outcome.index) = planned;
     }
+    char hex[18];
+    std::snprintf(hex, sizeof(hex), " %016llx",
+                  static_cast<unsigned long long>(ref.digest));
+    digests += hex;
   }
 
-  std::size_t jobs_total = 0;
-  const auto checked_run = [&](Fleet& fleet, std::vector<double>& walls,
+  std::vector<double> rates;  // simulated jobs per wall second, per pass
+  const auto checked_run = [&](Fleet& fleet, const Reference& ref,
+                               std::vector<double>& walls,
                                workload::RequestSource* source) {
     const auto start = Clock::now();
     waas::FleetResult result = fleet.controller->run(fleet.requests, source);
@@ -227,7 +250,7 @@ void run_fleet(const RunOptions& options, bool stream, Tracer& tracer,
     bool jobs_ok = result.outcomes.size() == count;
     std::size_t jobs = 0;
     for (const auto& outcome : result.outcomes) {
-      jobs_ok = jobs_ok && outcome.jobs == expected_jobs.at(outcome.index);
+      jobs_ok = jobs_ok && outcome.jobs == ref.expected_jobs.at(outcome.index);
       jobs += outcome.jobs;
     }
     std::size_t admitted = 0, completed = 0, succeeded = 0, jobs_succeeded = 0;
@@ -242,37 +265,38 @@ void run_fleet(const RunOptions& options, bool stream, Tracer& tracer,
                      succeeded == result.workflows_succeeded &&
                      jobs_succeeded == jobs,
                  "per-tenant totals sum to the fleet totals");
-    report.check(result.digest == digest, "fleet digest equals the first pass's");
+    report.check(result.digest == ref.digest, "fleet digest equals the warm-up pass's");
     report.attempted += count;
     report.failed += count - result.workflows_succeeded;
-    jobs_total = jobs;
+    if (source == nullptr) rates.push_back(static_cast<double>(jobs) / walls.back());
     return result;
   };
 
   std::vector<double> walls;
   CoreRotation cores;
-  const auto untraced_pass = [&] {
+  std::size_t turn = 0;
+  const auto next_ref = [&]() -> const Reference& { return refs[turn++ % streams]; };
+  const auto untraced_pass = [&](const Reference& ref) {
     cores.next();
-    for (std::size_t k = 0; k < kExtraSetups; ++k) (void)timed_setup(untraced);
-    Fleet fleet = timed_setup(untraced);
-    checked_run(fleet, walls, nullptr);
+    for (std::size_t k = 0; k < kExtraSetups; ++k) (void)timed_setup(untraced, ref);
+    Fleet fleet = timed_setup(untraced, ref);
+    checked_run(fleet, ref, walls, nullptr);
   };
 
-  char digest_hex[17];
-  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                static_cast<unsigned long long>(digest));
-  report.note(std::string(stream ? "fleet-stream" : "fleet-burst") + ": " +
-              std::to_string(size.workflows) + " workflows, size " +
-              std::to_string(size.size) + ", digest " + digest_hex);
+  report.note(std::string(stream ? "fleet-stream: " : "fleet-burst: ") +
+              std::to_string(streams) + " x " + std::to_string(size.workflows) +
+              " workflows, size " + std::to_string(size.size) + ", digests" + digests);
 
   if (!options.trace) {
-    repeat_for(options.seconds, 3, untraced_pass);
-    const double wall = median(walls);
+    repeat_for(options.seconds, 3, [&] { untraced_pass(next_ref()); });
     report.note(describe("setup_s", setup_times));
     report.note(describe("wall_s", walls));
     report.metric("setup_s", median(setup_times), "s");
-    report.metric("wall_s", wall, "s");
-    report.metric("items_per_s", static_cast<double>(jobs_total) / wall, "1/s");
+    // The fastest pass: outside load on a shared host slows these
+    // single-threaded passes in phases of seconds to minutes, and the
+    // fastest pass moves far less with those phases than the median does.
+    report.metric("wall_s", min_of(walls), "s");
+    report.metric("items_per_s", *std::max_element(rates.begin(), rates.end()), "1/s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
     return;
   }
@@ -281,17 +305,18 @@ void run_fleet(const RunOptions& options, bool stream, Tracer& tracer,
   std::vector<double> traced_walls;
   Samples samples;
   repeat_for(options.seconds, 2, [&] {
-    untraced_pass();
+    const Reference& ref = next_ref();
+    untraced_pass(ref);
     cores.next();
     RoundCounter rounds;  // outlive the controller that holds them
     StorageCounter storage;
-    Fleet fleet = timed_setup(tracer);
+    Fleet fleet = timed_setup(tracer, ref);
     const double arrivals_s = tracer.last_seconds("workload.arrivals");
     if (auto* bus = fleet.controller->storage_bus()) bus->subscribe(&storage);
     waas::FleetResult result;
     {
       Tracer::Span span(tracer, "waas.run");
-      result = checked_run(fleet, traced_walls, &rounds);
+      result = checked_run(fleet, ref, traced_walls, &rounds);
     }
     const double run_s = traced_walls.back();
 
