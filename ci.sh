@@ -99,4 +99,12 @@ echo "==> perf smoke (trigger_bench --smoke)"
 cmake --build build -j "${jobs}" --target trigger_bench
 build/bench/trigger_bench --smoke --out build/BENCH_trigger_smoke.json
 
+# Benchmark self-test: builds perfbench/ into .bench_build/ and runs every
+# BENCHMARK.json workload on tiny inputs, untraced and traced. It checks
+# the workloads' own outputs (digests, job counts, per-tenant sums) and
+# that every metric name and unit matches BENCHMARK.json. No walltime
+# assertions; it writes only under .bench_build/.
+echo "==> perf smoke (perfbench/run.py --smoke)"
+python3 perfbench/run.py --smoke
+
 echo "==> CI OK (default + asan/ubsan + tsan + perf smokes)"

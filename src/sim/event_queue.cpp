@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "common/error.hpp"
@@ -8,6 +9,12 @@
 namespace pga::sim {
 
 void EventQueue::schedule(double time, Action action) {
+  // NaN would pass the past-time check below (every comparison is false)
+  // and break the heap's strict weak ordering; infinity never fires.
+  if (!std::isfinite(time)) {
+    throw common::InvalidArgument("EventQueue: non-finite event time (" +
+                                  std::to_string(time) + ")");
+  }
   if (time < now_) {
     throw common::InvalidArgument("EventQueue: scheduling into the past (" +
                                   std::to_string(time) + " < " +

@@ -28,7 +28,8 @@ class EventQueue {
   using Action = std::function<void()>;
 
   /// Schedules `action` at absolute simulation time `time` (>= now()).
-  /// Throws InvalidArgument for events in the past.
+  /// Throws InvalidArgument for events in the past and for NaN or
+  /// infinite times.
   void schedule(double time, Action action);
 
   /// Schedules `action` `delay` seconds from now.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <sstream>
 
@@ -14,9 +15,7 @@
 #include "data/storage_events.hpp"
 #include "data/transfer_manager.hpp"
 #include "wms/exec_service.hpp"
-#include "wms/planner.hpp"
 #include "workload/generator.hpp"
-#include "workload/streamed.hpp"
 
 namespace pga::waas {
 
@@ -134,9 +133,6 @@ double FleetController::tenant_deficit(std::size_t tenant) const {
 }
 
 void FleetController::admit(const workload::WorkflowRequest& request) {
-  if (request.tenant >= options_.tenants) {
-    throw common::InvalidArgument("fleet: request tenant out of range");
-  }
   // Placement: whichever platform carries fewer of the fleet's in-flight
   // jobs takes the workflow; ties go to the campus cluster (its queue is
   // the better-behaved of the two).
@@ -153,30 +149,21 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   active->arrival = request.arrival_seconds;
   active->admitted = queue_.now();
 
-  // Plan for the chosen site. Shapes with a streamed closed form skip the
-  // abstract workflow when clustering: the clustered concrete DAG lands
-  // directly (lazy ClusterRange constituents, no per-member job table).
-  if (options_.cluster_size > 1 &&
-      workload::streamed_build_supported(request.spec)) {
-    workload::StreamedBuildOptions build;
-    build.site = active->platform_name;
-    build.cluster_size = options_.cluster_size;
-    active->replicas = workload::streamed_replica_catalog(request.spec);
-    active->workflow = std::make_unique<wms::ConcreteWorkflow>(
-        workload::build_concrete_streamed(request.spec, build));
+  // Plan for the chosen site: each topology is planned once per platform,
+  // by its first request, and every later request replays that plan with
+  // its own costs.
+  workload::PlanKey key = workload::PlanKey::of(
+      request.spec, active->platform_name, options_.cluster_size);
+  std::optional<workload::PlanTemplate::Instance> planned;
+  if (const auto found = templates_.find(key); found != templates_.end()) {
+    planned.emplace(found->second.instantiate(request.spec));
   } else {
-    const wms::AbstractWorkflow abstract = workload::build_workflow(request.spec);
-    wms::PlannerOptions planner_options;
-    planner_options.target_site = active->platform_name;
-    planner_options.cluster_factor = options_.cluster_size;
-    planner_options.expected_output_bytes =
-        workload::expected_output_bytes(request.spec);
-    active->replicas = workload::generator_replica_catalog(abstract, request.spec);
-    active->workflow = std::make_unique<wms::ConcreteWorkflow>(
-        wms::plan(abstract, workload::generator_site_catalog(),
-                  workload::generator_transformation_catalog(abstract),
-                  active->replicas, planner_options));
+    templates_.try_emplace(std::move(key), request.spec, active->platform_name,
+                           options_.cluster_size, &planned);
   }
+  active->replicas = std::move(planned->replicas);
+  active->workflow =
+      std::make_unique<wms::ConcreteWorkflow>(std::move(planned->workflow));
 
   // Service stack, innermost out: SimService on the placed platform, then
   // optional shared-bandwidth staging, then optional per-request chaos.
@@ -210,6 +197,9 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
                               ? data::make_locality_policy(*transfers_)
                               : wms::make_policy(options_.policy);
   engine_options.observers = {&telemetry_};
+  // Reaping reads only counters and the streamed jobstate digest, so no
+  // engine keeps a per-job roster or a stored log.
+  engine_options.lean_report = true;
   engine_options.backoff_seed =
       common::mix64(options_.seed ^ (kBackoffSalt + request.index));
 
@@ -222,30 +212,29 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   active_.push_back(std::move(active));
 }
 
-void FleetController::reap(std::size_t slot, std::vector<WorkflowOutcome>& outcomes) {
-  Active& active = *active_[slot];
-  telemetry_.set_tenant(active.tenant);
-  wms::RunReport report = active.engine->take_report();
+void FleetController::reap(std::unique_ptr<Active> active,
+                           std::vector<WorkflowOutcome>& outcomes) {
+  telemetry_.set_tenant(active->tenant);
+  const wms::RunReport report = active->engine->take_report();
 
   WorkflowOutcome outcome;
-  outcome.index = active.index;
-  outcome.tenant = active.tenant;
-  outcome.platform = active.platform_name;
-  outcome.arrival_seconds = active.arrival;
-  outcome.admitted_seconds = active.admitted;
+  outcome.index = active->index;
+  outcome.tenant = active->tenant;
+  outcome.platform = active->platform_name;
+  outcome.arrival_seconds = active->arrival;
+  outcome.admitted_seconds = active->admitted;
   outcome.finished_seconds = report.end_time;
-  outcome.makespan_seconds = report.end_time - active.arrival;
+  outcome.makespan_seconds = report.end_time - active->arrival;
   outcome.success = report.success;
   outcome.jobs = report.jobs_total;
   outcome.retries = report.total_retries;
-  outcome.digest = common::lines_digest(report.jobstate_log);
-  telemetry_.record_workflow(active.tenant, outcome.makespan_seconds,
+  outcome.digest = report.jobstate_digest;
+  telemetry_.record_workflow(active->tenant, outcome.makespan_seconds,
                              outcome.success);
   outcomes.push_back(std::move(outcome));
 
-  --tenant_active_[active.tenant];
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(slot));
-}
+  --tenant_active_[active->tenant];
+}  // `active` tears down here: engine, then services, then plan
 
 FleetResult FleetController::run(
     const std::vector<workload::WorkflowRequest>& requests,
@@ -267,37 +256,62 @@ FleetResult FleetController::run(
   const std::uint64_t start_events = queue_.processed();
   const bool capped = options_.max_jobs_in_flight > 0;
   std::size_t next_arrival = 0;
-  // Arrived but not yet admitted, in arrival order. Holds request values
-  // (not stream indices) so statically-generated and source-synthesized
-  // requests queue identically.
-  std::vector<workload::WorkflowRequest> due;
+  // Arrived but not yet admitted: one FIFO per tenant, each entry tagged
+  // with its global arrival sequence. Holds request values (not stream
+  // indices) so statically-generated and source-synthesized requests
+  // queue identically.
+  struct Due {
+    std::uint64_t sequence = 0;
+    workload::WorkflowRequest request;
+  };
+  std::vector<std::deque<Due>> due(options_.tenants);
+  std::size_t due_count = 0;
+  std::uint64_t arrivals = 0;
+  std::vector<std::size_t> heads;  // tenants with due requests, scratch
   std::vector<WorkflowOutcome> outcomes;
   outcomes.reserve(requests.size());
   std::vector<std::size_t> tenant_budget(options_.tenants, 0);
 
+  const auto enqueue = [&](workload::WorkflowRequest request) {
+    if (request.tenant >= options_.tenants) {
+      throw common::InvalidArgument("fleet: request tenant out of range");
+    }
+    const std::size_t tenant = request.tenant;
+    due[tenant].push_back({arrivals++, std::move(request)});
+    ++due_count;
+  };
+
   const auto admit_due = [&] {
     while (next_arrival < requests.size() &&
            requests[next_arrival].arrival_seconds <= queue_.now() + kEps) {
-      due.push_back(requests[next_arrival++]);
+      enqueue(requests[next_arrival++]);
     }
     if (source != nullptr) {
       for (auto& request : source->poll(queue_.now() + kEps)) {
-        due.push_back(std::move(request));
+        enqueue(std::move(request));
       }
     }
-    while (!due.empty() && (options_.max_active_workflows == 0 ||
-                            active_.size() < options_.max_active_workflows)) {
+    while (due_count > 0 && (options_.max_active_workflows == 0 ||
+                             active_.size() < options_.max_active_workflows)) {
       // Weighted fair-share admission: the due request whose tenant has
-      // the smallest deficit wins; the scan order keeps FIFO within ties.
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < due.size(); ++i) {
-        if (tenant_deficit(due[i].tenant) + kEps <
-            tenant_deficit(due[best].tenant)) {
-          best = i;
-        }
+      // the smallest deficit wins, scanned in arrival order so FIFO breaks
+      // ties. A tenant's requests all share its deficit, so only its
+      // oldest can win: scanning the tenants' heads in arrival order picks
+      // exactly what a scan over every due request would.
+      heads.clear();
+      for (std::size_t t = 0; t < options_.tenants; ++t) {
+        if (!due[t].empty()) heads.push_back(t);
       }
-      const workload::WorkflowRequest pick = std::move(due[best]);
-      due.erase(due.begin() + static_cast<std::ptrdiff_t>(best));
+      std::sort(heads.begin(), heads.end(), [&](std::size_t a, std::size_t b) {
+        return due[a].front().sequence < due[b].front().sequence;
+      });
+      std::size_t best = heads.front();
+      for (const std::size_t tenant : heads) {
+        if (tenant_deficit(tenant) + kEps < tenant_deficit(best)) best = tenant;
+      }
+      const workload::WorkflowRequest pick = std::move(due[best].front().request);
+      due[best].pop_front();
+      --due_count;
       admit(pick);
     }
   };
@@ -329,7 +343,7 @@ FleetResult FleetController::run(
 
   while (true) {
     admit_due();
-    if (active_.empty() && due.empty() && next_arrival == requests.size()) {
+    if (active_.empty() && due_count == 0 && next_arrival == requests.size()) {
       // Static stream drained and nothing running — but the source may
       // still owe future requests (e.g. a trigger firing with a delay).
       // Jump the clock to its earliest pending arrival and re-poll.
@@ -385,13 +399,19 @@ FleetResult FleetController::run(
         progress |= step_engine(*active, headroom, headroom);
       }
     }
-    for (std::size_t slot = 0; slot < active_.size();) {
+    // Reap in one stable pass: the survivors keep their order, which is
+    // the next round's step order and so fixes FIFO tie-breaks on the
+    // shared clock (a swap-remove would reorder them).
+    std::size_t kept = 0;
+    for (std::size_t slot = 0; slot < active_.size(); ++slot) {
       if (active_[slot]->engine->is_done()) {
-        reap(slot, outcomes);
+        reap(std::move(active_[slot]), outcomes);
       } else {
-        ++slot;
+        if (kept != slot) active_[kept] = std::move(active_[slot]);
+        ++kept;
       }
     }
+    active_.resize(kept);
     if (progress) continue;
 
     // Quiet round: nobody could submit or consume. Advance the shared

@@ -12,9 +12,11 @@
 //     controller admits the request whose tenant has the smallest
 //     weighted deficit (jobs-in-flight / weight), i.e. weighted fair
 //     share across tenants, FIFO within a tenant;
-//   * placement: each admitted workflow is planned (workload::plan_shape
-//     pipeline) for whichever platform currently carries fewer of the
-//     fleet's in-flight jobs (ties go to the campus cluster);
+//   * placement: each admitted workflow is planned for whichever platform
+//     currently carries fewer of the fleet's in-flight jobs (ties go to
+//     the campus cluster). Planning runs once per topology and platform:
+//     a workload::PlanTemplate records it on the first request and
+//     replays it, re-priced, for every later one;
 //   * execution: engines are stepped cooperatively — step_cooperative()
 //     never blocks, the controller owns the clock and only advances it to
 //     the earliest engine deadline / arrival / platform event, so 10k
@@ -36,7 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -49,6 +51,7 @@
 #include "wms/engine.hpp"
 #include "wms/fault_injection.hpp"
 #include "workload/arrival.hpp"
+#include "workload/plan_template.hpp"
 
 namespace pga::data {
 class TransferManager;
@@ -81,8 +84,9 @@ struct FleetOptions {
   /// concurrently-stepping engines.
   std::string policy = "fifo";
   /// Per-engine options template: retries, backoff, attempt timeout,
-  /// blacklist. `policy`, `observers`, `status` and `rescue_path` fields
-  /// are controller-owned and ignored here.
+  /// blacklist. `policy`, `observers`, `status`, `rescue_path` and
+  /// `lean_report` (always on) fields are controller-owned and ignored
+  /// here.
   wms::EngineOptions engine = {};
   /// Platform sizing. Seeds are overridden from `seed`; slots are the
   /// elastic-provisioning knob (the paper's fixed 512/150 split is tiny
@@ -92,11 +96,10 @@ struct FleetOptions {
   /// false = campus only (single-platform fleet, mostly for tests).
   bool dual_platform = true;
   /// >1: horizontally cluster compute jobs at admission, cluster_size per
-  /// scheduled unit (planner cluster_factor semantics). Shapes with a
-  /// streamed closed form (blast2cap3) are admitted through
-  /// workload::build_concrete_streamed — no abstract workflow, no
-  /// per-member job table, constituents described as lazy ClusterRanges —
-  /// so a large-n request costs the fleet O(n / cluster_size) memory.
+  /// scheduled unit (planner cluster_factor semantics), so a request's
+  /// job table shrinks about cluster_size-fold. Every shape takes the same
+  /// admission path either way: the clustered plan is part of the
+  /// workload::PlanTemplate key.
   std::size_t cluster_size = 1;
   /// Model stage-in/out through one shared TransferManager (bandwidth
   /// contention across the whole fleet) instead of flat-cost jobs.
@@ -189,7 +192,8 @@ class FleetController {
 
   void admit(const workload::WorkflowRequest& request);
   [[nodiscard]] double tenant_deficit(std::size_t tenant) const;
-  void reap(std::size_t slot, std::vector<WorkflowOutcome>& outcomes);
+  /// Records a finished workflow's outcome, then destroys it.
+  void reap(std::unique_ptr<Active> active, std::vector<WorkflowOutcome>& outcomes);
 
   sim::EventQueue& queue_;
   FleetOptions options_;
@@ -201,6 +205,9 @@ class FleetController {
   std::unique_ptr<data::TransferManager> transfers_;
   std::unique_ptr<data::StorageEventBus> storage_bus_;
 
+  /// One plan per (topology, platform, cluster size), recorded on the
+  /// first request that needs it and replayed for every later one.
+  std::map<workload::PlanKey, workload::PlanTemplate> templates_;
   std::vector<std::unique_ptr<Active>> active_;   ///< admission order
   std::vector<std::size_t> tenant_in_flight_;     ///< live jobs per tenant
   std::vector<std::size_t> tenant_active_;        ///< live engines per tenant

@@ -210,6 +210,15 @@ std::size_t ConcreteWorkflow::count(JobKind kind) const {
   return n;
 }
 
+double stage_job_seconds(double base_seconds, std::uint64_t bytes,
+                         const SiteEntry& site) {
+  // Zero bytes price exactly like no bandwidth term: base + 0.0 == base.
+  return base_seconds +
+         (bytes > 0 && site.stage_bandwidth_bps > 0
+              ? static_cast<double>(bytes) / site.stage_bandwidth_bps
+              : 0.0);
+}
+
 ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites,
                       const TransformationCatalog& transformations,
                       const ReplicaCatalog& replicas, const PlannerOptions& options) {
@@ -370,10 +379,7 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
         if (replica.has_value()) stage_in.staged_bytes += replica->size_bytes;
       }
       stage_in.cpu_seconds_hint =
-          options.stage_in_seconds +
-          (site.stage_bandwidth_bps > 0
-               ? static_cast<double>(stage_in.staged_bytes) / site.stage_bandwidth_bps
-               : 0.0);
+          stage_job_seconds(options.stage_in_seconds, stage_in.staged_bytes, site);
       concrete.add_job(std::move(stage_in));
       // Parents every consumer of an external input.
       const std::set<std::string> input_set(inputs.begin(), inputs.end());
@@ -397,12 +403,8 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
       stage_out.kind = JobKind::kStageOut;
       stage_out.args = outputs;
       stage_out.staged_bytes = options.expected_output_bytes;
-      stage_out.cpu_seconds_hint =
-          options.stage_out_seconds +
-          (options.expected_output_bytes > 0 && site.stage_bandwidth_bps > 0
-               ? static_cast<double>(options.expected_output_bytes) /
-                     site.stage_bandwidth_bps
-               : 0.0);
+      stage_out.cpu_seconds_hint = stage_job_seconds(
+          options.stage_out_seconds, options.expected_output_bytes, site);
       concrete.add_job(std::move(stage_out));
       const std::set<std::string> output_set(outputs.begin(), outputs.end());
       std::set<std::string> producers;

@@ -198,6 +198,14 @@ struct PlannerOptions {
   double cleanup_seconds = 5;      ///< cost hint per cleanup job
 };
 
+/// Cost hint of a transfer job moving `bytes` into or out of `site`:
+/// `base_seconds` plus bytes / site.stage_bandwidth_bps, or the flat base
+/// when the bytes or the bandwidth are unknown (0). plan() prices its
+/// stage_in/stage_out jobs with it, and so does every builder that
+/// reproduces plan()'s output without running it.
+[[nodiscard]] double stage_job_seconds(double base_seconds, std::uint64_t bytes,
+                                       const SiteEntry& site);
+
 /// Plans `abstract` onto `options.target_site`. Throws WorkflowError when a
 /// transformation is not in the catalog for the site, or an external input
 /// has no replica. Edge patterns of the abstract workflow propagate to the

@@ -76,14 +76,11 @@ wms::ConcreteWorkflow build_concrete_streamed(const ShapeSpec& spec,
   // alignments.out=0, transcripts.fasta=1, assembly.fasta=2.
   const std::uint64_t in_bytes = model.file_bytes(0) + model.file_bytes(1);
   const std::uint64_t out_bytes = model.file_bytes(2);
-  const double bw = site.stage_bandwidth_bps;
   const wms::PlannerOptions defaults;
   const double stage_in_hint =
-      defaults.stage_in_seconds +
-      (bw > 0 ? static_cast<double>(in_bytes) / bw : 0.0);
+      wms::stage_job_seconds(defaults.stage_in_seconds, in_bytes, site);
   const double stage_out_hint =
-      defaults.stage_out_seconds +
-      (out_bytes > 0 && bw > 0 ? static_cast<double>(out_bytes) / bw : 0.0);
+      wms::stage_job_seconds(defaults.stage_out_seconds, out_bytes, site);
 
   const auto fill_compute = [&](wms::ConcreteJob& job, std::string id,
                                 const char* transformation, std::size_t rank) {
@@ -274,19 +271,6 @@ wms::ConcreteWorkflow build_concrete_streamed(const ShapeSpec& spec,
   out.jobs = jobs;
   out.explicit_edges = concrete.edge_count();
   return concrete;
-}
-
-wms::ReplicaCatalog streamed_replica_catalog(const ShapeSpec& spec) {
-  if (!streamed_build_supported(spec)) {
-    throw InvalidArgument(std::string("no streamed closed form for shape ") +
-                          shape_name(spec.shape));
-  }
-  const CostModel model = cost_model_for(spec);
-  wms::ReplicaCatalog rc;
-  rc.add("alignments.out", {"/data/alignments.out", "local", model.file_bytes(0)});
-  rc.add("transcripts.fasta",
-         {"/data/transcripts.fasta", "local", model.file_bytes(1)});
-  return rc;
 }
 
 }  // namespace pga::workload

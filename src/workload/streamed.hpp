@@ -62,8 +62,4 @@ struct StreamedBuildStats {
     const ShapeSpec& spec, const StreamedBuildOptions& options,
     StreamedBuildStats* stats = nullptr);
 
-/// generator_replica_catalog(build_workflow(spec), spec) without building
-/// the abstract workflow — the streamed shapes' inputs are closed-form.
-[[nodiscard]] wms::ReplicaCatalog streamed_replica_catalog(const ShapeSpec& spec);
-
 }  // namespace pga::workload

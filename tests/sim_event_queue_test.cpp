@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -71,6 +72,19 @@ TEST(EventQueue, SchedulingIntoPastThrows) {
     EXPECT_THROW(q.schedule(5, [] {}), common::InvalidArgument);
   });
   q.run();
+}
+
+TEST(EventQueue, SchedulingNonFiniteTimeThrows) {
+  // NaN compares false against now(), so only an explicit check keeps it
+  // out of the heap; infinities would never fire.
+  EventQueue q;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(q.schedule(nan, [] {}), common::InvalidArgument);
+  EXPECT_THROW(q.schedule(inf, [] {}), common::InvalidArgument);
+  EXPECT_THROW(q.schedule(-inf, [] {}), common::InvalidArgument);
+  EXPECT_THROW(q.schedule_in(nan, [] {}), common::InvalidArgument);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ZeroDelayAllowed) {

@@ -1,12 +1,15 @@
 // Fleet-controller suite: multi-tenant WaaS over one shared clock.
 // Covers completion/accounting invariants, weighted fair share (equal
 // weights finish together; 3:1 weights yield ~3:1 throughput), cap
-// enforcement, dual-platform placement, staging composition, chaos, and
-// double-run byte identity (the fleet digest).
+// enforcement, dual-platform placement, staging composition, chaos,
+// double-run byte identity (the fleet digest) and fleet digests pinned
+// across versions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -135,6 +138,83 @@ TEST(FleetController, DoubleRunIsByteIdenticalUnderChaosAndStaging) {
   EXPECT_EQ(first.events_processed, second.events_processed);
   EXPECT_EQ(first.workflows_completed, 6u);
   EXPECT_EQ(first.workflows_succeeded, second.workflows_succeeded);
+}
+
+// --------------------------------------------- digests pinned across versions
+//
+// The double-run tests above only compare two runs of one build. These pin
+// the fleet digest itself, so a change to admission, planning or reporting
+// that shifts a single jobstate byte fails here.
+
+std::string hex(std::uint64_t value) {
+  std::ostringstream os;
+  os << std::hex << value;
+  return os.str();
+}
+
+TEST(FleetController, WaasBenchBurstDigestIsPinned) {
+  // bench/waas_bench's W=100 point: 128-worker blast2cap3 at t=0, four
+  // tenants weighted 4:2:1:1, elastic slots. BENCH_waas.json records the
+  // same digest.
+  constexpr std::size_t kWorkflows = 100;
+  workload::ShapeSpec spec = spec_of(workload::Shape::kBlast2cap3, 128, 1000);
+  const auto requests = burst_requests(kWorkflows, 4, spec);
+
+  FleetOptions options;
+  options.seed = 42;
+  options.tenants = 4;
+  options.tenant_weights = {4.0, 2.0, 1.0, 1.0};
+  options.engine.retries = 10;
+  options.campus.allocated_slots = kWorkflows * 48;
+  options.osg.base_slots = kWorkflows * 24;
+  options.pump_batch = 65'536;
+  const FleetResult result = run_fleet(options, requests);
+  EXPECT_EQ(result.workflows_succeeded, kWorkflows);
+  EXPECT_EQ(result.events_processed, 13'600u);
+  EXPECT_EQ(hex(result.digest), "ca560df27ba63d3a");
+}
+
+TEST(FleetController, MixedShapeStreamDigestIsPinned) {
+  // Every shape, fan-heavy included, arriving as a Poisson stream through
+  // staging, chaos, clustering (k = 8 over 10 workers leaves a 2-member
+  // tail cluster) and a binding jobs-in-flight cap.
+  workload::ArrivalParams params;
+  params.process = workload::ArrivalProcess::kPoisson;
+  params.count = 21;
+  params.tenants = 3;
+  params.mean_interarrival_seconds = 90;
+  params.seed = 77;
+  params.shapes.clear();
+  for (const auto shape : workload::all_shapes()) {
+    params.shapes.push_back(spec_of(shape, 10, 1));
+  }
+  auto heavy = spec_of(workload::Shape::kFan, 4, 1);
+  heavy.fan_arity_step = 2;
+  params.shapes.push_back(heavy);
+  const auto requests = workload::generate_arrivals(params);
+
+  FleetOptions options;
+  options.seed = 5;
+  options.tenants = 3;
+  options.tenant_weights = {2.0, 1.0, 1.0};
+  options.cluster_size = 8;
+  options.model_staging = true;
+  options.max_jobs_in_flight = 40;
+  options.engine.retries = 10;
+  wms::ChaosConfig chaos;
+  chaos.fail_probability = 0.05;
+  chaos.delay_probability = 0.05;
+  chaos.max_delay_seconds = 120;
+  options.chaos = chaos;
+  const FleetResult result = run_fleet(options, requests);
+  EXPECT_EQ(result.workflows_completed, 21u);
+  EXPECT_EQ(result.workflows_succeeded, 21u);
+  EXPECT_LE(result.peak_jobs_in_flight, 40u);
+  std::size_t retries = 0;
+  for (const auto& outcome : result.outcomes) retries += outcome.retries;
+  EXPECT_EQ(retries, 28u);
+  EXPECT_EQ(result.events_processed, 538u);
+  EXPECT_EQ(hex(result.digest), "98864a36cbe784f2");
 }
 
 TEST(FleetController, EqualWeightsFinishTogether) {

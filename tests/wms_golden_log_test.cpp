@@ -13,12 +13,14 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/digest.hpp"
+#include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/thread_pool.hpp"
 #include "core/b2c3_workflow.hpp"
@@ -32,6 +34,7 @@
 #include "wms/fault_injection.hpp"
 #include "wms/statistics.hpp"
 #include "workload/generator.hpp"
+#include "workload/plan_template.hpp"
 #include "workload/streamed.hpp"
 #include "shape_golden_shared.hpp"
 #include "wms_test_dags.hpp"
@@ -385,6 +388,90 @@ TEST(PatternedDag, StreamedBuildMatchesPlannerPath) {
       EXPECT_EQ(stats.explicit_edges, 7u);
     }
   }
+}
+
+/// Per-LFN equality of two replica catalogs (entries() is LFN-ordered).
+void expect_same_replicas(const ReplicaCatalog& a, const ReplicaCatalog& b) {
+  const auto x = a.entries();
+  const auto y = b.entries();
+  ASSERT_EQ(x.size(), y.size());
+  for (auto i = x.begin(), j = y.begin(); i != x.end(); ++i, ++j) {
+    ASSERT_EQ(i->first, j->first);
+    ASSERT_EQ(i->second.size(), j->second.size()) << i->first;
+    for (std::size_t r = 0; r < i->second.size(); ++r) {
+      EXPECT_EQ(i->second[r].pfn, j->second[r].pfn) << i->first;
+      EXPECT_EQ(i->second[r].site, j->second[r].site) << i->first;
+      EXPECT_EQ(i->second[r].size_bytes, j->second[r].size_bytes) << i->first;
+    }
+  }
+}
+
+TEST(PatternedDag, PlanTemplateReplayMatchesPlannerPath) {
+  // One recorded plan per topology, replayed for requests that differ in
+  // seed and edge storage: every shape (fan-heavy included), both sites,
+  // clustered or not — field for field what plan_shape returns, with the
+  // replica catalog generator_replica_catalog builds.
+  std::vector<workload::ShapeSpec> topologies;
+  for (const auto shape : workload::all_shapes()) {
+    workload::ShapeSpec spec;
+    spec.shape = shape;
+    spec.size = 10;
+    topologies.push_back(spec);
+  }
+  workload::ShapeSpec heavy;
+  heavy.shape = workload::Shape::kFan;
+  heavy.size = 5;
+  heavy.fan_arity_step = 2;
+  topologies.push_back(heavy);
+
+  for (const std::string site : {"sandhills", "osg"}) {
+    for (const std::size_t k : {1u, 2u, 8u}) {
+      for (const auto& topology : topologies) {
+        std::optional<workload::PlanTemplate::Instance> first;
+        const workload::PlanTemplate plan(topology, site, k, &first);
+        const std::string what = workload::spec_name(topology) + "@" + site +
+                                 " k=" + std::to_string(k);
+        // The recording request keeps the plan it was recorded from.
+        ASSERT_TRUE(first.has_value()) << what;
+        expect_same_concrete(first->workflow, workload::plan_shape(topology, site, k));
+        expect_same_replicas(first->replicas,
+                             workload::generator_replica_catalog(
+                                 workload::build_workflow(topology), topology));
+        std::vector<std::vector<double>> hints;  // per seed
+        for (const std::uint64_t seed : {7u, 8u}) {
+          for (const bool patterns : {false, true}) {
+            workload::ShapeSpec spec = topology;
+            spec.seed = seed;
+            spec.edge_patterns = patterns;
+            const auto replayed = plan.instantiate(spec);
+            expect_same_concrete(replayed.workflow, workload::plan_shape(spec, site, k));
+            expect_same_replicas(replayed.replicas,
+                                 workload::generator_replica_catalog(
+                                     workload::build_workflow(spec), spec));
+            if (!patterns) {
+              hints.emplace_back();
+              for (const ConcreteJob& job : replayed.workflow.jobs()) {
+                hints.back().push_back(job.cpu_seconds_hint);
+              }
+            }
+          }
+        }
+        // Same template, different seed: same DAG, different prices.
+        ASSERT_EQ(hints.size(), 2u);
+        EXPECT_NE(hints[0], hints[1]) << what;
+      }
+    }
+  }
+}
+
+TEST(PatternedDag, PlanTemplateRejectsAnotherTopology) {
+  workload::ShapeSpec spec = b2c3_spec(16, false);
+  const workload::PlanTemplate plan(spec, "osg", 1);
+  spec.size = 17;
+  EXPECT_THROW((void)plan.instantiate(spec), common::InvalidArgument);
+  spec = b2c3_spec(16, false);
+  spec.shape = workload::Shape::kFan;
+  EXPECT_THROW((void)plan.instantiate(spec), common::InvalidArgument);
 }
 
 TEST(PatternedDag, StreamedExplicitModeAlsoMatchesPlannerPath) {
