@@ -40,6 +40,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
   ++staged_jobs_;
   auto staging = std::make_shared<StagingJob>();
   staging->job_id = job.id;
+  staging->job = job.index;
   staging->transformation = job.transformation;
   staging->site = config_.execution_site;
   staging->submit_time = queue_.now();
@@ -97,6 +98,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
 void StagingService::complete(const std::shared_ptr<StagingJob>& staging) {
   wms::TaskAttempt attempt;
   attempt.job_id = staging->job_id;
+  attempt.job = staging->job;
   attempt.transformation = staging->transformation;
   attempt.success = staging->all_ok;
   attempt.error = staging->error;

@@ -57,6 +57,11 @@ class StagingService final : public wms::ExecutionService {
   std::vector<wms::TaskAttempt> wait() override;
   std::vector<wms::TaskAttempt> wait_for(double timeout_seconds) override;
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
+  /// Our transfers land in completed_ only from queue events, so with
+  /// none due now the step is a no-op once the inner service is quiet too.
+  [[nodiscard]] bool quiet() override {
+    return completed_.empty() && inner_.quiet();
+  }
   double now() override { return queue_.now(); }
   [[nodiscard]] double next_event_time() override {
     return inner_.next_event_time();  // transfers are queue-driven
@@ -74,6 +79,7 @@ class StagingService final : public wms::ExecutionService {
   /// Aggregates the per-file transfers of one staging job.
   struct StagingJob {
     std::string job_id;
+    std::uint32_t job = 0;  ///< ConcreteJob::index, echoed in the attempt
     std::string transformation;
     std::string site;
     double submit_time = 0;

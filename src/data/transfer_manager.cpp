@@ -24,6 +24,10 @@ TransferManager::TransferManager(sim::EventQueue& queue, TransferConfig config)
 
 void TransferManager::add_element(StorageElementConfig config) {
   const std::string site = config.site;
+  if (outstanding_ > 0 && elements_.count(site) != 0) {
+    throw InvalidArgument("TransferManager: cannot replace the element of site " +
+                          site + " while transfers are outstanding");
+  }
   elements_.erase(site);
   auto it = elements_.emplace(site, StorageElement(std::move(config))).first;
   it->second.set_event_sink(event_bus_);
@@ -44,6 +48,11 @@ StorageElement& TransferManager::element(const std::string& site) {
     throw InvalidArgument("TransferManager: no storage element for site " + site);
   }
   return it->second;
+}
+
+const StorageElement* TransferManager::find_element(const std::string& site) const {
+  const auto it = elements_.find(site);
+  return it == elements_.end() ? nullptr : &it->second;
 }
 
 const StorageElement& TransferManager::element(const std::string& site) const {
@@ -101,17 +110,23 @@ std::optional<wms::Replica> TransferManager::select_source(
 double TransferManager::duration_for(std::uint64_t bytes,
                                      const std::string& source_site,
                                      const std::string& dest_site) const {
-  if (source_site == dest_site) return config_.latency_seconds;
+  return attempt_seconds(bytes, find_element(source_site), find_element(dest_site),
+                         source_site == dest_site);
+}
+
+double TransferManager::attempt_seconds(std::uint64_t bytes,
+                                        const StorageElement* source,
+                                        const StorageElement* dest,
+                                        bool same_site) const {
+  if (same_site) return config_.latency_seconds;
   double bps = StorageElementConfig{}.bandwidth_out_bps;
-  const auto src = elements_.find(source_site);
-  const auto dst = elements_.find(dest_site);
-  if (src != elements_.end() && dst != elements_.end()) {
-    bps = std::min(src->second.config().bandwidth_out_bps,
-                   dst->second.config().bandwidth_in_bps);
-  } else if (src != elements_.end()) {
-    bps = src->second.config().bandwidth_out_bps;
-  } else if (dst != elements_.end()) {
-    bps = dst->second.config().bandwidth_in_bps;
+  if (source != nullptr && dest != nullptr) {
+    bps = std::min(source->config().bandwidth_out_bps,
+                   dest->config().bandwidth_in_bps);
+  } else if (source != nullptr) {
+    bps = source->config().bandwidth_out_bps;
+  } else if (dest != nullptr) {
+    bps = dest->config().bandwidth_in_bps;
   }
   return config_.latency_seconds + static_cast<double>(bytes) / bps;
 }
@@ -121,15 +136,16 @@ void TransferManager::transfer(const std::string& lfn, std::uint64_t bytes,
                                const std::string& dest_site,
                                TransferCallback on_complete) {
   if (!on_complete) throw InvalidArgument("TransferManager: null callback");
-  ensure_element(source_site);
-  ensure_element(dest_site);
   auto request = std::make_shared<Request>();
   request->lfn = lfn;
   request->bytes = bytes;
   request->source_site = source_site;
   request->dest_site = dest_site;
+  request->source = &ensure_element(source_site);
+  request->dest = &ensure_element(dest_site);
   request->on_complete = std::move(on_complete);
   request->submit_time = queue_.now();
+  ++outstanding_;
   waiting_.push_back(std::move(request));
   pump();
 }
@@ -137,43 +153,37 @@ void TransferManager::transfer(const std::string& lfn, std::uint64_t bytes,
 void TransferManager::pump() {
   // Scan-first-dispatchable: a request blocked on a busy endpoint must not
   // starve transfers between idle sites behind it. FIFO order still wins
-  // among requests contending for the same endpoints.
+  // among requests contending for the same endpoints. start() only takes
+  // slots and never touches waiting_, so every request ahead of a started
+  // one stays blocked: the scan resumes where the started one left.
   for (auto it = waiting_.begin(); it != waiting_.end();) {
-    StorageElement& src = element((*it)->source_site);
-    StorageElement& dst = element((*it)->dest_site);
-    const bool same_site = (*it)->source_site == (*it)->dest_site;
+    const Request& request = **it;
     const bool dispatchable =
-        same_site ? dst.slot_available()
-                  : (src.slot_available() && dst.slot_available());
+        request.dest->slot_available() &&
+        (request.source == request.dest || request.source->slot_available());
     if (!dispatchable) {
       ++it;
       continue;
     }
-    std::shared_ptr<Request> request = *it;
+    std::shared_ptr<Request> started = std::move(*it);
     it = waiting_.erase(it);
-    start(std::move(request));
-    // Restart the scan: start() may have freed nothing, but iterator
-    // stability across erase + container growth elsewhere is not worth
-    // reasoning about per element.
-    it = waiting_.begin();
+    start(std::move(started));
   }
 }
 
 void TransferManager::start(std::shared_ptr<Request> request) {
-  StorageElement& src = element(request->source_site);
-  StorageElement& dst = element(request->dest_site);
-  const bool same_site = request->source_site == request->dest_site;
-  if (!same_site) src.acquire_slot();
-  dst.acquire_slot();
+  const bool same_site = request->source == request->dest;
+  if (!same_site) request->source->acquire_slot();
+  request->dest->acquire_slot();
   // Reading from the source counts as a use for LRU recency (no-op when
   // the source doesn't hold the file or eviction is disabled).
-  src.touch(request->lfn);
+  request->source->touch(request->lfn);
   ++in_flight_;
   ++request->attempts;
   if (request->first_start < 0) request->first_start = queue_.now();
 
   const double duration =
-      duration_for(request->bytes, request->source_site, request->dest_site);
+      attempt_seconds(request->bytes, request->source, request->dest, same_site);
   // Failure draw order is fixed (fail?, then partial fraction) so the RNG
   // stream — and with it the whole run — replays from the seed.
   bool failed = false;
@@ -185,13 +195,11 @@ void TransferManager::start(std::shared_ptr<Request> request) {
 
   queue_.schedule_in(elapsed, [this, request = std::move(request), same_site,
                                failed]() mutable {
-    StorageElement& src = element(request->source_site);
-    StorageElement& dst = element(request->dest_site);
-    if (!same_site) src.release_slot();
-    dst.release_slot();
+    if (!same_site) request->source->release_slot();
+    request->dest->release_slot();
     --in_flight_;
     if (!failed) {
-      dst.store(request->lfn, request->bytes);
+      request->dest->store(request->lfn, request->bytes);
       finish(request, /*success=*/true);
     } else if (request->attempts <= config_.max_retries) {
       ++stats_.retries;
@@ -208,6 +216,7 @@ void TransferManager::start(std::shared_ptr<Request> request) {
 }
 
 void TransferManager::finish(const std::shared_ptr<Request>& request, bool success) {
+  --outstanding_;
   TransferResult result;
   result.lfn = request->lfn;
   result.source_site = request->source_site;

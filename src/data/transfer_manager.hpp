@@ -59,10 +59,14 @@ class TransferManager {
   TransferManager(sim::EventQueue& queue, TransferConfig config = {});
 
   /// Registers a site's storage element. Re-adding a site replaces its
-  /// configuration (but not any in-flight slot accounting — register
-  /// elements before transferring).
+  /// element, which throws InvalidArgument while any transfer is
+  /// outstanding (queued, in flight or cooling before a retry): requests
+  /// hold their endpoints' elements from transfer() to completion.
   void add_element(StorageElementConfig config);
   [[nodiscard]] bool has_element(const std::string& site) const;
+  /// The site's element, or nullptr when none is registered: one lookup
+  /// for callers that would otherwise pair has_element() with element().
+  [[nodiscard]] const StorageElement* find_element(const std::string& site) const;
 
   /// Attaches a storage-event stream to every registered element, and to
   /// every element registered or auto-created afterwards (nullptr
@@ -111,6 +115,11 @@ class TransferManager {
     std::uint64_t bytes = 0;
     std::string source_site;
     std::string dest_site;
+    /// Endpoint elements, resolved once in transfer(). elements_ is a
+    /// std::map, so they stay put while other sites are added, and
+    /// add_element() refuses to replace one while a request is outstanding.
+    StorageElement* source = nullptr;
+    StorageElement* dest = nullptr;
     TransferCallback on_complete;
     double submit_time = 0;
     double first_start = -1;  ///< <0 until the first attempt starts
@@ -123,6 +132,11 @@ class TransferManager {
   /// block transfers between idle sites.
   void pump();
   void start(std::shared_ptr<Request> request);
+  /// duration_for() on resolved endpoints; nullptr = unregistered site.
+  [[nodiscard]] double attempt_seconds(std::uint64_t bytes,
+                                       const StorageElement* source,
+                                       const StorageElement* dest,
+                                       bool same_site) const;
   void finish(const std::shared_ptr<Request>& request, bool success);
 
   sim::EventQueue& queue_;
@@ -132,6 +146,7 @@ class TransferManager {
   StorageEventBus* event_bus_ = nullptr;
   std::deque<std::shared_ptr<Request>> waiting_;
   std::size_t in_flight_ = 0;
+  std::size_t outstanding_ = 0;  ///< transfer() calls not yet finished
   Stats stats_;
 };
 

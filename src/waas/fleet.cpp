@@ -271,6 +271,7 @@ FleetResult FleetController::run(
   std::vector<WorkflowOutcome> outcomes;
   outcomes.reserve(requests.size());
   std::vector<std::size_t> tenant_budget(options_.tenants, 0);
+  std::size_t engine_steps = 0;
 
   const auto enqueue = [&](workload::WorkflowRequest request) {
     if (request.tenant >= options_.tenants) {
@@ -322,6 +323,7 @@ FleetResult FleetController::run(
     telemetry_.set_tenant(active.tenant);
     const std::size_t before = active.engine->jobs_in_flight();
     const bool progress = active.engine->step_cooperative(grant);
+    ++engine_steps;
     const std::size_t after = active.engine->jobs_in_flight();
     if (after >= before) {
       const std::size_t delta = after - before;
@@ -386,6 +388,16 @@ FleetResult FleetController::run(
     for (auto& active : active_) {
       const std::size_t grant =
           capped ? std::min(tenant_budget[active->tenant], headroom) : kUnlimited;
+      // Skip an engine whose step under this grant is provably a no-op: it
+      // would add no progress and no in-flight delta, so budgets, headroom
+      // and every later step are unchanged. Both halves are tested at this
+      // engine's turn, because an earlier engine's step can schedule an
+      // event due now (a zero-delay completion), which a quiet poll() runs.
+      const auto next = queue_.next_time();
+      if ((!next.has_value() || *next > queue_.now()) &&
+          active->engine->idle(grant)) {
+        continue;
+      }
       progress |= step_engine(*active, grant, headroom);
     }
     // Work-conserving second pass: leftover headroom goes to whoever has
@@ -464,6 +476,7 @@ FleetResult FleetController::run(
   result.peak_jobs_in_flight = telemetry_.peak_jobs_in_flight();
   result.events_processed = queue_.processed() - start_events;
   result.engine_events = telemetry_.engine_events();
+  result.engine_steps = engine_steps;
   result.finished_at_seconds = queue_.now();
   result.p50_makespan_seconds = telemetry_.makespan_percentile(50);
   result.p99_makespan_seconds = telemetry_.makespan_percentile(99);

@@ -144,6 +144,9 @@ struct FleetResult {
   std::size_t peak_jobs_in_flight = 0;
   std::uint64_t events_processed = 0;  ///< queue events this run consumed
   std::size_t engine_events = 0;       ///< EngineEvents across all engines
+  /// step_cooperative calls across all engines and rounds; engines whose
+  /// step is provably a no-op are skipped and not counted.
+  std::size_t engine_steps = 0;
   double finished_at_seconds = 0;      ///< clock when the last engine drained
   double p50_makespan_seconds = 0;
   double p99_makespan_seconds = 0;

@@ -619,6 +619,24 @@ bool EngineInstance::step_cooperative(std::size_t submit_budget) {
   return progress || submitted > 0;
 }
 
+bool EngineInstance::idle(std::size_t submit_budget) {
+  if (finished_) return false;
+  if (fsm_.has_ready()) {
+    if (submit_budget > 0 && !throttled()) return false;  // would submit
+  } else if (fsm_.submitted_count() == 0 && !fsm_.any_cooling()) {
+    return false;  // nothing left at all: the step would finalize the run
+  }
+  // The release and expiry tests of submit_ready() and expire_due().
+  const double now = service_.now();
+  if (fsm_.earliest_release() <= now + kEps) return false;
+  if (timeout_on_) {
+    for (const std::uint32_t index : inflight_list_) {
+      if (in_flight_[index].deadline <= now + kEps) return false;
+    }
+  }
+  return service_.quiet();
+}
+
 void EngineInstance::finalize() {
   {
     EngineEvent finished;

@@ -237,6 +237,17 @@ class EngineInstance {
   /// True once the run has reached its terminal state.
   [[nodiscard]] bool is_done() const { return finished_; }
 
+  /// True when step_cooperative(submit_budget) would provably do nothing —
+  /// submit no job, consume no completion, expire no deadline, release no
+  /// backoff, not finalize, emit no event — provided the shared event
+  /// queue holds no event due at the current instant (the caller's half of
+  /// the test). It is the exact negation of every branch of
+  /// step_cooperative() that can act, so a cooperative driver may skip
+  /// the step. Ready jobs make an engine busy only when the budget and
+  /// the throttle would let one submit: a zero grant is back-pressure.
+  [[nodiscard]] bool idle(
+      std::size_t submit_budget = std::numeric_limits<std::size_t>::max());
+
   /// Finalizes and returns the report. Call once, after is_done(); throws
   /// InvalidArgument otherwise.
   RunReport take_report();

@@ -90,9 +90,10 @@ void SimService::submit(const ConcreteJob& job) {
   sim_job.cpu_seconds = job.cpu_seconds_hint;
   sim_job.needs_software_setup = job.needs_software_setup;
   sim_job.software_bytes = job.software_bytes;
-  platform_.submit(sim_job, [this](const sim::AttemptResult& result) {
+  platform_.submit(sim_job, [this, index = job.index](const sim::AttemptResult& result) {
     TaskAttempt attempt;
     attempt.job_id = result.job_id;
+    attempt.job = index;
     attempt.transformation = result.transformation;
     attempt.success = result.success;
     attempt.error = result.failure;

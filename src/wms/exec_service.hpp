@@ -77,6 +77,14 @@ class ExecutionService {
   /// "deliver what is due at exactly the current time, then return".
   virtual std::vector<TaskAttempt> poll() { return wait_for(0); }
 
+  /// True when poll() would return nothing and change nothing, provided
+  /// the shared event queue holds no event due at the current instant.
+  /// Cooperative drivers (the WaaS fleet) use it to skip engines whose
+  /// step would be a no-op. Must never report true while anything could
+  /// come out of poll(); the default (false) is always safe, so services
+  /// that run on their own clock (LocalService) are never skipped.
+  [[nodiscard]] virtual bool quiet() { return false; }
+
   /// Earliest future instant (in this service's time base) at which a
   /// poll() might yield something that no shared-event-queue event
   /// announces — e.g. a fault injector holding a delayed completion.
@@ -143,6 +151,9 @@ class SimService final : public ExecutionService {
   std::vector<TaskAttempt> wait() override;
   std::vector<TaskAttempt> wait_for(double timeout_seconds) override;
   void avoid_node(const std::string& node) override { platform_.avoid_node(node); }
+  /// Completions land in completed_ only from queue events, so with none
+  /// due now an empty completed_ means poll() has nothing to give.
+  [[nodiscard]] bool quiet() override { return completed_.empty(); }
   double now() override;
   [[nodiscard]] std::string label() const override { return platform_.name(); }
 

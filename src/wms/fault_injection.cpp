@@ -142,6 +142,7 @@ void FaultyService::submit(const ConcreteJob& job) {
     ++injected_failures_;
     TaskAttempt failed;
     failed.job_id = job.id;
+    failed.job = job.index;
     failed.transformation = job.transformation;
     failed.success = false;
     failed.error = do_fail != nullptr ? do_fail->error : chaos_fail_error;
@@ -232,6 +233,16 @@ std::vector<TaskAttempt> FaultyService::wait() {
       }
     }
   }
+}
+
+bool FaultyService::quiet() {
+  if (!due_.empty()) return false;
+  // The release test take_due() applies, on the clock poll() would read.
+  const double now = inner_.now();
+  for (const auto& held : held_) {
+    if (held.release_time <= now + kEps) return false;
+  }
+  return inner_.quiet();
 }
 
 std::vector<TaskAttempt> FaultyService::poll() {

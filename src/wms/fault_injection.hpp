@@ -131,6 +131,9 @@ class FaultyService final : public ExecutionService {
   /// when an external clock owner (the WaaS fleet) pumps the queue.
   std::vector<TaskAttempt> poll() override;
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
+  /// Nothing synthesized, nothing held that poll() would release now, and
+  /// an inner service with nothing to deliver.
+  [[nodiscard]] bool quiet() override;
   double now() override { return inner_.now(); }
   /// Delayed completions are parked in held_, invisible to any event
   /// queue; expose the earliest release so cooperative drivers (the WaaS

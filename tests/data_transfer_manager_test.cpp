@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -145,6 +146,82 @@ TEST(TransferManager, BlockedPairDoesNotStarveIdleSites) {
   queue.run();
   // "free" lands at 2.1 s, "long" at 12 s, then "blocked" gets its slot.
   EXPECT_EQ(finished, (std::vector<std::string>{"free", "long", "blocked"}));
+}
+
+TEST(TransferManager, BlockedHeadKeepsFifoFirstDispatchableOrder) {
+  sim::EventQueue queue;
+  TransferManager tm(queue);
+  tm.add_element(site("busy", 10e6, /*slots=*/1));
+  tm.add_element(site("dst", 10e6, /*slots=*/1));
+  tm.add_element(site("idle", 10e6, /*slots=*/4));
+  tm.add_element(site("other", 10e6, /*slots=*/4));
+
+  std::vector<TransferResult> finished;
+  auto record = [&finished](const TransferResult& r) { finished.push_back(r); };
+  tm.transfer("head", 10'000'000, "busy", "dst", record);  // 2 + 1 s
+  tm.transfer("second", 1'000'000, "busy", "dst", record);  // busy and dst taken
+  tm.transfer("third", 1'000'000, "idle", "dst", record);   // dst taken
+  tm.transfer("fourth", 1'000'000, "idle", "other", record);  // free: starts
+  tm.transfer("fifth", 1'000'000, "busy", "other", record);   // busy taken
+  EXPECT_EQ(tm.in_flight(), 2u);
+  EXPECT_EQ(tm.queued(), 3u);
+  queue.run();
+
+  // When "head" frees busy and dst, the oldest request that can use them
+  // ("second") wins over "third" and "fifth" behind it. When "second"
+  // frees them, one pass starts both "third" and "fifth".
+  std::vector<std::string> order;
+  for (const auto& r : finished) order.push_back(r.lfn);
+  EXPECT_EQ(order, (std::vector<std::string>{"fourth", "head", "second", "third",
+                                             "fifth"}));
+  const auto start_of = [&finished](const std::string& lfn) {
+    for (const auto& r : finished) {
+      if (r.lfn == lfn) return r.start_time;
+    }
+    return -1.0;
+  };
+  EXPECT_NEAR(start_of("head"), 0.0, 1e-9);
+  EXPECT_NEAR(start_of("fourth"), 0.0, 1e-9);
+  EXPECT_NEAR(start_of("second"), 3.0, 1e-9);
+  EXPECT_NEAR(start_of("third"), 5.1, 1e-9);
+  EXPECT_NEAR(start_of("fifth"), 5.1, 1e-9);
+  EXPECT_EQ(tm.in_flight(), 0u);
+  EXPECT_EQ(tm.queued(), 0u);
+}
+
+TEST(TransferManager, ReplacingAnElementWithTransfersOutstandingThrows) {
+  sim::EventQueue queue;
+  TransferConfig config;
+  config.failure_probability = 0.5;
+  config.max_retries = 20;
+  config.seed = 3;
+  TransferManager tm(queue, config);
+  tm.add_element(site("src", 10e6));
+  tm.add_element(site("dst", 10e6));
+  for (int i = 0; i < 6; ++i) {
+    tm.transfer("f" + std::to_string(i), 10'000'000, "src", "dst",
+                [](const TransferResult&) {});
+  }
+
+  // Requests hold their endpoint elements until they finish, including
+  // while a failed attempt cools off before its retry.
+  EXPECT_THROW(tm.add_element(site("src", 1e6)), common::InvalidArgument);
+  EXPECT_THROW(tm.add_element(site("dst", 1e6)), common::InvalidArgument);
+  EXPECT_NO_THROW(tm.add_element(site("new", 1e6)));  // adding is harmless
+  std::size_t cooled = 0;
+  while (queue.step()) {
+    if (tm.in_flight() == 0 && tm.queued() == 0 && !queue.empty()) {
+      ++cooled;  // between attempts: still outstanding
+      EXPECT_THROW(tm.add_element(site("src", 1e6)), common::InvalidArgument);
+    }
+  }
+  EXPECT_GT(tm.stats().retries, 0u);
+  EXPECT_GT(cooled, 0u);
+
+  // Once everything has finished, re-registering takes effect.
+  tm.add_element(site("src", 1e6));
+  EXPECT_DOUBLE_EQ(tm.element("src").config().bandwidth_out_bps, 1e6);
+  EXPECT_DOUBLE_EQ(tm.duration_for(1'000'000, "src", "dst"), 3.0);
 }
 
 TEST(TransferManager, RetriesThenSucceedsOrExhausts) {

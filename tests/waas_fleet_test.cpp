@@ -215,6 +215,58 @@ TEST(FleetController, MixedShapeStreamDigestIsPinned) {
   EXPECT_EQ(retries, 28u);
   EXPECT_EQ(result.events_processed, 538u);
   EXPECT_EQ(hex(result.digest), "98864a36cbe784f2");
+  // Engines whose step is provably a no-op are skipped; stepping every
+  // live engine every round took 1939 steps for the same digest.
+  EXPECT_EQ(result.engine_steps, 428u);
+  EXPECT_LT(result.engine_steps, 1939u);
+}
+
+TEST(FleetController, TimeoutBackoffBlacklistStreamDigestIsPinned) {
+  // The engine's recovery paths under a fleet: attempt timeouts reclaim
+  // chaos hangs, retries cool off under jittered backoff, and nodes that
+  // keep failing are blacklisted — all interleaved with staging transfers
+  // and a binding jobs-in-flight cap on one clock.
+  workload::ArrivalParams params;
+  params.process = workload::ArrivalProcess::kPoisson;
+  params.count = 40;
+  params.tenants = 3;
+  params.mean_interarrival_seconds = 60;
+  params.seed = 91;
+  params.shapes.clear();
+  for (const auto shape : workload::all_shapes()) {
+    params.shapes.push_back(spec_of(shape, 12, 1));
+  }
+  const auto requests = workload::generate_arrivals(params);
+
+  FleetOptions options;
+  options.seed = 7;
+  options.tenants = 3;
+  options.tenant_weights = {2.0, 1.0, 1.0};
+  options.model_staging = true;
+  options.max_jobs_in_flight = 48;
+  options.engine.retries = 12;
+  options.engine.attempt_timeout_seconds = 4000;
+  options.engine.backoff_base_seconds = 30;
+  options.engine.backoff_jitter = 0.3;
+  options.engine.node_blacklist_threshold = 3;
+  wms::ChaosConfig chaos;
+  chaos.fail_probability = 0.05;
+  chaos.hang_probability = 0.03;
+  chaos.delay_probability = 0.08;
+  chaos.corrupt_probability = 0.02;
+  chaos.max_delay_seconds = 300;
+  options.chaos = chaos;
+  const FleetResult result = run_fleet(options, requests);
+  EXPECT_EQ(result.workflows_completed, 40u);
+  EXPECT_EQ(result.workflows_succeeded, 40u);
+  EXPECT_LE(result.peak_jobs_in_flight, 48u);
+  std::size_t retries = 0;
+  for (const auto& outcome : result.outcomes) retries += outcome.retries;
+  EXPECT_EQ(retries, 128u);
+  EXPECT_EQ(result.events_processed, 2139u);
+  EXPECT_EQ(result.engine_events, 5315u);
+  EXPECT_EQ(hex(result.digest), "528953c03a42abf6");
+  EXPECT_EQ(result.engine_steps, 1'590u);  // 21'323 without the idle skip
 }
 
 TEST(FleetController, EqualWeightsFinishTogether) {

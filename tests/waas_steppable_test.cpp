@@ -2,7 +2,7 @@
 // DagmanEngine::run() byte-for-byte when driven with step(), (b) let two
 // engines interleave on one shared EventQueue without perturbing either
 // run, and (c) expose the non-blocking cooperative face (step_cooperative,
-// poll, next_deadline) the WaaS fleet controller is built on.
+// poll, next_deadline, idle) the WaaS fleet controller is built on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "data/staging_service.hpp"
+#include "data/transfer_manager.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/osg.hpp"
@@ -281,6 +283,131 @@ TEST(SteppableEngine, PollDefaultHarvestsWithoutAdvancingClock) {
   const double before = queue.now();
   EXPECT_TRUE(as_interface.poll().empty());  // completion lies in the future
   EXPECT_DOUBLE_EQ(queue.now(), before);     // poll never advances the clock
+}
+
+/// Counts engine events, for the idle contract's "emits nothing" clause.
+struct EventCounter final : EngineObserver {
+  std::size_t events = 0;
+  void on_event(const EngineEvent& /*event*/) override { ++events; }
+};
+
+TEST(SteppableEngine, IdleStepIsANoOpUnderChaosStagingTimeoutsAndBackoff) {
+  // The fleet skips an engine's step when the shared queue has nothing due
+  // now and idle() holds. Check that contract where it is hardest: one
+  // engine over Faulty(Staging(Sim)) with chaos hangs (reclaimed only by
+  // attempt timeouts), delayed completions held inside the decorator,
+  // modeled transfers, jittered retry backoff and zero grants
+  // (back-pressure, as a capped fleet hands out). Whenever the skip
+  // condition holds, the step it replaces must return false, emit no
+  // engine event and leave the queue untouched.
+  std::size_t idle_checks = 0;      // skip condition held under a grant
+  std::size_t withheld_checks = 0;  // ... and under a zero grant
+  std::size_t hangs = 0;
+  std::size_t delays = 0;
+  std::size_t timed_out = 0;
+  double backoff_seconds = 0;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL}) {
+    const auto spec = small_spec(workload::Shape::kFan, 12, seed);
+    const auto workflow = workload::plan_shape(spec, "sandhills");
+    const auto replicas =
+        workload::generator_replica_catalog(workload::build_workflow(spec), spec);
+
+    sim::EventQueue queue;
+    sim::CampusClusterConfig cfg;
+    cfg.seed = seed;
+    cfg.allocated_slots = 4;  // contention keeps completions spread out
+    sim::CampusClusterPlatform platform(queue, cfg);
+    SimService sim_service(queue, platform);
+    data::TransferManager transfers(queue);  // endpoints auto-register
+    data::StagingConfig staging_cfg;
+    staging_cfg.execution_site = "sandhills";
+    data::StagingService staging(queue, sim_service, transfers, replicas,
+                                 staging_cfg);
+    ChaosConfig chaos;
+    chaos.fail_probability = 0.1;
+    chaos.hang_probability = 0.1;
+    chaos.delay_probability = 0.25;
+    chaos.max_delay_seconds = 900;
+    chaos.seed = seed;
+    FaultyService faulty(staging, FaultPlan().chaos(chaos));
+
+    EventCounter counter;
+    EngineOptions options{.retries = 30, .rescue_path = {}};
+    options.attempt_timeout_seconds = 2500;
+    options.backoff_base_seconds = 40;
+    options.backoff_jitter = 0.3;
+    options.backoff_seed = seed;
+    options.observers = {&counter};
+    EngineInstance engine(options, workflow, faulty);
+
+    for (int guard = 0; !engine.is_done(); ++guard) {
+      ASSERT_LT(guard, 1'000'000) << "seed " << seed << " did not converge";
+      const std::size_t budget = guard % 3 == 0 ? 0 : 2;
+      const auto next = queue.next_time();
+      const bool nothing_due = !next.has_value() || *next > queue.now();
+      if (nothing_due && engine.idle(budget)) {
+        ++(budget == 0 ? withheld_checks : idle_checks);
+        const double now = queue.now();
+        const std::size_t pending = queue.pending();
+        const std::uint64_t processed = queue.processed();
+        const std::size_t events = counter.events;
+        const std::size_t in_flight = engine.jobs_in_flight();
+        ASSERT_FALSE(engine.step_cooperative(budget)) << "seed " << seed;
+        ASSERT_EQ(counter.events, events);
+        ASSERT_EQ(queue.now(), now);
+        ASSERT_EQ(queue.pending(), pending);
+        ASSERT_EQ(queue.processed(), processed);
+        ASSERT_EQ(engine.jobs_in_flight(), in_flight);
+      } else if (engine.step_cooperative(budget)) {
+        continue;
+      }
+      if (budget == 0) continue;  // a withheld grant says nothing of time
+      // A quiet step: run one event, or burn time to the engine's fence.
+      const double fence = engine.next_deadline();
+      if (next.has_value() && *next <= fence) {
+        queue.step();
+        continue;
+      }
+      ASSERT_FALSE(std::isinf(fence)) << "seed " << seed << " wedged";
+      queue.advance_to(fence);
+    }
+    const RunReport report = engine.take_report();
+    hangs += faulty.injected_hangs();
+    delays += faulty.injected_delays();
+    timed_out += report.timed_out_attempts;
+    backoff_seconds += report.total_backoff_seconds;
+  }
+  // The contract was exercised, and on the paths it reasons about.
+  EXPECT_GT(idle_checks, 100u);
+  EXPECT_GT(withheld_checks, 100u);
+  EXPECT_GT(hangs, 0u);
+  EXPECT_GT(delays, 0u);
+  EXPECT_GT(timed_out, 0u);
+  EXPECT_GT(backoff_seconds, 0.0);
+}
+
+TEST(SteppableEngine, IdleMatchesWhetherTheStepWouldAct) {
+  const auto workflow = workload::plan_shape(
+      small_spec(workload::Shape::kChain, 2, 8), "sandhills");
+  sim::EventQueue queue;
+  sim::CampusClusterPlatform platform(queue, {});
+  SimService service(queue, platform);
+  EngineOptions options{.retries = 1, .rescue_path = {}};
+  options.attempt_timeout_seconds = 1e6;
+  EngineInstance instance(options, workflow, service);
+
+  EXPECT_FALSE(instance.idle());  // the root is ready to submit
+  EXPECT_TRUE(instance.idle(0));  // ... but a zero grant is back-pressure
+  EXPECT_FALSE(instance.step_cooperative(0));
+  EXPECT_TRUE(instance.step_cooperative());
+  EXPECT_TRUE(instance.idle());   // submitted, nothing landed yet
+  while (service.quiet()) queue.step();
+  EXPECT_FALSE(instance.idle());  // a completion waits in the service
+  EXPECT_TRUE(instance.step_cooperative());
+  while (!instance.is_done()) {
+    if (!instance.step_cooperative()) queue.step();
+  }
+  EXPECT_FALSE(instance.idle());  // a finished run is never idle
 }
 
 }  // namespace
