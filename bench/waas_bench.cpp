@@ -13,7 +13,8 @@
 // Usage: waas_bench [--smoke] [--out PATH]
 //   --smoke   W=200 small workflows, dual run: asserts every workflow
 //             completes with the closed-form job count, the two runs are
-//             byte-identical (fleet digest + event count), and the event
+//             byte-identical (fleet digest, event count and engine steps),
+//             and the event
 //             count sits inside a deterministic envelope. CI perf leg;
 //             exits non-zero on violation. No walltime assertions.
 //   --out     where to write the JSON report (default BENCH_waas.json)
@@ -103,6 +104,7 @@ struct Point {
   std::size_t workers = 0;
   std::size_t jobs_total = 0;
   std::size_t events = 0;
+  std::size_t engine_steps = 0;  ///< engine steps the fleet did not skip
   std::size_t peak_in_flight = 0;
   std::size_t succeeded = 0;
   double sim_finished_seconds = 0;
@@ -133,6 +135,7 @@ Point run_point(std::size_t count, std::size_t workers) {
   point.workers = workers;
   for (const auto& outcome : result.outcomes) point.jobs_total += outcome.jobs;
   point.events = result.events_processed;
+  point.engine_steps = result.engine_steps;
   point.peak_in_flight = result.peak_jobs_in_flight;
   point.succeeded = result.workflows_succeeded;
   point.sim_finished_seconds = result.finished_at_seconds;
@@ -165,6 +168,7 @@ void write_json(const std::string& path, const std::vector<Point>& points,
     out << "      \"jobs_total\": " << p.jobs_total << ",\n";
     out << "      \"workflows_succeeded\": " << p.succeeded << ",\n";
     out << "      \"events\": " << p.events << ",\n";
+    out << "      \"engine_steps\": " << p.engine_steps << ",\n";
     out << "      \"peak_jobs_in_flight\": " << p.peak_in_flight << ",\n";
     out << "      \"sim_finished_seconds\": "
         << common::format_fixed(p.sim_finished_seconds, 1) << ",\n";
@@ -242,11 +246,13 @@ int main(int argc, char** argv) {
                   << " workflows succeeded\n";
         return 1;
       }
-      if (first.digest != second.digest || first.events != second.events) {
+      if (first.digest != second.digest || first.events != second.events ||
+          first.engine_steps != second.engine_steps) {
         std::cerr << "waas_bench --smoke: double run diverged (digest "
                   << std::hex << first.digest << " vs " << second.digest
                   << std::dec << ", events " << first.events << " vs "
-                  << second.events << ")\n";
+                  << second.events << ", engine steps " << first.engine_steps
+                  << " vs " << second.engine_steps << ")\n";
         return 1;
       }
       // Deterministic complexity envelope on events: at least one platform
@@ -268,6 +274,7 @@ int main(int argc, char** argv) {
         const Point point = run_point(count, 128);
         std::cout << "W=" << point.workflows << " jobs=" << point.jobs_total
                   << " events=" << point.events
+                  << " engine_steps=" << point.engine_steps
                   << " peak_in_flight=" << point.peak_in_flight
                   << " sim_t=" << common::format_fixed(point.sim_finished_seconds, 0)
                   << "s wall=" << common::format_fixed(point.wall_seconds, 1)

@@ -78,10 +78,10 @@ build/bench/shape_ablation --smoke --out build/BENCH_shapes_smoke.json
 # WaaS perf smoke: a 200-workflow burst through the multi-tenant fleet
 # controller, both platforms on one clock. Machine-independent guards:
 # every workflow completes with the closed-form job count, two runs are
-# byte-identical (fleet digest + event count), and the event count stays
-# in a deterministic envelope. BENCH_waas.json in the repo root is the
-# committed full sweep (bursts up to 10^4 workflows / ~1.3M jobs);
-# regenerate with `build/bench/waas_bench`.
+# identical (fleet digest, event count and engine steps), and the event
+# count stays in a deterministic envelope. BENCH_waas.json in the repo
+# root is the committed full sweep (bursts up to 10^4 workflows / ~1.3M
+# jobs); regenerate with `build/bench/waas_bench`.
 echo "==> perf smoke (waas_bench --smoke)"
 cmake --build build -j "${jobs}" --target waas_bench
 build/bench/waas_bench --smoke --out build/BENCH_waas_smoke.json

@@ -116,6 +116,7 @@ void StagingService::complete(const std::shared_ptr<StagingJob>& staging) {
   attempt.transfer_attempts = staging->attempts;
   completed_.push_back(std::move(attempt));
   --own_outstanding_;
+  if (delivered_ != nullptr) *delivered_ = 1;
 }
 
 std::vector<wms::TaskAttempt> StagingService::drain() {

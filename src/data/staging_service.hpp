@@ -62,6 +62,11 @@ class StagingService final : public wms::ExecutionService {
   [[nodiscard]] bool quiet() override {
     return completed_.empty() && inner_.quiet();
   }
+  /// Set on our own deliveries and forwarded to the inner service.
+  void set_delivery_flag(std::uint8_t* flag) override {
+    delivered_ = flag;
+    inner_.set_delivery_flag(flag);
+  }
   double now() override { return queue_.now(); }
   [[nodiscard]] double next_event_time() override {
     return inner_.next_event_time();  // transfers are queue-driven
@@ -105,6 +110,7 @@ class StagingService final : public wms::ExecutionService {
   StagingConfig config_;
 
   std::deque<wms::TaskAttempt> completed_;
+  std::uint8_t* delivered_ = nullptr;  ///< see set_delivery_flag
   std::size_t own_outstanding_ = 0;
   std::size_t inner_outstanding_ = 0;
   std::size_t staged_jobs_ = 0;

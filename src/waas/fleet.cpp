@@ -57,6 +57,8 @@ void add_fleet_elements(data::TransferManager& transfers,
 /// tears the engine down before the services it references, and the
 /// services before the catalogs/plan they reference.
 struct FleetController::Active {
+  /// Set by the service stack on every delivery; see WakeSummary.
+  std::uint8_t delivered = 0;
   std::size_t index = 0;
   std::size_t tenant = 0;
   std::size_t platform = 0;  ///< 0 = campus, 1 = osg
@@ -187,6 +189,7 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
         *service, wms::FaultPlan().chaos(chaos));
     service = active->faulty.get();
   }
+  service->set_delivery_flag(&active->delivered);
 
   wms::EngineOptions engine_options = options_.engine;
   engine_options.status = nullptr;
@@ -210,6 +213,13 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
       engine_options, *active->workflow, *service);
   ++tenant_active_[active->tenant];
   active_.push_back(std::move(active));
+  wake_.emplace_back();
+  refresh_wake(active_.size() - 1);
+}
+
+void FleetController::refresh_wake(std::size_t slot) {
+  Active& active = *active_[slot];
+  wake_[slot].refresh(*active.engine, active.delivered);
 }
 
 void FleetController::reap(std::unique_ptr<Active> active,
@@ -317,13 +327,19 @@ FleetResult FleetController::run(
     }
   };
 
-  // Steps one engine under `grant` and settles the in-flight ledgers.
-  const auto step_engine = [&](Active& active, std::size_t grant,
+  // Set when a step finished an engine; reaping waits for the round's end.
+  bool finished = false;
+  // Steps the engine in `slot` under `grant`, settles the in-flight
+  // ledgers and refreshes its wake summary.
+  const auto step_engine = [&](std::size_t slot, std::size_t grant,
                                std::size_t& headroom) {
+    Active& active = *active_[slot];
     telemetry_.set_tenant(active.tenant);
     const std::size_t before = active.engine->jobs_in_flight();
     const bool progress = active.engine->step_cooperative(grant);
     ++engine_steps;
+    refresh_wake(slot);
+    finished |= wake_[slot].done;
     const std::size_t after = active.engine->jobs_in_flight();
     if (after >= before) {
       const std::size_t delta = after - before;
@@ -385,54 +401,73 @@ FleetResult FleetController::run(
     }
 
     bool progress = false;
-    for (auto& active : active_) {
-      const std::size_t grant =
-          capped ? std::min(tenant_budget[active->tenant], headroom) : kUnlimited;
-      // Skip an engine whose step under this grant is provably a no-op: it
-      // would add no progress and no in-flight delta, so budgets, headroom
-      // and every later step are unchanged. Both halves are tested at this
-      // engine's turn, because an earlier engine's step can schedule an
-      // event due now (a zero-delay completion), which a quiet poll() runs.
+    // Skip an engine whose step under its grant is provably a no-op: it
+    // would add no progress and no in-flight delta, so budgets, headroom
+    // and every later step are unchanged. The queue half of the test is
+    // re-read after every step, because an earlier engine's step can
+    // schedule an event due now (a zero-delay completion), which a quiet
+    // poll() runs. The engine half starts from its wake summary and ends
+    // with the exact idle() test.
+    double now = queue_.now();
+    const auto due_now = [&] {
       const auto next = queue_.next_time();
-      if ((!next.has_value() || *next > queue_.now()) &&
-          active->engine->idle(grant)) {
-        continue;
+      return next.has_value() && *next <= now;
+    };
+    bool event_due = due_now();
+    for (std::size_t slot = 0; slot < active_.size(); ++slot) {
+      Active& active = *active_[slot];
+      const std::size_t grant =
+          capped ? std::min(tenant_budget[active.tenant], headroom) : kUnlimited;
+      if (!event_due) {
+        if (!wake_[slot].may_act(now, grant, active.delivered)) continue;
+        if (active.engine->idle(grant)) {
+          active.delivered = 0;  // idle(grant) implies idle(0)
+          continue;
+        }
       }
-      progress |= step_engine(*active, grant, headroom);
+      progress |= step_engine(slot, grant, headroom);
+      now = queue_.now();
+      event_due = due_now();
     }
     // Work-conserving second pass: leftover headroom goes to whoever has
     // ready jobs, weights notwithstanding — idle capacity helps no tenant.
+    // A finished engine has no ready jobs.
     if (capped && headroom > 0) {
-      for (auto& active : active_) {
+      for (std::size_t slot = 0; slot < active_.size(); ++slot) {
         if (headroom == 0) break;
-        if (active->engine->is_done() || active->engine->ready_count() == 0) {
-          continue;
-        }
-        progress |= step_engine(*active, headroom, headroom);
+        if (!wake_[slot].has_ready) continue;
+        progress |= step_engine(slot, headroom, headroom);
       }
     }
     // Reap in one stable pass: the survivors keep their order, which is
     // the next round's step order and so fixes FIFO tie-breaks on the
-    // shared clock (a swap-remove would reorder them).
-    std::size_t kept = 0;
-    for (std::size_t slot = 0; slot < active_.size(); ++slot) {
-      if (active_[slot]->engine->is_done()) {
-        reap(std::move(active_[slot]), outcomes);
-      } else {
-        if (kept != slot) active_[kept] = std::move(active_[slot]);
-        ++kept;
+    // shared clock (a swap-remove would reorder them). Only a step can
+    // finish an engine, so a round without one has nothing to reap.
+    if (finished) {
+      std::size_t kept = 0;
+      for (std::size_t slot = 0; slot < active_.size(); ++slot) {
+        if (wake_[slot].done) {
+          reap(std::move(active_[slot]), outcomes);
+        } else {
+          if (kept != slot) {
+            active_[kept] = std::move(active_[slot]);
+            wake_[kept] = wake_[slot];
+          }
+          ++kept;
+        }
       }
+      active_.resize(kept);
+      wake_.resize(kept);
+      finished = false;
     }
-    active_.resize(kept);
     if (progress) continue;
 
     // Quiet round: nobody could submit or consume. Advance the shared
     // timeline — but never past the earliest engine deadline (backoff
-    // release / attempt timeout) or the next arrival.
+    // release / attempt timeout) or the next arrival. Deadlines change
+    // only in steps, so each engine's is the one its summary recorded.
     double fence = std::numeric_limits<double>::infinity();
-    for (const auto& active : active_) {
-      fence = std::min(fence, active->engine->next_deadline());
-    }
+    for (const WakeSummary& wake : wake_) fence = std::min(fence, wake.wake_at);
     if (next_arrival < requests.size()) {
       fence = std::min(fence, requests[next_arrival].arrival_seconds);
     }

@@ -20,7 +20,10 @@
 //   * execution: engines are stepped cooperatively — step_cooperative()
 //     never blocks, the controller owns the clock and only advances it to
 //     the earliest engine deadline / arrival / platform event, so 10k
-//     interleaved workflows stay exactly as deterministic as one;
+//     interleaved workflows stay exactly as deterministic as one. A flat
+//     WakeSummary per engine (waas/wake.hpp), refreshed after each step
+//     and flagged by the engine's own service deliveries, lets a round
+//     pass over engines that cannot act without touching them;
 //   * fair-share submission: a fleet-wide jobs-in-flight cap is split
 //     into per-tenant budgets proportional to weight each scheduling
 //     round, with a second work-conserving pass granting leftover
@@ -48,6 +51,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/osg.hpp"
 #include "waas/telemetry.hpp"
+#include "waas/wake.hpp"
 #include "wms/engine.hpp"
 #include "wms/fault_injection.hpp"
 #include "workload/arrival.hpp"
@@ -194,6 +198,8 @@ class FleetController {
   struct Active;  // one admitted workflow: plan + services + engine
 
   void admit(const workload::WorkflowRequest& request);
+  /// Re-reads the engine in `slot` into wake_[slot].
+  void refresh_wake(std::size_t slot);
   [[nodiscard]] double tenant_deficit(std::size_t tenant) const;
   /// Records a finished workflow's outcome, then destroys it.
   void reap(std::unique_ptr<Active> active, std::vector<WorkflowOutcome>& outcomes);
@@ -212,6 +218,7 @@ class FleetController {
   /// first request that needs it and replayed for every later one.
   std::map<workload::PlanKey, workload::PlanTemplate> templates_;
   std::vector<std::unique_ptr<Active>> active_;   ///< admission order
+  std::vector<WakeSummary> wake_;                 ///< parallel to active_
   std::vector<std::size_t> tenant_in_flight_;     ///< live jobs per tenant
   std::vector<std::size_t> tenant_active_;        ///< live engines per tenant
   std::vector<std::size_t> platform_in_flight_;   ///< [0]=campus, [1]=osg

@@ -110,16 +110,6 @@ class WorkflowGraph {
   [[nodiscard]] std::size_t child_count(std::uint32_t node) const;
   [[nodiscard]] std::size_t parent_count(std::uint32_t node) const;
 
-  /// The explicit-only lists (sorted by name; shared empty when absent).
-  [[nodiscard]] const std::vector<std::uint32_t>& explicit_children(
-      std::uint32_t node) const {
-    return explicit_list(children_, node);
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& explicit_parents(
-      std::uint32_t node) const {
-    return explicit_list(parents_, node);
-  }
-
   /// Calls fn(handle) for every child/parent of `node` in neighbour-name
   /// order — the order the materialized sorted adjacency iterated in.
   template <typename Fn>

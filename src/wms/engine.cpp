@@ -301,8 +301,14 @@ EngineInstance::EngineInstance(const EngineOptions& options,
 
   // Seed with rescued jobs: they complete instantly without attempts, then
   // release their children in topological order so rescued chains seed
-  // correctly; finally the untouched roots join the ready queue.
-  topo_ = workflow_.topological_order_indices();
+  // correctly; finally the untouched roots join the ready queue. A
+  // replayed plan's order comes sorted from its shared frozen graph.
+  if (const auto& frozen = workflow_.frozen_graph()) {
+    topo_ = frozen->topological_order();
+  } else {
+    own_topo_ = workflow_.topological_order_indices();
+    topo_ = own_topo_;
+  }
   for (const std::uint32_t index : topo_) {
     if (rescued[index]) {
       fsm_.mark_skipped(index);

@@ -30,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -320,7 +321,10 @@ class EngineInstance {
   std::map<std::string, int> node_fail_streak_;
   std::set<std::string> blacklisted_;
   common::Rng backoff_rng_;
-  std::vector<std::uint32_t> topo_;
+  /// Topological order: the shared frozen graph's when the workflow has
+  /// one, else own_topo_, sorted once at construction.
+  std::vector<std::uint32_t> own_topo_;
+  std::span<const std::uint32_t> topo_;
   std::string abort_error_;
   bool timeout_on_ = false;
   bool finished_ = false;

@@ -106,6 +106,7 @@ void SimService::submit(const ConcreteJob& job) {
     attempt.install_cache_hit = result.install_cache_hit;
     completed_.push_back(std::move(attempt));
     --outstanding_;
+    if (delivered_ != nullptr) *delivered_ = 1;
   });
 }
 

@@ -82,8 +82,19 @@ class ExecutionService {
   /// Cooperative drivers (the WaaS fleet) use it to skip engines whose
   /// step would be a no-op. Must never report true while anything could
   /// come out of poll(); the default (false) is always safe, so services
-  /// that run on their own clock (LocalService) are never skipped.
+  /// that run on their own clock (LocalService) are never skipped. A
+  /// service that can report true must also honour set_delivery_flag.
   [[nodiscard]] virtual bool quiet() { return false; }
+
+  /// Registers a byte the service sets to 1 whenever a completed attempt
+  /// lands in its delivery buffer, so that between the caller's own calls
+  /// quiet() turns false only with the byte set or with the passage of
+  /// time (which next_event_time() announces). Cooperative drivers (the
+  /// WaaS fleet's wake summary) read the byte instead of asking every
+  /// service every round; the driver clears it. Decorators forward it to
+  /// the service they wrap. The default ignores it, which is safe only
+  /// together with the default quiet(). Null unregisters.
+  virtual void set_delivery_flag(std::uint8_t* flag) { (void)flag; }
 
   /// Earliest future instant (in this service's time base) at which a
   /// poll() might yield something that no shared-event-queue event
@@ -154,6 +165,7 @@ class SimService final : public ExecutionService {
   /// Completions land in completed_ only from queue events, so with none
   /// due now an empty completed_ means poll() has nothing to give.
   [[nodiscard]] bool quiet() override { return completed_.empty(); }
+  void set_delivery_flag(std::uint8_t* flag) override { delivered_ = flag; }
   double now() override;
   [[nodiscard]] std::string label() const override { return platform_.name(); }
 
@@ -169,6 +181,7 @@ class SimService final : public ExecutionService {
   sim::ExecutionPlatform& platform_;
   std::deque<TaskAttempt> completed_;
   std::size_t outstanding_ = 0;
+  std::uint8_t* delivered_ = nullptr;  ///< see set_delivery_flag
 };
 
 }  // namespace pga::wms

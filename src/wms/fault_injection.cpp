@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -90,13 +91,45 @@ FaultyService::FaultyService(ExecutionService& inner, FaultPlan plan)
       plan_(std::move(plan)),
       rng_(plan_.chaos_config() ? plan_.chaos_config()->seed : 0) {}
 
+FaultyService::JobSlot& FaultyService::slot_for(std::uint32_t handle,
+                                                const std::string& id) {
+  if (handle != IdTable::kInvalid) {
+    if (handle >= by_handle_.size()) {
+      // Grow geometrically: handles arrive roughly in order, one at a time.
+      by_handle_.resize(std::max<std::size_t>(handle + 1, 2 * by_handle_.size()));
+    }
+    JobSlot& slot = by_handle_[handle];
+    if (slot.id.empty()) slot.id = id;
+    if (slot.id == id) return slot;
+  }
+  return by_id_[id];
+}
+
+template <typename Self>
+auto* FaultyService::find_slot(Self& self, std::uint32_t handle,
+                               const std::string& id) {
+  using Slot = std::remove_reference_t<decltype(self.by_handle_.front())>;
+  if (handle < self.by_handle_.size() && self.by_handle_[handle].id == id) {
+    return &self.by_handle_[handle];
+  }
+  if (const auto it = self.by_id_.find(id); it != self.by_id_.end()) {
+    return &it->second;
+  }
+  // An inner service that does not echo handles: search the slots.
+  for (Slot& slot : self.by_handle_) {
+    if (slot.id == id) return &slot;
+  }
+  return static_cast<Slot*>(nullptr);
+}
+
 int FaultyService::attempts_seen(const std::string& job) const {
-  const auto it = attempt_counts_.find(job);
-  return it == attempt_counts_.end() ? 0 : it->second;
+  const JobSlot* slot = find_slot(*this, IdTable::kInvalid, job);
+  return slot == nullptr ? 0 : slot->attempts;
 }
 
 void FaultyService::submit(const ConcreteJob& job) {
-  const int attempt = ++attempt_counts_[job.id];
+  JobSlot& slot = slot_for(job.index, job.id);
+  const int attempt = ++slot.attempts;
   const auto matches = plan_.match(job.id, attempt);
 
   // Resolve the scripted directives into one primary action plus rewrites.
@@ -156,16 +189,17 @@ void FaultyService::submit(const ConcreteJob& job) {
   }
 
   if (post.delay_seconds > 0 || !post.corrupt_node.empty()) {
-    post_[job.id] = post;
+    slot.has_post = true;
+    slot.post = std::move(post);
   }
   inner_.submit(job);
 }
 
 bool FaultyService::apply_post(TaskAttempt& attempt) {
-  const auto it = post_.find(attempt.job_id);
-  if (it == post_.end()) return false;
-  const Post post = it->second;
-  post_.erase(it);
+  JobSlot* slot = find_slot(*this, attempt.job, attempt.job_id);
+  if (slot == nullptr || !slot->has_post) return false;
+  slot->has_post = false;
+  const Post post = std::move(slot->post);
   if (!post.corrupt_node.empty()) {
     ++corrupted_nodes_;
     attempt.node = post.corrupt_node;

@@ -102,7 +102,7 @@ class FaultPlan {
 
 /// ExecutionService decorator applying a FaultPlan.
 ///
-/// Composition rules per submission (attempt indices counted per job id):
+/// Composition rules per submission (attempt indices counted per job):
 ///  * a matching kHang swallows the submission — the inner service never
 ///    sees it and no completion is ever delivered; only an engine attempt
 ///    timeout recovers from it;
@@ -118,6 +118,14 @@ class FaultPlan {
 /// engine's), exactly like every other ExecutionService. Assumes at most
 /// one attempt of a given job id is in flight at a time, which is how the
 /// DAGMan engine drives services.
+///
+/// Per-job state (attempt counts, pending rewrites) is keyed by the job's
+/// dense handle (ConcreteJob::index, echoed back in TaskAttempt::job), so
+/// the submit and completion paths index a vector instead of searching a
+/// string-keyed map. A job without a handle, or whose handle's slot
+/// already belongs to another id, falls back to a map keyed by id. Job
+/// ids must therefore keep one handle each for the service's lifetime —
+/// true of one workflow, and of re-runs of it.
 class FaultyService final : public ExecutionService {
  public:
   FaultyService(ExecutionService& inner, FaultPlan plan);
@@ -131,6 +139,12 @@ class FaultyService final : public ExecutionService {
   /// when an external clock owner (the WaaS fleet) pumps the queue.
   std::vector<TaskAttempt> poll() override;
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
+  /// Forwarded: what this decorator adds — synthesized failures, held
+  /// completions — appears only in the caller's own submit() and poll(),
+  /// or with time (next_event_time()).
+  void set_delivery_flag(std::uint8_t* flag) override {
+    inner_.set_delivery_flag(flag);
+  }
   /// Nothing synthesized, nothing held that poll() would release now, and
   /// an inner service with nothing to deliver.
   [[nodiscard]] bool quiet() override;
@@ -160,6 +174,13 @@ class FaultyService final : public ExecutionService {
     double delay_seconds = 0;
     std::string corrupt_node;
   };
+  /// One job's bookkeeping.
+  struct JobSlot {
+    std::string id;  ///< owner of a handle-keyed slot; empty = unclaimed
+    int attempts = 0;
+    bool has_post = false;
+    Post post;       ///< the pending rewrite when has_post
+  };
   /// A completion being held back by a kDelay directive.
   struct Held {
     TaskAttempt attempt;
@@ -172,14 +193,22 @@ class FaultyService final : public ExecutionService {
   /// attempt was parked in held_ (delayed) instead of being ready now.
   bool apply_post(TaskAttempt& attempt);
   [[nodiscard]] double earliest_release() const;
+  /// The slot of job `id` with handle `handle`, claimed on first sight.
+  JobSlot& slot_for(std::uint32_t handle, const std::string& id);
+  /// The slot slot_for gave job `id`, or null when it was never submitted.
+  /// Searches by id when `handle` is unset or names another job. `Self` is
+  /// FaultyService or const FaultyService.
+  template <typename Self>
+  [[nodiscard]] static auto* find_slot(Self& self, std::uint32_t handle,
+                                       const std::string& id);
 
   ExecutionService& inner_;
   FaultPlan plan_;
   common::Rng rng_;
-  std::map<std::string, int> attempt_counts_;
-  std::map<std::string, Post> post_;  ///< job id -> pending rewrite
-  std::deque<TaskAttempt> due_;       ///< synthesized, ready to deliver
-  std::vector<Held> held_;            ///< delayed completions
+  std::vector<JobSlot> by_handle_;        ///< indexed by job handle
+  std::map<std::string, JobSlot> by_id_;  ///< jobs without a usable handle
+  std::deque<TaskAttempt> due_;           ///< synthesized, ready to deliver
+  std::vector<Held> held_;                ///< delayed completions
   std::size_t hung_outstanding_ = 0;
   std::size_t injected_failures_ = 0;
   std::size_t injected_hangs_ = 0;

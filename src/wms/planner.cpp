@@ -15,10 +15,27 @@ using common::WorkflowError;
 ConcreteWorkflow::ConcreteWorkflow(std::string name, std::string site)
     : name_(std::move(name)), site_(std::move(site)) {}
 
+namespace {
+
+[[noreturn]] void throw_frozen(const std::string& name, const char* what) {
+  throw InvalidArgument(std::string(what) + " on concrete workflow " + name +
+                        ", whose graph is a shared frozen plan");
+}
+
+void check_frozen_fits(const FrozenGraph& graph, std::size_t jobs) {
+  if (graph.node_count() != jobs) {
+    throw InvalidArgument("frozen graph of " + std::to_string(graph.node_count()) +
+                          " nodes cannot serve " + std::to_string(jobs) + " jobs");
+  }
+}
+
+}  // namespace
+
 std::uint32_t ConcreteWorkflow::add_job(ConcreteJob job) {
   if (bulk_open_) {
     throw InvalidArgument("add_job during an open bulk build");
   }
+  if (frozen_) throw_frozen(name_, "add_job");
   if (job.id.empty()) throw InvalidArgument("concrete job id must not be empty");
   if (ids_.contains(job.id)) {
     throw InvalidArgument("duplicate concrete job: " + job.id);
@@ -52,7 +69,32 @@ void ConcreteWorkflow::finish_bulk() {
     }
     job.index = i;
   }
+  if (frozen_) {
+    check_frozen_fits(*frozen_, jobs_.size());
+    return;
+  }
   graph_.set_node_count(jobs_.size());
+}
+
+void ConcreteWorkflow::share_frozen_graph(std::shared_ptr<const FrozenGraph> graph) {
+  if (graph == nullptr) throw InvalidArgument("share_frozen_graph: null graph");
+  if (graph_.edge_count() > 0) {
+    throw InvalidArgument("share_frozen_graph: concrete workflow " + name_ +
+                          " already stores edges");
+  }
+  if (!bulk_open_ && !jobs_.empty()) check_frozen_fits(*graph, jobs_.size());
+  frozen_ = std::move(graph);
+}
+
+std::shared_ptr<const FrozenGraph> ConcreteWorkflow::freeze() const {
+  if (frozen_) return frozen_;
+  return std::make_shared<const FrozenGraph>(graph_, ids_,
+                                             "concrete workflow " + name_);
+}
+
+const WorkflowGraph& ConcreteWorkflow::graph() const {
+  if (frozen_) throw_frozen(name_, "graph()");
+  return graph_;
 }
 
 void ConcreteWorkflow::add_dependency(const std::string& parent,
@@ -65,6 +107,7 @@ void ConcreteWorkflow::add_dependency(const std::string& parent,
 }
 
 void ConcreteWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child) {
+  if (frozen_) throw_frozen(name_, "add_dependency");
   if (parent >= jobs_.size()) {
     throw InvalidArgument("unknown parent handle: " + std::to_string(parent));
   }
@@ -76,6 +119,7 @@ void ConcreteWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child)
 }
 
 void ConcreteWorkflow::add_edge_pattern(const EdgePattern& pattern) {
+  if (frozen_) throw_frozen(name_, "add_edge_pattern");
   graph_.add_pattern(pattern, ids_);
 }
 
@@ -111,6 +155,10 @@ std::vector<std::uint32_t> ConcreteWorkflow::parents_of(
   if (index >= jobs_.size()) {
     throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
   }
+  if (frozen_) {
+    const auto parents = frozen_->parents(index);
+    return {parents.begin(), parents.end()};
+  }
   return graph_.parents_sorted(index, ids_);
 }
 
@@ -119,28 +167,31 @@ std::vector<std::uint32_t> ConcreteWorkflow::children_of(
   if (index >= jobs_.size()) {
     throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
   }
+  if (frozen_) {
+    const auto children = frozen_->children(index);
+    return {children.begin(), children.end()};
+  }
   return graph_.children_sorted(index, ids_);
 }
 
 std::vector<std::string> ConcreteWorkflow::parents(const std::string& id) const {
   const std::uint32_t index = job_index(id);
   std::vector<std::string> out;
-  out.reserve(graph_.parent_count(index));
-  graph_.for_each_parent(index, ids_,
-                         [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
+  out.reserve(parent_count(index));
+  for_each_parent(index, [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
   return out;
 }
 
 std::vector<std::string> ConcreteWorkflow::children(const std::string& id) const {
   const std::uint32_t index = job_index(id);
   std::vector<std::string> out;
-  out.reserve(graph_.child_count(index));
-  graph_.for_each_child(index, ids_,
-                        [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
+  out.reserve(child_count(index));
+  for_each_child(index, [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
   return out;
 }
 
 std::vector<std::uint32_t> ConcreteWorkflow::topological_order_indices() const {
+  if (frozen_) return frozen_->topological_order();
   return graph_.topological_order(ids_, "concrete workflow " + name_);
 }
 
@@ -199,7 +250,7 @@ void ConcreteWorkflow::set_cluster_range(std::uint32_t index, ClusterRange range
 void ConcreteWorkflow::reserve(std::size_t job_count, std::size_t id_bytes) {
   jobs_.reserve(job_count);
   ids_.reserve(job_count, id_bytes);
-  graph_.reserve(job_count);
+  if (!frozen_) graph_.reserve(job_count);
 }
 
 std::size_t ConcreteWorkflow::count(JobKind kind) const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +19,7 @@
 #include "wms/catalog.hpp"
 #include "wms/dax.hpp"
 #include "wms/edge_pattern.hpp"
+#include "wms/frozen_graph.hpp"
 #include "wms/id_table.hpp"
 
 namespace pga::wms {
@@ -70,20 +72,41 @@ struct ClusterRange {
 };
 
 /// A planned workflow bound to a site.
+///
+/// Its dependencies live in one of two stores. A workflow that is built —
+/// by plan(), a streamed build or add_dependency calls — keeps a mutable
+/// WorkflowGraph. A replayed workflow (workload::PlanTemplate) instead
+/// shares its template's FrozenGraph and adds no edges of its own. Every
+/// graph accessor below reads whichever store the workflow has, with
+/// identical results.
 class ConcreteWorkflow {
  public:
   ConcreteWorkflow(std::string name, std::string site);
 
   /// Adds a job and returns its dense handle (== position in jobs()).
   std::uint32_t add_job(ConcreteJob job);
+  /// Edge insertion. These, add_edge_pattern and add_job throw
+  /// InvalidArgument on a workflow that shares a frozen graph.
   void add_dependency(const std::string& parent, const std::string& child);
   /// Handle-based edge insertion — no id lookups, for bulk graph builds.
   void add_dependency(std::uint32_t parent, std::uint32_t child);
   /// O(1)-storage arithmetic edge family; see WorkflowGraph::add_pattern.
   void add_edge_pattern(const EdgePattern& pattern);
-  [[nodiscard]] const std::vector<EdgePattern>& edge_patterns() const {
-    return graph_.patterns();
+
+  // --------------------------------------------------------- frozen graph
+  /// Makes `graph` this workflow's dependency store. It must describe
+  /// exactly this workflow's jobs, by handle: the node count is checked
+  /// here, or by finish_bulk() when called before a bulk build. Throws
+  /// InvalidArgument when the workflow already stores edges or has another
+  /// job count, or when `graph` is null.
+  void share_frozen_graph(std::shared_ptr<const FrozenGraph> graph);
+  /// The shared frozen graph, or null for a workflow with its own edges.
+  [[nodiscard]] const std::shared_ptr<const FrozenGraph>& frozen_graph() const {
+    return frozen_;
   }
+  /// This workflow's adjacency as a FrozenGraph: the shared one when
+  /// there is one, else frozen now from the workflow's own edges.
+  [[nodiscard]] std::shared_ptr<const FrozenGraph> freeze() const;
 
   // ------------------------------------------------------- streamed build
   /// Bulk job intake: default-constructs `count` jobs and returns the
@@ -114,31 +137,47 @@ class ConcreteWorkflow {
   [[nodiscard]] std::vector<std::uint32_t> parents_of(std::uint32_t index) const;
   [[nodiscard]] std::vector<std::uint32_t> children_of(std::uint32_t index) const;
   [[nodiscard]] std::size_t parent_count(std::uint32_t index) const {
-    return graph_.parent_count(index);
+    return frozen_ ? frozen_->parents(index).size() : graph_.parent_count(index);
   }
   [[nodiscard]] std::size_t child_count(std::uint32_t index) const {
-    return graph_.child_count(index);
+    return frozen_ ? frozen_->children(index).size() : graph_.child_count(index);
   }
   /// Visits children/parents of `index` in neighbour-name order without
   /// materializing a list (the engine's release path).
   template <typename Fn>
   void for_each_child(std::uint32_t index, Fn&& fn) const {
+    if (frozen_) {
+      for (const std::uint32_t child : frozen_->children(index)) fn(child);
+      return;
+    }
     graph_.for_each_child(index, ids_, std::forward<Fn>(fn));
   }
   template <typename Fn>
   void for_each_parent(std::uint32_t index, Fn&& fn) const {
+    if (frozen_) {
+      for (const std::uint32_t parent : frozen_->parents(index)) fn(parent);
+      return;
+    }
     graph_.for_each_parent(index, ids_, std::forward<Fn>(fn));
   }
   /// counts[i] = parent_count(i) in one bulk sweep (engine seed).
   void fill_parent_counts(std::vector<std::uint32_t>& counts) const {
+    if (frozen_) {
+      counts = frozen_->parent_counts();
+      return;
+    }
     graph_.fill_parent_counts(counts);
   }
-  [[nodiscard]] const WorkflowGraph& graph() const { return graph_; }
+  /// The mutable edge store. Throws InvalidArgument when the graph is
+  /// frozen (use frozen_graph()).
+  [[nodiscard]] const WorkflowGraph& graph() const;
   [[nodiscard]] std::vector<std::uint32_t> topological_order_indices() const;
   [[nodiscard]] std::vector<std::string> parents(const std::string& id) const;
   [[nodiscard]] std::vector<std::string> children(const std::string& id) const;
   [[nodiscard]] std::vector<std::string> topological_order() const;
-  [[nodiscard]] std::size_t edge_count() const { return graph_.edge_count(); }
+  [[nodiscard]] std::size_t edge_count() const {
+    return frozen_ ? frozen_->edge_count() : graph_.edge_count();
+  }
 
   // --------------------------------------------------- clustering lookups
   /// The abstract job a concrete job realizes: its own id for plain
@@ -165,6 +204,7 @@ class ConcreteWorkflow {
   std::vector<ConcreteJob> jobs_;
   IdTable ids_;  // job id -> handle == index into jobs_
   WorkflowGraph graph_;
+  std::shared_ptr<const FrozenGraph> frozen_;  ///< when set, replaces graph_
   bool bulk_open_ = false;
   /// Clustering side tables: only clustered jobs have entries.
   std::unordered_map<std::uint32_t, std::vector<std::string>> constituents_;

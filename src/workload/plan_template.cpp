@@ -17,6 +17,9 @@ PlanKey PlanKey::of(const ShapeSpec& spec, std::string site,
 PlanTemplate::PlanTemplate(const ShapeSpec& spec, const std::string& site,
                            std::size_t cluster_size, std::optional<Instance>* first)
     : key_(PlanKey::of(spec, site, cluster_size)) {
+  // Patterns keep the recorded plan's regular families O(1); the frozen
+  // adjacency and every consumer's view are the same either way (the
+  // PatternedDag tests pin it).
   ShapeSpec topology = spec;
   topology.edge_patterns = true;
   const wms::AbstractWorkflow abstract = build_workflow(topology);
@@ -67,12 +70,9 @@ PlanTemplate::PlanTemplate(const ShapeSpec& spec, const std::string& site,
         break;  // setup/cleanup hints are flat planner options, not costs
     }
     id_bytes_ += job.id.size();
-    for (const std::uint32_t child : planned.graph().explicit_children(i)) {
-      edges_.emplace_back(i, child);
-    }
   }
   rank_begin_.push_back(static_cast<std::uint32_t>(ranks_.size()));
-  patterns_ = planned.edge_patterns();
+  graph_ = planned.freeze();
   inputs_ = abstract.workflow_inputs();
   output_rank_ = closed_form_counts(topology).inputs;
   if (first != nullptr) {
@@ -105,6 +105,7 @@ PlanTemplate::Instance PlanTemplate::instantiate(const ShapeSpec& spec) const {
   }
 
   wms::ConcreteWorkflow& workflow = out.workflow;
+  workflow.share_frozen_graph(graph_);
   workflow.reserve(jobs_.size(), id_bytes_);
   wms::ConcreteJob* jobs = workflow.begin_bulk(jobs_.size());
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
@@ -128,9 +129,6 @@ PlanTemplate::Instance PlanTemplate::instantiate(const ShapeSpec& spec) const {
         wms::stage_job_seconds(planner_.stage_out_seconds, out_bytes, site_);
   }
   workflow.finish_bulk();
-
-  for (const auto& [parent, child] : edges_) workflow.add_dependency(parent, child);
-  for (const wms::EdgePattern& pattern : patterns_) workflow.add_edge_pattern(pattern);
   for (const auto& [index, members] : constituents_) {
     workflow.set_constituents(index, members);
   }

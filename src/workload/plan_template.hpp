@@ -7,31 +7,32 @@
 // PlanTemplate records build_workflow + wms::plan once for a topology key
 // (shape, size, diamond_stages, fan_arity_step, site, cluster size) and
 // keeps everything except the prices: the concrete jobs with zero cost
-// hints, each job's abstract cost ranks in member order, the explicit
-// edges, the edge patterns, the cluster constituents and the external
-// input LFNs. instantiate(spec) replays it for any later request of that
-// topology, pricing every job from the request's own cost model and
-// building the request's replica catalog — the same bytes plan_shape and
-// generator_replica_catalog produce (pinned over every shape, both sites
-// and several cluster sizes in tests/wms_golden_log_test.cpp). The
-// request that records a template keeps the plan it was recorded from,
-// so a topology seen once costs one plan() and a copy of its jobs.
-//
-// Recording always emits edge patterns: the adjacency every consumer sees
-// is identical either way (the PatternedDag tests pin it), and patterns
-// keep the regular fan-out/fan-in families O(1) in the template.
+// hints, each job's abstract cost ranks in member order, the cluster
+// constituents, the external input LFNs, and the plan's adjacency frozen
+// once into a wms::FrozenGraph (name-ordered CSR children and parents,
+// parent counts, topological order). instantiate(spec) replays it for any
+// later request of that topology, pricing every job from the request's
+// own cost model and building the request's replica catalog — the same
+// bytes plan_shape and generator_replica_catalog produce (pinned over
+// every shape, both sites and several cluster sizes in
+// tests/wms_golden_log_test.cpp). Replayed workflows add no edges: they
+// all share the template's one FrozenGraph, so no request rebuilds
+// adjacency and no engine re-sorts it. The request that records a
+// template keeps the plan it was recorded from, so a topology seen once
+// costs one plan() and a copy of its jobs.
 #pragma once
 
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "wms/catalog.hpp"
-#include "wms/edge_pattern.hpp"
+#include "wms/frozen_graph.hpp"
 #include "wms/planner.hpp"
 #include "workload/generator.hpp"
 
@@ -75,10 +76,16 @@ class PlanTemplate {
 
   /// plan_shape(spec, site, cluster_size) together with
   /// generator_replica_catalog(build_workflow(spec), spec), replayed from
-  /// the template. Throws InvalidArgument when spec's topology is not this
+  /// the template. The workflow shares graph() and so rejects new edges.
+  /// Throws InvalidArgument when spec's topology is not this
   /// template's key, and whatever cost_model_for throws for bad cost
   /// parameters.
   [[nodiscard]] Instance instantiate(const ShapeSpec& spec) const;
+
+  /// The frozen adjacency every replayed workflow shares.
+  [[nodiscard]] const std::shared_ptr<const wms::FrozenGraph>& graph() const {
+    return graph_;
+  }
 
  private:
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
@@ -93,8 +100,7 @@ class PlanTemplate {
   /// none for stage jobs.
   std::vector<std::uint32_t> rank_begin_;
   std::vector<std::uint32_t> ranks_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;  ///< explicit
-  std::vector<wms::EdgePattern> patterns_;
+  std::shared_ptr<const wms::FrozenGraph> graph_;
   std::vector<std::pair<std::uint32_t, std::vector<std::string>>> constituents_;
   std::vector<std::string> inputs_;  ///< external inputs, file ranks 0..
   std::size_t output_rank_ = 0;      ///< file rank of the first final output

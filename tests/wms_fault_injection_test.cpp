@@ -289,5 +289,39 @@ TEST(FaultyService, ComposesWithSimService) {
   EXPECT_GT(report.wall_seconds(), 2'000.0);
 }
 
+TEST(FaultyService, KeysJobsByHandleAndFallsBackToTheId) {
+  // Attempt counts and pending rewrites live in a slot per job handle. A
+  // job without a handle, or whose handle's slot another id holds, is kept
+  // by id; the stub echoes no handles, so completions are matched by id.
+  StubService stub;
+  FaultyService faulty(
+      stub, FaultPlan().corrupt_node("a", 2, "bad-node").fail("c", 2, "late"));
+  ConcreteJob a = job("a");
+  a.index = 0;
+  const ConcreteJob b = job("b");  // no handle
+  ConcreteJob c = job("c");
+  c.index = 0;  // the slot of handle 0 belongs to "a"
+  const auto run = [&](const ConcreteJob& j) {
+    faulty.submit(j);
+    auto done = faulty.wait();
+    EXPECT_EQ(done.size(), 1u) << j.id;
+    return done.empty() ? TaskAttempt{} : done.front();
+  };
+  EXPECT_EQ(run(a).node, "stub-node");
+  EXPECT_TRUE(run(b).success);
+  EXPECT_TRUE(run(c).success);
+  EXPECT_EQ(run(a).node, "bad-node");  // attempt 2 of a, not of c
+  const TaskAttempt late = run(c);
+  EXPECT_FALSE(late.success);
+  EXPECT_EQ(late.error, "late");
+  EXPECT_EQ(faulty.attempts_seen("a"), 2);
+  EXPECT_EQ(faulty.attempts_seen("b"), 1);
+  EXPECT_EQ(faulty.attempts_seen("c"), 2);
+  EXPECT_EQ(faulty.attempts_seen("d"), 0);
+  EXPECT_EQ(faulty.corrupted_nodes(), 1u);
+  EXPECT_EQ(faulty.injected_failures(), 1u);
+  EXPECT_EQ(stub.submissions.size(), 4u);  // the injected failure never ran
+}
+
 }  // namespace
 }  // namespace pga::wms

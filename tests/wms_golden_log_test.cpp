@@ -277,12 +277,15 @@ TEST(GoldenLog, ShapeDiamondOsgN100MatchesFixture) {
 // invisible to every consumer — same jobs, same adjacency, same engine
 // bytes as the materialized planner path.
 
-/// Runs `concrete` on its platform (fixture seeds) and returns the report.
-RunReport run_concrete(const ConcreteWorkflow& concrete, bool lean = false) {
+/// Runs `concrete` on its platform (fixture seeds) and returns the report;
+/// `policy` names a make_policy scheduling policy (null = the default).
+RunReport run_concrete(const ConcreteWorkflow& concrete, bool lean = false,
+                       const char* policy = nullptr) {
   sim::EventQueue queue;
   std::unique_ptr<sim::ExecutionPlatform> platform;
   EngineOptions options;
   options.lean_report = lean;
+  if (policy != nullptr) options.policy = make_policy(policy);
   if (concrete.site() == "sandhills") {
     sim::CampusClusterConfig config;
     config.allocated_slots = 16;
@@ -472,6 +475,84 @@ TEST(PatternedDag, PlanTemplateRejectsAnotherTopology) {
   spec = b2c3_spec(16, false);
   spec.shape = workload::Shape::kFan;
   EXPECT_THROW((void)plan.instantiate(spec), common::InvalidArgument);
+}
+
+TEST(PatternedDag, PlanTemplateReplaysShareOneFrozenGraph) {
+  const workload::ShapeSpec spec = b2c3_spec(16, false);
+  std::optional<workload::PlanTemplate::Instance> first;
+  const workload::PlanTemplate plan(spec, "osg", 1, &first);
+  ASSERT_NE(plan.graph(), nullptr);
+  // The recording request keeps the plan it was recorded from, edges and
+  // all; every replay shares the template's one frozen graph.
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->workflow.frozen_graph(), nullptr);
+  workload::ShapeSpec other = spec;
+  other.seed = 99;
+  const auto a = plan.instantiate(spec);
+  const auto b = plan.instantiate(other);
+  EXPECT_EQ(a.workflow.frozen_graph(), plan.graph());
+  EXPECT_EQ(b.workflow.frozen_graph(), plan.graph());
+  EXPECT_EQ(plan.graph().use_count(), 3);  // the template and two replays
+  EXPECT_EQ(a.workflow.edge_count(), first->workflow.edge_count());
+  EXPECT_EQ(plan.graph()->node_count(), first->workflow.jobs().size());
+}
+
+TEST(PatternedDag, ReplayedPlanRejectsNewEdges) {
+  const workload::ShapeSpec spec = b2c3_spec(16, true);
+  const workload::PlanTemplate plan(spec, "sandhills", 1);
+  auto replayed = plan.instantiate(spec);
+  ConcreteWorkflow& workflow = replayed.workflow;
+  const auto last = static_cast<std::uint32_t>(workflow.jobs().size() - 1);
+  const std::string first_id = workflow.jobs().front().id;
+  const std::string last_id = workflow.jobs().back().id;
+  const std::size_t edges = workflow.edge_count();
+  EXPECT_THROW(workflow.add_dependency(last, 0u), common::InvalidArgument);
+  EXPECT_THROW(workflow.add_dependency(last_id, first_id), common::InvalidArgument);
+  EXPECT_THROW(workflow.add_edge_pattern(EdgePattern{.src_begin = last,
+                                                     .dst_begin = 0,
+                                                     .count = 1}),
+               common::InvalidArgument);
+  ConcreteJob extra;
+  extra.id = "extra";
+  EXPECT_THROW(workflow.add_job(extra), common::InvalidArgument);
+  EXPECT_THROW((void)workflow.graph(), common::InvalidArgument);
+  // Nothing leaked into the shared graph.
+  EXPECT_EQ(workflow.edge_count(), edges);
+  EXPECT_EQ(plan.graph()->edge_count(), edges);
+  EXPECT_EQ(workflow.jobs().size(), plan.graph()->node_count());
+}
+
+TEST(PatternedDag, EngineOnReplayedPlanMatchesPlanShape) {
+  // The engine, its state machine and the policies read topological
+  // order, parent counts and children from the frozen graph of a replayed
+  // plan: every shape, both sites, clustered or not, under policies that
+  // read the graph differently — the lean jobstate digest is the one a
+  // freshly planned workflow gives.
+  for (const std::string site : {"sandhills", "osg"}) {
+    for (const std::size_t k : {1u, 8u}) {
+      for (const auto shape : workload::all_shapes()) {
+        workload::ShapeSpec topology;
+        topology.shape = shape;
+        topology.size = 10;
+        topology.seed = 1;
+        const workload::PlanTemplate plan(topology, site, k);
+        workload::ShapeSpec spec = topology;
+        spec.seed = 7;
+        const auto replayed = plan.instantiate(spec);
+        const auto reference = workload::plan_shape(spec, site, k);
+        ASSERT_NE(replayed.workflow.frozen_graph(), nullptr);
+        for (const char* policy : {"fifo", "critical-path", "widest-branch"}) {
+          const std::string what = workload::spec_name(spec) + "@" + site +
+                                   " k=" + std::to_string(k) + " " + policy;
+          const RunReport want = run_concrete(reference, /*lean=*/true, policy);
+          const RunReport got = run_concrete(replayed.workflow, /*lean=*/true, policy);
+          EXPECT_TRUE(got.success) << what;
+          EXPECT_EQ(got.jobstate_lines, want.jobstate_lines) << what;
+          EXPECT_EQ(got.jobstate_digest, want.jobstate_digest) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(PatternedDag, StreamedExplicitModeAlsoMatchesPlannerPath) {
