@@ -1,6 +1,9 @@
 // Microbenchmarks for the discrete-event core and platform models.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/osg.hpp"
@@ -25,6 +28,27 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput)->Range(1'000, 100'000);
 
+// Classic hold model: with `pending` events in the queue, each iteration
+// pops one and the popped action schedules one replacement an
+// exponential increment later, so the queue stays at a fixed size.
+struct Hold {
+  sim::EventQueue* queue;
+  common::Rng* rng;
+  void operator()() const { queue->schedule_in(rng->exponential(1.0), *this); }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue;
+  common::Rng rng(42);
+  for (std::size_t i = 0; i < pending; ++i) {
+    queue.schedule(rng.exponential(1.0), Hold{&queue, &rng});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(queue.step());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1'000)->Arg(50'000);
+
 void BM_CampusClusterJobs(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -42,6 +66,33 @@ void BM_CampusClusterJobs(benchmark::State& state) {
                           static_cast<std::int64_t>(jobs));
 }
 BENCHMARK(BM_CampusClusterJobs)->Range(64, 4'096);
+
+// A fleet-sized burst: 48k jobs at t=0 onto a 48k-slot allocation (the
+// perfbench fleet-burst campus size), so every job dispatches at once and
+// the queue peaks at one completion event per job.
+void BM_CampusClusterBurst(benchmark::State& state) {
+  const auto jobs = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::SimJob> batch;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    batch.push_back({"w" + std::to_string(i / 48) + "/run_cap3_" + std::to_string(i % 48),
+                     "run_cap3", 1'000, false});
+  }
+  sim::CampusClusterConfig config;
+  config.allocated_slots = jobs;
+  for (auto _ : state) {
+    sim::EventQueue queue;
+    sim::CampusClusterPlatform platform(queue, config);
+    std::size_t done = 0;
+    for (const auto& job : batch) {
+      platform.submit(job, [&done](const sim::AttemptResult&) { ++done; });
+    }
+    queue.run();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(jobs));
+}
+BENCHMARK(BM_CampusClusterBurst)->Arg(48'000)->Unit(benchmark::kMillisecond);
 
 void BM_OsgJobsWithPreemption(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));

@@ -86,6 +86,14 @@ echo "==> perf smoke (waas_bench --smoke)"
 cmake --build build -j "${jobs}" --target waas_bench
 build/bench/waas_bench --smoke --out build/BENCH_waas_smoke.json
 
+# Sim-core micro bench smoke: one short pass of the event-queue hold model
+# (BM_EventQueueHold at 1e3 and 5e4 pending) so bench/micro_sim keeps
+# building and running. No timing assertion. The installed google-benchmark
+# takes a bare number of seconds for --benchmark_min_time.
+echo "==> micro bench smoke (micro_sim --benchmark_filter=Hold)"
+cmake --build build -j "${jobs}" --target micro_sim
+build/bench/micro_sim --benchmark_filter=Hold --benchmark_min_time=0.01
+
 # Trigger perf smoke: the event-triggered pipeline + sharded replica
 # catalog. Machine-independent guards: the sharded catalog answers every
 # membership / replica-order / best_for_site / entries()-order question

@@ -1,12 +1,38 @@
 #include "sim/campus_cluster.hpp"
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace pga::sim {
 
+namespace {
+
+constexpr std::size_t kNodes = 44;  ///< physical nodes, used round-robin
+
+/// Node labels, built once per process; attempt records point into it.
+const std::vector<std::string>& node_labels() {
+  static const std::vector<std::string> labels = [] {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < kNodes; ++i) out.push_back("sandhills-node-" + std::to_string(i));
+    return out;
+  }();
+  return labels;
+}
+
+}  // namespace
+
 CampusClusterPlatform::CampusClusterPlatform(EventQueue& queue,
                                              const CampusClusterConfig& config)
     : queue_(queue), config_(config), rng_(config.seed) {
+  constexpr const char* kWhere = "CampusCluster";
+  require_finite(kWhere, "dispatch_mu", config.dispatch_mu);
+  require_finite(kWhere, "dispatch_sigma", config.dispatch_sigma);
+  require_finite(kWhere, "node_speed_min", config.node_speed_min);
+  require_finite(kWhere, "node_speed_max", config.node_speed_max);
+  require_finite(kWhere, "install_min", config.install_min);
+  require_finite(kWhere, "install_max", config.install_max);
   if (config.allocated_slots == 0) {
     throw common::InvalidArgument("CampusCluster: allocated_slots must be >= 1");
   }
@@ -22,35 +48,37 @@ void CampusClusterPlatform::avoid_node(const std::string& node) {
   avoided_.insert(node);
 }
 
-std::string CampusClusterPlatform::pick_node() {
+const std::string& CampusClusterPlatform::pick_node() {
   // 44 physical nodes in round-robin; a blacklisted node is skipped unless
   // every node is blacklisted (the batch system must place the job somewhere).
-  constexpr std::size_t kNodes = 44;
+  const std::vector<std::string>& nodes = node_labels();
   for (std::size_t tried = 0; tried < kNodes; ++tried) {
-    std::string node = "sandhills-node-" + std::to_string(node_counter_++ % kNodes);
+    const std::string& node = nodes[node_counter_++ % kNodes];
     if (!avoided_.count(node)) return node;
   }
-  return "sandhills-node-" + std::to_string(node_counter_++ % kNodes);
+  return nodes[node_counter_++ % kNodes];
 }
 
-void CampusClusterPlatform::submit(const SimJob& job, AttemptCallback on_complete) {
+void CampusClusterPlatform::submit(SimJob job, AttemptCallback on_complete) {
+  check_job("CampusCluster", job);
   // Batch semantics: the job enters the FIFO immediately; the (small)
   // scheduler dispatch latency is paid when a slot is assigned.
-  Pending pending{job, std::move(on_complete), queue_.now(), queue_.now()};
-  waiting_.push_back(std::move(pending));
+  waiting_.push_back(open_attempt(std::move(job), std::move(on_complete), queue_.now()));
   try_dispatch();
 }
 
 void CampusClusterPlatform::try_dispatch() {
   while (busy_ < config_.allocated_slots && !waiting_.empty()) {
-    Pending pending = std::move(waiting_.front());
+    const std::uint32_t slot = waiting_.front();
     waiting_.pop_front();
     ++busy_;
+    AttemptRecord& record = attempt(slot);
+    const SimJob& job = record.job;
 
     const double latency = rng_.lognormal(config_.dispatch_mu, config_.dispatch_sigma);
     const double speed = rng_.uniform(config_.node_speed_min, config_.node_speed_max);
-    const double exec = pending.job.cpu_seconds / speed;
-    const std::string node = pick_node();
+    const double exec = job.cpu_seconds / speed;
+    const std::string& node = pick_node();
 
     // Default config models the preinstalled stack: install_max == 0, no
     // charge and — deliberately — no RNG draw, so existing seeded runs
@@ -58,37 +86,29 @@ void CampusClusterPlatform::try_dispatch() {
     // attached cache model able to shortcut repeat installs per node.
     double install = 0;
     bool cache_hit = false;
-    if (pending.job.needs_software_setup && config_.install_max > 0) {
+    if (job.needs_software_setup && config_.install_max > 0) {
       install = rng_.uniform(config_.install_min, config_.install_max);
       if (install_model_ != nullptr) {
-        const InstallOutcome outcome = install_model_->install(
-            node, pending.job.transformation, pending.job.software_bytes, install);
+        const InstallOutcome outcome =
+            install_model_->install(node, job.transformation, job.software_bytes, install);
         install = std::min(outcome.seconds, install);
         cache_hit = outcome.cache_hit;
         // The cluster never preempts, so every install runs to completion.
-        install_model_->commit(node, pending.job.transformation,
-                               pending.job.software_bytes);
+        install_model_->commit(node, job.transformation, job.software_bytes);
       }
     }
 
-    AttemptResult result;
-    result.job_id = pending.job.id;
-    result.transformation = pending.job.transformation;
-    result.node = node;
-    result.submit_time = pending.submit_time;
-    result.start_time = queue_.now() + latency;
-    result.wait_seconds = result.start_time - pending.submit_time;
-    result.install_seconds = install;
-    result.install_cache_hit = cache_hit;
-    result.exec_seconds = exec;
-    result.end_time = result.start_time + install + exec;
-    result.success = true;  // the campus cluster never preempts or fails
+    record.node = &node;
+    record.start_time = queue_.now() + latency;
+    record.install_seconds = install;
+    record.install_cache_hit = cache_hit;
+    record.exec_seconds = exec;
+    record.end_time = record.start_time + install + exec;
+    // The campus cluster never preempts or fails: failure stays null.
 
-    queue_.schedule_in(latency + install + exec,
-                       [this, result = std::move(result),
-                        cb = std::move(pending.on_complete)]() {
+    queue_.schedule_in(latency + install + exec, [this, slot] {
       --busy_;
-      cb(result);
+      deliver(slot);
       try_dispatch();
     });
   }

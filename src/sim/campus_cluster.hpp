@@ -45,7 +45,7 @@ class CampusClusterPlatform final : public ExecutionPlatform {
  public:
   CampusClusterPlatform(EventQueue& queue, const CampusClusterConfig& config);
 
-  void submit(const SimJob& job, AttemptCallback on_complete) override;
+  void submit(SimJob job, AttemptCallback on_complete) override;
   void avoid_node(const std::string& node) override;
   [[nodiscard]] std::string name() const override { return "sandhills"; }
   [[nodiscard]] std::size_t slots() const override { return config_.allocated_slots; }
@@ -54,20 +54,13 @@ class CampusClusterPlatform final : public ExecutionPlatform {
   [[nodiscard]] std::size_t queued() const { return waiting_.size(); }
 
  private:
-  struct Pending {
-    SimJob job;
-    AttemptCallback on_complete;
-    double submit_time;
-    double ready_time;  ///< submit + dispatch latency
-  };
-
   void try_dispatch();
-  std::string pick_node();
+  const std::string& pick_node();
 
   EventQueue& queue_;
   CampusClusterConfig config_;
   common::Rng rng_;
-  std::deque<Pending> waiting_;
+  std::deque<std::uint32_t> waiting_;  ///< FIFO of attempt slots
   std::set<std::string> avoided_;
   std::size_t busy_ = 0;
   std::size_t node_counter_ = 0;

@@ -10,6 +10,12 @@ CloudPlatform::CloudPlatform(EventQueue& queue, const CloudConfig& config)
       rng_(config.seed),
       vm_ready_(config.vms, false),
       vm_busy_(config.vms, false) {
+  constexpr const char* kWhere = "Cloud";
+  require_finite(kWhere, "provision_mu", config.provision_mu);
+  require_finite(kWhere, "provision_sigma", config.provision_sigma);
+  require_finite(kWhere, "node_speed", config.node_speed);
+  require_finite(kWhere, "install_min", config.install_min);
+  require_finite(kWhere, "install_max", config.install_max);
   if (config.vms == 0) throw common::InvalidArgument("Cloud: vms must be >= 1");
   if (config.node_speed <= 0) {
     throw common::InvalidArgument("Cloud: node_speed must be > 0");
@@ -17,10 +23,15 @@ CloudPlatform::CloudPlatform(EventQueue& queue, const CloudConfig& config)
   if (config.install_min < 0 || config.install_min > config.install_max) {
     throw common::InvalidArgument("Cloud: bad install bounds");
   }
+  vm_names_.reserve(config.vms);
+  for (std::size_t vm = 0; vm < config.vms; ++vm) {
+    vm_names_.push_back("cloud-vm-" + std::to_string(vm));
+  }
 }
 
-void CloudPlatform::submit(const SimJob& job, AttemptCallback on_complete) {
-  waiting_.push_back(Pending{job, std::move(on_complete), queue_.now()});
+void CloudPlatform::submit(SimJob job, AttemptCallback on_complete) {
+  check_job("Cloud", job);
+  waiting_.push_back(open_attempt(std::move(job), std::move(on_complete), queue_.now()));
   try_dispatch();
 }
 
@@ -44,9 +55,11 @@ void CloudPlatform::try_dispatch() {
     }
     if (vm == config_.vms) return;  // all busy
 
-    Pending pending = std::move(waiting_.front());
+    const std::uint32_t slot = waiting_.front();
     waiting_.pop_front();
     vm_busy_[vm] = true;
+    AttemptRecord& record = attempt(slot);
+    const SimJob& job = record.job;
 
     double provision = 0;
     if (!vm_ready_[vm]) {
@@ -54,45 +67,37 @@ void CloudPlatform::try_dispatch() {
       vm_ready_[vm] = true;
       ++provisioned_;
     }
-    const double exec = pending.job.cpu_seconds / config_.node_speed;
-    const std::string node = "cloud-vm-" + std::to_string(vm);
+    const double exec = job.cpu_seconds / config_.node_speed;
+    const std::string& node = vm_names_[vm];
 
     // Stock image: install_max == 0, stack baked in — no charge and no RNG
     // draw (keeps seeded runs replayable). Nonzero bounds model a bare
     // image; the cache model amortizes the download per VM.
     double install = 0;
     bool cache_hit = false;
-    if (pending.job.needs_software_setup && config_.install_max > 0) {
+    if (job.needs_software_setup && config_.install_max > 0) {
       install = rng_.uniform(config_.install_min, config_.install_max);
       if (install_model_ != nullptr) {
-        const InstallOutcome outcome = install_model_->install(
-            node, pending.job.transformation, pending.job.software_bytes, install);
+        const InstallOutcome outcome =
+            install_model_->install(node, job.transformation, job.software_bytes, install);
         install = std::min(outcome.seconds, install);
         cache_hit = outcome.cache_hit;
         // VMs are reliable: installs always complete.
-        install_model_->commit(node, pending.job.transformation,
-                               pending.job.software_bytes);
+        install_model_->commit(node, job.transformation, job.software_bytes);
       }
     }
 
-    AttemptResult result;
-    result.job_id = pending.job.id;
-    result.transformation = pending.job.transformation;
-    result.node = node;
-    result.submit_time = pending.submit_time;
-    result.start_time = queue_.now() + provision;
-    result.wait_seconds = (queue_.now() + provision) - pending.submit_time;
-    result.install_seconds = install;
-    result.install_cache_hit = cache_hit;
-    result.exec_seconds = exec;
-    result.end_time = queue_.now() + provision + install + exec;
-    result.success = true;
+    record.node = &node;
+    record.start_time = queue_.now() + provision;
+    record.install_seconds = install;
+    record.install_cache_hit = cache_hit;
+    record.exec_seconds = exec;
+    record.end_time = queue_.now() + provision + install + exec;
 
     queue_.schedule_in(provision + install + exec,
-                       [this, vm, result = std::move(result),
-                        cb = std::move(pending.on_complete)]() {
+                       [this, slot, vm = static_cast<std::uint32_t>(vm)] {
       vm_busy_[vm] = false;
-      cb(result);
+      deliver(slot);
       try_dispatch();
     });
   }

@@ -37,7 +37,7 @@ class CloudPlatform final : public ExecutionPlatform {
  public:
   CloudPlatform(EventQueue& queue, const CloudConfig& config);
 
-  void submit(const SimJob& job, AttemptCallback on_complete) override;
+  void submit(SimJob job, AttemptCallback on_complete) override;
   [[nodiscard]] std::string name() const override { return "cloud"; }
   [[nodiscard]] std::size_t slots() const override { return config_.vms; }
 
@@ -45,18 +45,13 @@ class CloudPlatform final : public ExecutionPlatform {
   [[nodiscard]] std::size_t provisioned() const { return provisioned_; }
 
  private:
-  struct Pending {
-    SimJob job;
-    AttemptCallback on_complete;
-    double submit_time;
-  };
-
   void try_dispatch();
 
   EventQueue& queue_;
   CloudConfig config_;
   common::Rng rng_;
-  std::deque<Pending> waiting_;
+  std::vector<std::string> vm_names_;  ///< node labels, built once
+  std::deque<std::uint32_t> waiting_;  ///< FIFO of attempt slots
   std::vector<bool> vm_ready_;  ///< provisioned yet?
   std::vector<bool> vm_busy_;
   std::size_t provisioned_ = 0;

@@ -6,6 +6,8 @@
 #include <optional>
 #include <vector>
 
+#include "sim/slab.hpp"
+
 namespace pga::sim {
 
 /// The simulation executive. Events are (time, action) pairs; step() pops
@@ -20,9 +22,18 @@ namespace pga::sim {
 /// Whoever owns the queue owns the clock: only the owner (or a service it
 /// delegates to, bounded by the engines' next_deadline()) may advance it.
 ///
-/// Storage is a binary heap on a plain vector (push_heap/pop_heap) rather
-/// than std::priority_queue so callers running million-event workflows can
-/// reserve() capacity up front instead of reallocating mid-heap.
+/// Storage: a 4-ary min-heap of 24-byte POD keys {time, sequence, slot}
+/// ordered by (time, sequence), plus a Slab that holds each event's action
+/// at the key's slot. Sifts move only keys; an action is written once by
+/// schedule() and moved out once by step(). Since every sequence number is
+/// unique, (time, sequence) is a total order and the pop order is fully
+/// determined — any correct heap yields the same run.
+///
+/// Re-entrancy: step() pops the key, moves the action out of its slot and
+/// frees the slot *before* invoking it, because actions schedule() new
+/// events, which may reuse the freed slot. An action that
+/// throws has already been removed, so pending() and next_time() stay
+/// consistent and the queue remains usable.
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -53,14 +64,18 @@ class EventQueue {
   /// Returns the number of events processed.
   std::size_t run(std::size_t max_events = 100'000'000);
 
-  /// Pre-sizes event storage; one allocation for a known-scale run.
-  void reserve(std::size_t events) { events_.reserve(events); }
+  /// Pre-sizes event storage: up to `events` pending, scheduling allocates
+  /// nothing more.
+  void reserve(std::size_t events) {
+    heap_.reserve(events);
+    actions_.reserve(events);
+  }
 
   /// Current simulation time (seconds).
   [[nodiscard]] double now() const { return now_; }
 
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return events_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   /// Lifetime count of events run via step() (and thus run()). Fleet-scale
   /// drivers use it as a cheap progress/cost meter across many engines
@@ -68,22 +83,23 @@ class EventQueue {
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
  private:
-  struct Event {
+  struct Key {
     double time;
-    std::uint64_t sequence;  // FIFO tiebreak
-    Action action;
+    std::uint64_t sequence;  // FIFO tiebreak; unique per event
+    std::uint32_t slot;      // index of the action in actions_
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;
-    }
-  };
+  static bool earlier(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.sequence < b.sequence;
+  }
+  void sift_up(std::size_t hole, Key key);
+  void sift_down(std::size_t hole, Key key);
 
   double now_ = 0;
   std::uint64_t sequence_ = 0;
   std::uint64_t processed_ = 0;
-  std::vector<Event> events_;  ///< binary min-heap under Later
+  std::vector<Key> heap_;  ///< 4-ary min-heap under earlier()
+  Slab<Action> actions_;
 };
 
 }  // namespace pga::sim

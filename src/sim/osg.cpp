@@ -1,13 +1,41 @@
 #include "sim/osg.hpp"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace pga::sim {
 
+namespace {
+
+constexpr std::size_t kSites = 23;  ///< notional glidein sites, round-robin
+
+/// Site labels, built once per process; attempt records point into it.
+const std::vector<std::string>& site_labels() {
+  static const std::vector<std::string> labels = [] {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < kSites; ++i) out.push_back("osg-site-" + std::to_string(i));
+    return out;
+  }();
+  return labels;
+}
+
+}  // namespace
+
 OsgPlatform::OsgPlatform(EventQueue& queue, const OsgConfig& config)
     : queue_(queue), config_(config), rng_(config.seed), capacity_(config.base_slots) {
+  constexpr const char* kWhere = "Osg";
+  require_finite(kWhere, "capacity_wobble", config.capacity_wobble);
+  require_finite(kWhere, "capacity_period", config.capacity_period);
+  require_finite(kWhere, "wait_mu", config.wait_mu);
+  require_finite(kWhere, "wait_sigma", config.wait_sigma);
+  require_finite(kWhere, "node_speed_min", config.node_speed_min);
+  require_finite(kWhere, "node_speed_max", config.node_speed_max);
+  require_finite(kWhere, "install_min", config.install_min);
+  require_finite(kWhere, "install_max", config.install_max);
+  require_finite(kWhere, "preempt_mean", config.preempt_mean);
   if (config.base_slots == 0) {
     throw common::InvalidArgument("Osg: base_slots must be >= 1");
   }
@@ -50,97 +78,90 @@ void OsgPlatform::schedule_capacity_change() {
 
 void OsgPlatform::avoid_node(const std::string& node) { avoided_.insert(node); }
 
-std::string OsgPlatform::pick_node() {
+const std::string& OsgPlatform::pick_node() {
   // The glidein pool cycles through 23 notional sites; honour the
   // scheduler's blacklist by skipping avoided sites, falling back to the
   // next site in rotation when every site is blacklisted.
-  constexpr std::size_t kSites = 23;
+  const std::vector<std::string>& sites = site_labels();
   for (std::size_t tried = 0; tried < kSites; ++tried) {
-    std::string node = "osg-site-" + std::to_string(node_counter_++ % kSites);
+    const std::string& node = sites[node_counter_++ % kSites];
     if (!avoided_.count(node)) return node;
   }
-  return "osg-site-" + std::to_string(node_counter_++ % kSites);
+  return sites[node_counter_++ % kSites];
 }
 
-void OsgPlatform::submit(const SimJob& job, AttemptCallback on_complete) {
+void OsgPlatform::submit(SimJob job, AttemptCallback on_complete) {
+  check_job("Osg", job);
   if (!capacity_process_started_ && config_.capacity_wobble > 0) {
     capacity_process_started_ = true;
     schedule_capacity_change();
   }
-  Pending pending{job, std::move(on_complete), queue_.now()};
+  const std::uint32_t slot =
+      open_attempt(std::move(job), std::move(on_complete), queue_.now());
   // Opportunistic matchmaking delay, heavy-tailed.
   const double match_delay = rng_.lognormal(config_.wait_mu, config_.wait_sigma);
-  queue_.schedule_in(match_delay, [this, pending = std::move(pending)]() mutable {
-    waiting_.push_back(std::move(pending));
+  queue_.schedule_in(match_delay, [this, slot] {
+    waiting_.push_back(slot);
     try_dispatch();
   });
 }
 
 void OsgPlatform::try_dispatch() {
   while (busy_ < capacity_ && !waiting_.empty()) {
-    Pending pending = std::move(waiting_.front());
+    const std::uint32_t slot = waiting_.front();
     waiting_.pop_front();
     ++busy_;
+    AttemptRecord& record = attempt(slot);
+    const SimJob& job = record.job;
 
     // pick_node() draws no randomness, so hoisting it above the RNG calls
     // keeps the stream (and golden logs) identical to the pre-cache model.
-    const std::string node = pick_node();
+    const std::string& node = pick_node();
 
     const double speed = rng_.uniform(config_.node_speed_min, config_.node_speed_max);
     // Always burn the cold-install draw for flagged jobs — the attached
     // cache model may shortcut the charge, but never the RNG stream.
     const double cold_install =
-        pending.job.needs_software_setup
-            ? rng_.uniform(config_.install_min, config_.install_max)
-            : 0.0;
+        job.needs_software_setup ? rng_.uniform(config_.install_min, config_.install_max)
+                                 : 0.0;
     double install = cold_install;
     bool cache_hit = false;
-    if (pending.job.needs_software_setup && install_model_ != nullptr) {
-      const InstallOutcome outcome = install_model_->install(
-          node, pending.job.transformation, pending.job.software_bytes, cold_install);
+    if (job.needs_software_setup && install_model_ != nullptr) {
+      const InstallOutcome outcome =
+          install_model_->install(node, job.transformation, job.software_bytes, cold_install);
       install = std::min(outcome.seconds, cold_install);
       cache_hit = outcome.cache_hit;
     }
-    const double exec_needed = pending.job.cpu_seconds / speed;
+    const double exec_needed = job.cpu_seconds / speed;
     const double time_to_preempt = rng_.exponential(config_.preempt_mean);
 
-    AttemptResult result;
-    result.job_id = pending.job.id;
-    result.transformation = pending.job.transformation;
-    result.node = node;
-    result.submit_time = pending.submit_time;
-    result.start_time = queue_.now();
-    result.wait_seconds = queue_.now() - pending.submit_time;
-    result.install_seconds = install;
-    result.install_cache_hit = cache_hit;
+    record.node = &node;
+    record.start_time = queue_.now();
+    record.install_seconds = install;
+    record.install_cache_hit = cache_hit;
 
     double duration;
     if (time_to_preempt < install + exec_needed) {
       // The resource owner reclaimed the machine mid-attempt.
       ++preemptions_;
-      result.success = false;
-      result.failure = "preempted";
+      record.failure = "preempted";
       duration = time_to_preempt;
-      result.install_seconds = std::min(install, time_to_preempt);
-      result.exec_seconds = std::max(0.0, time_to_preempt - install);
+      record.install_seconds = std::min(install, time_to_preempt);
+      record.exec_seconds = std::max(0.0, time_to_preempt - install);
     } else {
-      result.success = true;
       duration = install + exec_needed;
-      result.exec_seconds = exec_needed;
+      record.exec_seconds = exec_needed;
     }
     // A preemption that cut the download short leaves the node without the
     // bundle; only a completed install populates the cache.
-    if (pending.job.needs_software_setup && install_model_ != nullptr &&
-        time_to_preempt >= install) {
-      install_model_->commit(node, pending.job.transformation,
-                             pending.job.software_bytes);
+    if (job.needs_software_setup && install_model_ != nullptr && time_to_preempt >= install) {
+      install_model_->commit(node, job.transformation, job.software_bytes);
     }
-    result.end_time = queue_.now() + duration;
+    record.end_time = queue_.now() + duration;
 
-    queue_.schedule_in(duration, [this, result = std::move(result),
-                                  cb = std::move(pending.on_complete)]() {
+    queue_.schedule_in(duration, [this, slot] {
       --busy_;
-      cb(result);
+      deliver(slot);
       try_dispatch();
     });
   }

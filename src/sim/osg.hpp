@@ -44,7 +44,7 @@ class OsgPlatform final : public ExecutionPlatform {
  public:
   OsgPlatform(EventQueue& queue, const OsgConfig& config);
 
-  void submit(const SimJob& job, AttemptCallback on_complete) override;
+  void submit(SimJob job, AttemptCallback on_complete) override;
   void avoid_node(const std::string& node) override;
   [[nodiscard]] std::string name() const override { return "osg"; }
   [[nodiscard]] std::size_t slots() const override { return config_.base_slots; }
@@ -57,20 +57,14 @@ class OsgPlatform final : public ExecutionPlatform {
   [[nodiscard]] const std::set<std::string>& avoided_nodes() const { return avoided_; }
 
  private:
-  struct Pending {
-    SimJob job;
-    AttemptCallback on_complete;
-    double submit_time;
-  };
-
   void try_dispatch();
   void schedule_capacity_change();
-  std::string pick_node();
+  const std::string& pick_node();
 
   EventQueue& queue_;
   OsgConfig config_;
   common::Rng rng_;
-  std::deque<Pending> waiting_;
+  std::deque<std::uint32_t> waiting_;  ///< matched attempt slots, FIFO
   std::set<std::string> avoided_;
   std::size_t busy_ = 0;
   std::size_t capacity_;

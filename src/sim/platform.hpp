@@ -11,6 +11,7 @@
 #include <string>
 
 #include "sim/event_queue.hpp"
+#include "sim/slab.hpp"
 
 namespace pga::sim {
 
@@ -68,8 +69,26 @@ struct AttemptResult {
   std::string failure;       ///< e.g. "preempted" when !success
 };
 
-/// Callback invoked exactly once per attempt.
-using AttemptCallback = std::function<void(const AttemptResult&)>;
+/// Callback invoked exactly once per attempt. The result is handed over by
+/// rvalue so a consumer can move its strings out; a lambda taking
+/// `const AttemptResult&` binds to it as well.
+using AttemptCallback = std::function<void(AttemptResult&&)>;
+
+/// One attempt as a platform holds it from submit() to its completion
+/// event. Dispatch fills in the placement and timings; deliver() turns the
+/// record into the AttemptResult, moving the job's strings over.
+struct AttemptRecord {
+  SimJob job;
+  AttemptCallback on_complete;
+  const std::string* node = nullptr;  ///< label owned by the platform
+  const char* failure = nullptr;      ///< e.g. "preempted"; null on success
+  double submit_time = 0;
+  double start_time = 0;
+  double end_time = 0;
+  double install_seconds = 0;
+  double exec_seconds = 0;
+  bool install_cache_hit = false;
+};
 
 /// Abstract platform. Implementations share one EventQueue (the
 /// experiment's clock) owned by the caller.
@@ -78,8 +97,10 @@ class ExecutionPlatform {
   virtual ~ExecutionPlatform() = default;
 
   /// Enqueues one attempt of `job`. The callback fires (via the event
-  /// queue) when the attempt completes or fails.
-  virtual void submit(const SimJob& job, AttemptCallback on_complete) = 0;
+  /// queue) when the attempt completes or fails. Throws InvalidArgument,
+  /// before touching any platform state, when `job.cpu_seconds` is NaN,
+  /// infinite or negative. Pass an rvalue job to hand its strings over.
+  virtual void submit(SimJob job, AttemptCallback on_complete) = 0;
 
   /// Advisory blacklist hint from the scheduler: avoid placing future
   /// attempts on `node` (DAGMan steering retries away from hosts that keep
@@ -98,7 +119,28 @@ class ExecutionPlatform {
   void set_install_model(InstallModel* model) { install_model_ = model; }
 
  protected:
+  /// Throws InvalidArgument naming `platform` unless the job's cost is a
+  /// finite, non-negative number of CPU seconds.
+  static void check_job(const char* platform, const SimJob& job);
+  /// Throws InvalidArgument ("<platform>: <field> must be finite") when a
+  /// configuration value is NaN or infinite.
+  static void require_finite(const char* platform, const char* field, double value);
+
+  /// Stores a new attempt submitted at `submit_time` and returns its slot.
+  /// Scheduled events capture only {this, slot}, which std::function holds
+  /// without allocating.
+  std::uint32_t open_attempt(SimJob&& job, AttemptCallback&& on_complete,
+                             double submit_time);
+  [[nodiscard]] AttemptRecord& attempt(std::uint32_t slot) { return attempts_[slot]; }
+  /// Builds the attempt's result (moving the job's id and transformation
+  /// in), frees the slot, then invokes the callback — in that order, since
+  /// the callback may submit again and reuse the slot.
+  void deliver(std::uint32_t slot);
+
   InstallModel* install_model_ = nullptr;  ///< consulted for software setups
+
+ private:
+  Slab<AttemptRecord> attempts_;  ///< queued and running attempts
 };
 
 }  // namespace pga::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -83,31 +84,33 @@ SimService::SimService(sim::EventQueue& queue, sim::ExecutionPlatform& platform)
     : queue_(queue), platform_(platform) {}
 
 void SimService::submit(const ConcreteJob& job) {
-  ++outstanding_;
   sim::SimJob sim_job;
   sim_job.id = job.id;
   sim_job.transformation = job.transformation;
   sim_job.cpu_seconds = job.cpu_seconds_hint;
   sim_job.needs_software_setup = job.needs_software_setup;
   sim_job.software_bytes = job.software_bytes;
-  platform_.submit(sim_job, [this, index = job.index](const sim::AttemptResult& result) {
-    TaskAttempt attempt;
-    attempt.job_id = result.job_id;
+  // The result's strings are moved, not copied, into the TaskAttempt.
+  platform_.submit(std::move(sim_job), [this, index = job.index](sim::AttemptResult&& result) {
+    TaskAttempt& attempt = completed_.emplace_back();
+    attempt.job_id = std::move(result.job_id);
     attempt.job = index;
-    attempt.transformation = result.transformation;
+    attempt.transformation = std::move(result.transformation);
     attempt.success = result.success;
-    attempt.error = result.failure;
-    attempt.node = result.node;
+    attempt.error = std::move(result.failure);
+    attempt.node = std::move(result.node);
     attempt.submit_time = result.submit_time;
     attempt.end_time = result.end_time;
     attempt.wait_seconds = result.wait_seconds;
     attempt.install_seconds = result.install_seconds;
     attempt.exec_seconds = result.exec_seconds;
     attempt.install_cache_hit = result.install_cache_hit;
-    completed_.push_back(std::move(attempt));
     --outstanding_;
     if (delivered_ != nullptr) *delivered_ = 1;
   });
+  // Counted only once the platform accepted the job: a rejected submit
+  // leaves nothing outstanding.
+  ++outstanding_;
 }
 
 void SimService::pump(std::optional<double> deadline) {
@@ -135,10 +138,7 @@ void SimService::pump(std::optional<double> deadline) {
 }
 
 std::vector<TaskAttempt> SimService::take_completed() {
-  std::vector<TaskAttempt> out(std::make_move_iterator(completed_.begin()),
-                               std::make_move_iterator(completed_.end()));
-  completed_.clear();
-  return out;
+  return std::exchange(completed_, {});
 }
 
 std::vector<TaskAttempt> SimService::wait() {

@@ -174,12 +174,12 @@ class SimService final : public ExecutionService {
   /// once the next event lies past it and burns the remaining simulated
   /// time; without one, throws on deadlock (outstanding jobs, no events).
   void pump(std::optional<double> deadline);
-  /// Moves everything accumulated in completed_ out.
+  /// Hands completed_ over to the caller (its buffer, no element copies).
   std::vector<TaskAttempt> take_completed();
 
   sim::EventQueue& queue_;
   sim::ExecutionPlatform& platform_;
-  std::deque<TaskAttempt> completed_;
+  std::vector<TaskAttempt> completed_;
   std::size_t outstanding_ = 0;
   std::uint8_t* delivered_ = nullptr;  ///< see set_delivery_flag
 };

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,6 +13,9 @@
 
 namespace pga::sim {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 SimJob job(const std::string& id, double cpu, bool setup = false) {
   return SimJob{id, "run_cap3", cpu, setup};
@@ -125,6 +131,17 @@ TEST(CampusCluster, ConfigValidation) {
   config.node_speed_min = 2.0;
   config.node_speed_max = 1.0;
   EXPECT_THROW(CampusClusterPlatform(q, config), common::InvalidArgument);
+  // NaN passes both `<= 0` and `min > max`; every double must be finite.
+  for (double CampusClusterConfig::*field :
+       {&CampusClusterConfig::dispatch_mu, &CampusClusterConfig::dispatch_sigma,
+        &CampusClusterConfig::node_speed_min, &CampusClusterConfig::node_speed_max,
+        &CampusClusterConfig::install_min, &CampusClusterConfig::install_max}) {
+    for (double bad : {kNan, kInf, -kInf}) {
+      config = CampusClusterConfig{};
+      config.*field = bad;
+      EXPECT_THROW(CampusClusterPlatform(q, config), common::InvalidArgument) << bad;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ OSG
@@ -253,6 +270,16 @@ TEST(Osg, ConfigValidation) {
   config = OsgConfig{};
   config.preempt_mean = 0;
   EXPECT_THROW(OsgPlatform(q, config), common::InvalidArgument);
+  for (double OsgConfig::*field :
+       {&OsgConfig::capacity_wobble, &OsgConfig::capacity_period, &OsgConfig::wait_mu,
+        &OsgConfig::wait_sigma, &OsgConfig::node_speed_min, &OsgConfig::node_speed_max,
+        &OsgConfig::install_min, &OsgConfig::install_max, &OsgConfig::preempt_mean}) {
+    for (double bad : {kNan, kInf, -kInf}) {
+      config = OsgConfig{};
+      config.*field = bad;
+      EXPECT_THROW(OsgPlatform(q, config), common::InvalidArgument) << bad;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Cloud
@@ -292,6 +319,66 @@ TEST(Cloud, ConfigValidation) {
   config = CloudConfig{};
   config.node_speed = 0;
   EXPECT_THROW(CloudPlatform(q, config), common::InvalidArgument);
+  for (double CloudConfig::*field :
+       {&CloudConfig::provision_mu, &CloudConfig::provision_sigma, &CloudConfig::node_speed,
+        &CloudConfig::install_min, &CloudConfig::install_max}) {
+    for (double bad : {kNan, kInf, -kInf}) {
+      config = CloudConfig{};
+      config.*field = bad;
+      EXPECT_THROW(CloudPlatform(q, config), common::InvalidArgument) << bad;
+    }
+  }
+}
+
+// ------------------------------------------------------- All platforms
+
+TEST(Platforms, BadJobCostIsRejectedWithoutLeakingASlot) {
+  // With one slot, a job that took the slot and never freed it would
+  // strand every later job. Each platform must reject the cost up front.
+  // The reference run submits only the good job: a rejected submit that
+  // drew from the RNG would shift the good job's timings.
+  const auto run = [](const char* name, auto make) {
+    SCOPED_TRACE(name);
+    const auto good_end_time = [&](std::optional<double> bad_cost) {
+      EventQueue q;
+      std::unique_ptr<ExecutionPlatform> platform = make(q);
+      if (bad_cost.has_value()) {
+        EXPECT_THROW(platform->submit(job("bad", *bad_cost),
+                                      [](const AttemptResult&) { ADD_FAILURE(); }),
+                     common::InvalidArgument)
+            << *bad_cost;
+        EXPECT_TRUE(q.empty());
+      }
+      std::optional<double> end_time;
+      platform->submit(job("good", 100), [&](const AttemptResult& r) {
+        if (r.success) end_time = r.end_time;
+      });
+      q.run();
+      return end_time;
+    };
+    const std::optional<double> reference = good_end_time(std::nullopt);
+    ASSERT_TRUE(reference.has_value());
+    for (double bad : {kNan, kInf, -kInf, -1.0}) {
+      EXPECT_EQ(good_end_time(bad), reference) << bad;
+    }
+  };
+  run("campus", [](EventQueue& q) {
+    CampusClusterConfig config;
+    config.allocated_slots = 1;
+    return std::make_unique<CampusClusterPlatform>(q, config);
+  });
+  run("osg", [](EventQueue& q) {
+    OsgConfig config;
+    config.base_slots = 1;
+    config.capacity_wobble = 0;
+    config.preempt_mean = 1e12;
+    return std::make_unique<OsgPlatform>(q, config);
+  });
+  run("cloud", [](EventQueue& q) {
+    CloudConfig config;
+    config.vms = 1;
+    return std::make_unique<CloudPlatform>(q, config);
+  });
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
+#include "sim/campus_cluster.hpp"
 #include "sim/osg.hpp"
 #include "wms/engine.hpp"
 #include "wms/statistics.hpp"
@@ -107,6 +109,26 @@ TEST(SimService, DeterministicAcrossRuns) {
     return engine.run(wf, service).wall_seconds();
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+TEST(SimService, RejectedSubmitLeavesNothingOutstanding) {
+  // A job the platform rejects must not count as outstanding: wait() would
+  // then report a simulation deadlock instead of "nothing to wait for".
+  sim::EventQueue queue;
+  sim::CampusClusterConfig config;
+  config.allocated_slots = 1;
+  sim::CampusClusterPlatform platform(queue, config);
+  SimService service(queue, platform);
+  EXPECT_THROW(service.submit(job("bad", std::numeric_limits<double>::quiet_NaN())),
+               common::InvalidArgument);
+  EXPECT_TRUE(service.wait().empty());
+  service.submit(job("good", 100));
+  const std::vector<TaskAttempt> done = service.wait();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].job_id, "good");
+  EXPECT_TRUE(done[0].success);
+  EXPECT_EQ(done[0].transformation, "tf");
+  EXPECT_EQ(done[0].node, "sandhills-node-0");
 }
 
 TEST(SimService, StatisticsAccountingIdentities) {
