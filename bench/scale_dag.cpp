@@ -1,5 +1,4 @@
-// Ten-million-job DAG throughput harness (ISSUE PR 4, rebuilt in PR 10 on
-// streamed materialization).
+// Ten-million-job DAG throughput harness, on streamed materialization.
 //
 // Sweeps the generator's blast2cap3 shape through the full DagmanEngine at
 // n in {1e4, 1e5, 1e6, 1e7} and reports scheduling throughput: jobs/sec
@@ -13,15 +12,8 @@
 // bounded batches so its completion buffer never scales with the widest
 // wave — so the numbers measure pure engine + observer bookkeeping.
 //
-// For n <= 1e5 it also drains the same DAG through a *legacy reference
-// arm*: a faithful reimplementation of the pre-PR-4 string-keyed layout
-// (std::map<string, set<string>> adjacency, map-keyed run records, events
-// carrying four std::string copies, ostringstream jobstate lines). The
-// jobs/sec ratio between the arms is the speedup the interned-handle
-// rework buys; BENCH_scale.json records the trajectory.
-//
 // Usage: scale_dag [--smoke] [--out PATH]
-//   --smoke   n=1e4 only, no legacy arm; deterministic guards (closed-form
+//   --smoke   n=1e4 only; deterministic guards (closed-form
 //             job/edge counts, event-count envelope, peak-RSS bound, and
 //             patterns-vs-explicit double-run digest identity) — the CI
 //             perf-smoke leg, exits non-zero on violation
@@ -34,9 +26,6 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,12 +52,7 @@ std::size_t peak_rss_bytes() {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
   }
   return 0;
 }
@@ -147,101 +131,6 @@ struct CountingObserver final : wms::EngineObserver {
   void on_event(const wms::EngineEvent&) override { ++events; }
 };
 
-// ------------------------------------------------------------------ legacy
-
-/// The pre-PR event record: four owning strings constructed per emission.
-struct LegacyEvent {
-  double time = 0;
-  std::string type;
-  std::string job_id;
-  std::string node;
-  std::string workflow;
-  int attempt = 0;
-};
-
-struct LegacyRun {
-  std::string transformation;
-  std::vector<wms::TaskAttempt> attempts;
-  bool succeeded = false;
-};
-
-struct LegacyResult {
-  std::size_t events = 0;
-  std::size_t log_bytes = 0;
-  std::size_t completed = 0;
-};
-
-/// Drains the DAG exactly like the string-keyed pre-PR engine laid out its
-/// state: set<string> adjacency walked through map lookups, a deque of
-/// job-id strings as the ready queue, map-keyed run records, an owning
-/// string event per observable step and an ostringstream-formatted
-/// jobstate line per event. Same wave semantics as InstantService, so
-/// both arms do identical scheduling work.
-LegacyResult legacy_drain(const std::map<std::string, std::set<std::string>>& children,
-                          const std::map<std::string, std::size_t>& indegree,
-                          const std::map<std::string, std::string>& transformation,
-                          const std::string& workflow_name) {
-  LegacyResult result;
-  std::map<std::string, std::size_t> remaining = indegree;
-  std::map<std::string, LegacyRun> runs;
-  std::deque<std::string> ready;
-  for (const auto& [id, parents] : remaining) {
-    if (parents == 0) ready.push_back(id);
-  }
-  double now = 0;
-  const auto emit = [&](const char* type, const std::string& job_id, int attempt) {
-    LegacyEvent event;
-    event.time = now;
-    event.type = type;
-    event.job_id = job_id;
-    event.node = "bench";
-    event.workflow = workflow_name;
-    event.attempt = attempt;
-    std::ostringstream os;
-    os << event.time << ' ' << event.job_id << ' ' << event.type << ' '
-       << event.attempt;
-    result.log_bytes += os.str().size();
-    ++result.events;
-  };
-  std::vector<std::string> wave;
-  while (!ready.empty()) {
-    wave.clear();
-    while (!ready.empty()) {
-      std::string id = ready.front();
-      ready.pop_front();
-      emit("SUBMIT", id, 1);
-      LegacyRun& run = runs[id];
-      run.transformation = transformation.at(id);
-      wave.push_back(std::move(id));
-    }
-    now += 1.0;
-    for (const std::string& id : wave) {
-      LegacyRun& run = runs.at(id);
-      wms::TaskAttempt attempt;
-      attempt.job_id = id;
-      attempt.transformation = run.transformation;
-      attempt.success = true;
-      attempt.node = "bench";
-      attempt.submit_time = now - 1.0;
-      attempt.end_time = now;
-      run.attempts.push_back(std::move(attempt));
-      run.succeeded = true;
-      emit("POST_SCRIPT_SUCCESS", id, 1);
-      ++result.completed;
-      const auto kids = children.find(id);
-      if (kids == children.end()) continue;
-      for (const std::string& child : kids->second) {
-        auto left = remaining.find(child);
-        if (left != remaining.end() && --left->second == 0) {
-          emit("PRE_SCRIPT_STARTED", child, 0);
-          ready.push_back(child);
-        }
-      }
-    }
-  }
-  return result;
-}
-
 // -------------------------------------------------------------------- main
 
 struct Point {
@@ -257,14 +146,9 @@ struct Point {
   double jobs_per_sec = 0;
   double events_per_sec = 0;
   std::size_t peak_rss_bytes = 0;
-  bool has_legacy = false;
-  double legacy_engine_seconds = 0;
-  double legacy_jobs_per_sec = 0;
-  double speedup = 0;
 };
 
-Point run_point(std::size_t n, bool run_legacy, bool edge_patterns,
-                common::ThreadPool& pool) {
+Point run_point(std::size_t n, bool edge_patterns, common::ThreadPool& pool) {
   Point point;
   point.n = n;
 
@@ -304,36 +188,6 @@ Point run_point(std::size_t n, bool run_legacy, bool edge_patterns,
   point.events_per_sec = static_cast<double>(point.events) / point.engine_seconds;
   point.peak_rss_bytes = peak_rss_bytes();
 
-  if (run_legacy) {
-    // Rebuild the legacy layout from the workflow (untimed: the pre-PR
-    // AbstractWorkflow held these containers as its resident state).
-    std::map<std::string, std::set<std::string>> children;
-    std::map<std::string, std::size_t> indegree;
-    std::map<std::string, std::string> transformation;
-    for (const auto& job : workflow.jobs()) {
-      indegree[job.id];  // ensure roots appear
-      transformation[job.id] = job.transformation;
-    }
-    for (const auto& job : workflow.jobs()) {
-      const std::uint32_t index = workflow.job_index(job.id);
-      for (const std::uint32_t child : workflow.children_of(index)) {
-        const std::string child_id{workflow.ids().name(child)};
-        children[job.id].insert(child_id);
-        ++indegree[child_id];
-      }
-    }
-    t0 = std::chrono::steady_clock::now();
-    const LegacyResult legacy =
-        legacy_drain(children, indegree, transformation, workflow.name());
-    point.legacy_engine_seconds = seconds_since(t0);
-    if (legacy.completed != point.jobs) {
-      throw common::Error("scale_dag: legacy arm lost jobs at n=" + std::to_string(n));
-    }
-    point.has_legacy = true;
-    point.legacy_jobs_per_sec =
-        static_cast<double>(legacy.completed) / point.legacy_engine_seconds;
-    point.speedup = point.jobs_per_sec / point.legacy_jobs_per_sec;
-  }
   return point;
 }
 
@@ -375,14 +229,6 @@ void write_json(const std::string& path, const std::vector<Point>& points,
     field("peak_rss_mb",
           common::format_fixed(
               static_cast<double>(p.peak_rss_bytes) / (1024.0 * 1024.0), 1));
-    // Legacy fields appear only when the legacy arm actually ran.
-    if (p.has_legacy) {
-      field("legacy_engine_seconds",
-            common::format_fixed(p.legacy_engine_seconds, 4));
-      field("legacy_jobs_per_sec",
-            common::format_fixed(p.legacy_jobs_per_sec, 1));
-      field("speedup_vs_legacy", common::format_fixed(p.speedup, 2));
-    }
     out << "    {\n" << common::join(fields, ",\n") << "\n";
     out << "    }" << (i + 1 < points.size() ? "," : "") << "\n";
   }
@@ -415,10 +261,7 @@ int main(int argc, char** argv) {
   try {
     for (const std::size_t n : sweep) {
       reset_peak_rss();
-      // Legacy reference arm only up to 1e5: at 1e6+ the string-keyed
-      // drain takes minutes and adds nothing to the trajectory.
-      const bool run_legacy = !smoke && n <= 100'000;
-      const Point point = run_point(n, run_legacy, /*edge_patterns=*/true, pool);
+      const Point point = run_point(n, /*edge_patterns=*/true, pool);
       std::cout << "n=" << point.n << " jobs=" << point.jobs
                 << " edges=" << point.edges << " build=" << point.build_seconds
                 << "s (model=" << point.build.model_seconds
@@ -428,13 +271,7 @@ int main(int argc, char** argv) {
                 << ") engine=" << point.engine_seconds
                 << "s events=" << point.events
                 << " jobs/s=" << static_cast<std::size_t>(point.jobs_per_sec)
-                << " rss=" << point.peak_rss_bytes / (1024 * 1024) << "MB";
-      if (point.has_legacy) {
-        std::cout << " legacy_jobs/s="
-                  << static_cast<std::size_t>(point.legacy_jobs_per_sec)
-                  << " speedup=" << common::format_fixed(point.speedup, 2) << "x";
-      }
-      std::cout << "\n";
+                << " rss=" << point.peak_rss_bytes / (1024 * 1024) << "MB\n";
       points.push_back(point);
     }
 
@@ -464,8 +301,7 @@ int main(int argc, char** argv) {
       }
       // Pattern-compressed and materialized edge storage must drive the
       // engine through byte-identical schedules.
-      const Point explicit_point =
-          run_point(p.n, /*run_legacy=*/false, /*edge_patterns=*/false, pool);
+      const Point explicit_point = run_point(p.n, /*edge_patterns=*/false, pool);
       if (explicit_point.digest != p.digest ||
           explicit_point.jobstate_lines != p.jobstate_lines) {
         std::cerr << "scale_dag --smoke: patterns-vs-explicit digest mismatch ("

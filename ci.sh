@@ -6,7 +6,7 @@
 #      pointers, the kAttemptFinished result pointer that is only valid
 #      during the callback) and UB anywhere in the suite.
 #   3. ThreadSanitizer build (-DPGA_SANITIZE=thread) in build-tsan/,
-#      catching data races in LocalService / htc::LocalExecutor and the
+#      catching data races in LocalService's thread pool and the
 #      chaos suite's concurrent paths.
 # Every test carries a tier1* ctest label; the chaos suite additionally
 # matches -L chaos (see tests/CMakeLists.txt).

@@ -164,6 +164,13 @@ DagmanEngine::DagmanEngine(EngineOptions options) : options_(std::move(options))
   if (options_.retries < 0) {
     throw common::InvalidArgument("EngineOptions.retries must be >= 0");
   }
+  if (!std::isfinite(options_.attempt_timeout_seconds) ||
+      !std::isfinite(options_.backoff_base_seconds) ||
+      !std::isfinite(options_.backoff_max_seconds) ||
+      !std::isfinite(options_.backoff_jitter)) {
+    throw common::InvalidArgument(
+        "EngineOptions timeout and backoff values must be finite");
+  }
   if (options_.attempt_timeout_seconds < 0) {
     throw common::InvalidArgument("EngineOptions.attempt_timeout_seconds must be >= 0");
   }

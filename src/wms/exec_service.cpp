@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
@@ -11,7 +12,7 @@ namespace pga::wms {
 // ---------------------------------------------------------- LocalService
 
 LocalService::LocalService(std::size_t slots, JobRunner runner)
-    : runner_(std::move(runner)), executor_(slots) {
+    : runner_(std::move(runner)), pool_(slots) {
   if (!runner_) throw common::InvalidArgument("LocalService: null runner");
 }
 
@@ -21,9 +22,9 @@ void LocalService::submit(const ConcreteJob& job) {
     ++outstanding_;
   }
   const double submit_time = clock_.seconds();
-  // The future from the executor is intentionally dropped: completion is
-  // delivered through the queue below instead.
-  (void)executor_.submit([this, job, submit_time] {
+  // The pool's future is dropped unread: the task catches every exception
+  // and delivers its completion through completed_ instead.
+  (void)pool_.submit([this, job, submit_time] {
     TaskAttempt attempt;
     attempt.job_id = job.id;
     attempt.job = job.index;

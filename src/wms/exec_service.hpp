@@ -5,6 +5,7 @@
 // (b) simulated, on the discrete-event platform models at paper scale.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -16,7 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "htc/local_executor.hpp"
+#include "common/stopwatch.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/platform.hpp"
 #include "wms/planner.hpp"
 
@@ -146,10 +148,10 @@ class LocalService final : public ExecutionService {
   std::deque<TaskAttempt> completed_;
   std::size_t outstanding_ = 0;
 
-  // Declared last on purpose: the executor's destructor joins its worker
-  // threads, and workers touch mutex_/cv_ in the completion callback, so
-  // the executor must be destroyed before (i.e. declared after) them.
-  htc::LocalExecutor executor_;
+  // Declared last on purpose: the pool's destructor joins its worker
+  // threads, and workers touch mutex_/cv_ when they finish a job, so the
+  // pool must be destroyed before (i.e. declared after) them.
+  common::ThreadPool pool_;
 };
 
 /// Simulated execution on a platform model; time is the event queue's.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 
 #include "common/error.hpp"
@@ -524,6 +525,27 @@ TEST(Engine, HardeningOptionsAreValidated) {
                                           .rescue_path = {},
                                           .node_blacklist_threshold = -2}),
                common::InvalidArgument);
+  // NaN slips past every ordered comparison, so each field must be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW(DagmanEngine(EngineOptions{.retries = 0,
+                                            .rescue_path = {},
+                                            .attempt_timeout_seconds = bad}),
+                 common::InvalidArgument);
+    EXPECT_THROW(DagmanEngine(EngineOptions{.retries = 0,
+                                            .rescue_path = {},
+                                            .backoff_base_seconds = bad}),
+                 common::InvalidArgument);
+    EXPECT_THROW(DagmanEngine(EngineOptions{.retries = 0,
+                                            .rescue_path = {},
+                                            .backoff_max_seconds = bad}),
+                 common::InvalidArgument);
+    EXPECT_THROW(DagmanEngine(EngineOptions{.retries = 0,
+                                            .rescue_path = {},
+                                            .backoff_jitter = bad}),
+                 common::InvalidArgument);
+  }
 }
 
 TEST(Engine, ReadRescueFileSkipsCommentsBlanksAndMalformedLines) {

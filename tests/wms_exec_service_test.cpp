@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "common/error.hpp"
 #include "sim/campus_cluster.hpp"
@@ -50,6 +53,85 @@ TEST(LocalService, CapturesFailures) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_FALSE(batch[0].success);
   EXPECT_EQ(batch[0].error, "kaboom");
+}
+
+TEST(LocalService, RunsPayloadsAndReportsSuccess) {
+  std::atomic<int> ran{0};
+  LocalService service(4, [&ran](const ConcreteJob&) { ran.fetch_add(1); });
+  for (int i = 0; i < 20; ++i) service.submit(job("p" + std::to_string(i)));
+  std::size_t completions = 0;
+  while (completions < 20) {
+    const auto batch = service.wait();
+    ASSERT_FALSE(batch.empty());
+    for (const auto& attempt : batch) {
+      EXPECT_TRUE(attempt.success);
+      EXPECT_TRUE(attempt.error.empty());
+      EXPECT_GE(attempt.exec_seconds, 0.0);
+      EXPECT_GE(attempt.wait_seconds, 0.0);
+    }
+    completions += batch.size();
+  }
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(LocalService, CapturesExceptions) {
+  LocalService service(2, [](const ConcreteJob&) {
+    throw std::runtime_error("task exploded");
+  });
+  service.submit(job("exploding"));
+  const auto batch = service.wait();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].job_id, "exploding");
+  EXPECT_FALSE(batch[0].success);
+  EXPECT_EQ(batch[0].error, "task exploded");
+}
+
+TEST(LocalService, CapturesNonStdExceptions) {
+  LocalService service(1, [](const ConcreteJob&) { throw 42; });  // NOLINT
+  service.submit(job("odd"));
+  const auto batch = service.wait();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_FALSE(batch[0].success);
+  EXPECT_EQ(batch[0].error, "unknown exception");
+}
+
+TEST(LocalService, FailureDoesNotPoisonLaterJobs) {
+  LocalService service(1, [](const ConcreteJob& j) {
+    if (j.id == "bad") throw std::runtime_error("boom");
+  });
+  service.submit(job("bad"));
+  ASSERT_FALSE(service.wait().front().success);
+  service.submit(job("good"));
+  const auto batch = service.wait();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].job_id, "good");
+  EXPECT_TRUE(batch[0].success);
+}
+
+TEST(LocalService, MeasuresExecTime) {
+  LocalService service(1, [](const ConcreteJob&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  service.submit(job("sleepy"));
+  const auto batch = service.wait();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_GE(batch[0].exec_seconds, 0.045);
+}
+
+TEST(LocalService, WaitTimeGrowsWhenSaturated) {
+  LocalService service(1, [](const ConcreteJob& j) {
+    if (j.id == "first") std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  });
+  service.submit(job("first"));
+  service.submit(job("second"));
+  std::vector<TaskAttempt> done;
+  while (done.size() < 2) {
+    auto batch = service.wait();
+    ASSERT_FALSE(batch.empty());
+    for (auto& attempt : batch) done.push_back(std::move(attempt));
+  }
+  ASSERT_EQ(done[1].job_id, "second");  // one slot: strictly in order
+  EXPECT_GE(done[1].wait_seconds, 0.05);
 }
 
 TEST(LocalService, WaitWithNothingOutstandingReturnsEmpty) {
