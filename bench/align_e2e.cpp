@@ -12,8 +12,9 @@
 //             blastx + per-cluster CAP3), serial vs parallel.
 //
 // --smoke runs the CI perf guard instead: machine-independent assertions
-// on DP cell-count envelopes, score-only == traceback scores, and
-// serial == parallel overlap identity. Exits non-zero on violation.
+// on DP cell-count envelopes, score-only == traceback scores,
+// serial == parallel overlap identity, and serial == pooled BLASTX bytes
+// with pinned DP counts. Exits non-zero on violation.
 //
 // Usage: align_e2e [--smoke] [--out PATH] [--workers N]
 #include <algorithm>
@@ -308,6 +309,11 @@ E2eResult bench_e2e(std::size_t workers) {
 // ---------------------------------------------------------------------------
 // Smoke mode: deterministic, machine-independent guards for CI.
 
+/// DP work of the smoke's fixed BLASTX search (check 8).
+constexpr std::uint64_t kBlastxCells = 171261363;
+constexpr std::uint64_t kBlastxScoreOnly = 72292;
+constexpr std::uint64_t kBlastxTracebacks = 271;
+
 int run_smoke(const std::string& out_path) {
   int failures = 0;
   const auto expect = [&](bool ok, const char* what) {
@@ -478,6 +484,46 @@ int run_smoke(const std::string& out_path) {
     const auto merged = align::dp_counters();
     expect(merged.cells == 8 * one.cells && merged.score_only == 8,
            "per-thread DpCounters merge to the exact pool-run total");
+  }
+
+  // 8. BLASTX: the pooled search_all is byte-identical to serial, the
+  // traceback gate runs at most one traceback per score-only winner, and
+  // the DP work on this fixed transcriptome is pinned exactly. The counts
+  // are the same on the scalar and AVX2 kernels; a change to seeding, the
+  // neighborhood table or the gate moves them.
+  {
+    bio::TranscriptomeParams params;
+    params.families = 12;
+    params.protein_min = 100;
+    params.protein_max = 200;
+    params.fragment_min_frac = 0.6;
+    params.seed = 77;
+    const auto txm = bio::generate_transcriptome(params);
+    const align::BlastxSearch search(txm.proteins);
+    const auto tabular = [](const std::vector<align::TabularHit>& hits) {
+      std::string text;
+      for (const auto& h : hits) text += align::format_tabular(h) + '\n';
+      return text;
+    };
+    align::reset_dp_counters();
+    const std::string serial = tabular(search.search_all(txm.transcripts));
+    const auto c = align::dp_counters();
+    align::reset_dp_counters();
+    common::ThreadPool pool(3);
+    const std::string pooled = tabular(search.search_all(txm.transcripts, &pool));
+    const auto pc = align::dp_counters();
+    std::printf("  blastx dp: cells=%llu score_only=%llu tracebacks=%llu\n",
+                static_cast<unsigned long long>(c.cells),
+                static_cast<unsigned long long>(c.score_only),
+                static_cast<unsigned long long>(c.tracebacks));
+    expect(!serial.empty() && pooled == serial, "blastx pooled search_all bytes == serial");
+    expect(pc.cells == c.cells && pc.score_only == c.score_only &&
+               pc.tracebacks == c.tracebacks,
+           "blastx pooled DP counters == serial");
+    expect(c.tracebacks <= c.score_only, "blastx tracebacks <= score-only calls");
+    expect(c.cells == kBlastxCells && c.score_only == kBlastxScoreOnly &&
+               c.tracebacks == kBlastxTracebacks,
+           "blastx DP cells / score-only / tracebacks == pinned counts");
   }
 
   std::ofstream out(out_path);

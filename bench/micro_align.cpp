@@ -67,18 +67,27 @@ void BM_BandedScoreOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedScoreOnly)->Range(64, 4096)->Complexity(benchmark::oN);
 
+/// Index construction, including the eager neighborhood table, over
+/// (database proteins, word size k, threshold T). Table size is occupied
+/// words times neighborhood size, so k = 5 runs at a T scaled up with k.
 void BM_KmerIndexBuild(benchmark::State& state) {
   common::Rng rng(3);
   std::vector<bio::SeqRecord> db;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     db.push_back({"p" + std::to_string(i), "", random_protein(300, rng)});
   }
+  const auto k = static_cast<int>(state.range(1));
+  const auto threshold = static_cast<int>(state.range(2));
   for (auto _ : state) {
-    const align::KmerIndex index(db, 3, 12);
+    const align::KmerIndex index(db, k, threshold);
     benchmark::DoNotOptimize(index.total_residues());
   }
 }
-BENCHMARK(BM_KmerIndexBuild)->Range(8, 128);
+BENCHMARK(BM_KmerIndexBuild)
+    ->Args({8, 3, 12})
+    ->Args({64, 3, 12})
+    ->Args({128, 3, 12})
+    ->Args({128, 5, 22});
 
 void BM_KmerNeighborhoodQuery(benchmark::State& state) {
   common::Rng rng(4);
@@ -98,30 +107,6 @@ void BM_KmerNeighborhoodQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KmerNeighborhoodQuery);
-
-/// Cold neighborhood queries: a fresh index per iteration, so every query
-/// takes the compute_neighbors path (scanning the precomputed residue
-/// array of occupied words) instead of the memoized row.
-void BM_KmerNeighborhoodCold(benchmark::State& state) {
-  common::Rng rng(4);
-  std::vector<bio::SeqRecord> db;
-  for (int i = 0; i < 64; ++i) {
-    db.push_back({"p" + std::to_string(i), "", random_protein(300, rng)});
-  }
-  const std::string query = random_protein(64, rng);
-  std::vector<align::WordHit> hits;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const align::KmerIndex index(db, 3, 12);
-    state.ResumeTiming();
-    for (std::size_t pos = 0; pos + 3 <= query.size(); ++pos) {
-      hits.clear();
-      index.neighborhood(std::string_view(query).substr(pos, 3), hits);
-      benchmark::DoNotOptimize(hits.size());
-    }
-  }
-}
-BENCHMARK(BM_KmerNeighborhoodCold);
 
 void BM_BlastxSearchPerTranscript(benchmark::State& state) {
   bio::TranscriptomeParams params;

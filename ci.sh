@@ -53,8 +53,10 @@ build/bench/scale_dag --smoke --out build/BENCH_scale_smoke.json
 # banded DP cell counts match the closed-form in-band envelope (so a band
 # or layout regression that reintroduces quadratic work fails), score-only
 # and traceback kernels agree, the AVX2 and scalar kernels are
-# byte-equivalent, and the parallel overlap phase is bit-identical to
-# serial. Runs twice — dispatch forced scalar, then auto (AVX2 where the
+# byte-equivalent, the parallel overlap phase is bit-identical to
+# serial, and a fixed BLASTX search gives the same outfmt-6 bytes pooled
+# as serial with pinned DP cell / score-only / traceback counts (the
+# traceback gate runs at most one traceback per score-only winner). Runs twice — dispatch forced scalar, then auto (AVX2 where the
 # CPU has it) — so both code paths stay green on every CI run.
 # BENCH_align.json in the repo root is the committed full benchmark;
 # regenerate with `build/bench/align_e2e`.

@@ -1,6 +1,7 @@
 #include "align/blastx.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 
@@ -65,16 +66,33 @@ void residue_range_to_nucleotides(int frame, std::size_t q_begin, std::size_t q_
   }
 }
 
+/// Rejects parameters the search cannot honour, before the index is built.
+/// A NaN cutoff would make every `evalue > cutoff` test false and let every
+/// candidate through, so non-finite statistics are refused outright.
+const BlastxParams& validated(const BlastxParams& params) {
+  if (params.min_seeds_per_diagonal == 0) {
+    throw common::InvalidArgument("min_seeds_per_diagonal must be >= 1");
+  }
+  if (params.band == 0) throw common::InvalidArgument("band must be >= 1");
+  if (!std::isfinite(params.evalue_cutoff) || params.evalue_cutoff < 0.0) {
+    throw common::InvalidArgument("evalue_cutoff must be finite and >= 0");
+  }
+  if (!std::isfinite(params.ka.lambda) || params.ka.lambda <= 0.0 ||
+      !std::isfinite(params.ka.k) || params.ka.k <= 0.0) {
+    throw common::InvalidArgument("ka.lambda and ka.k must be finite and > 0");
+  }
+  if (params.gaps.open < 0 || params.gaps.extend < 0) {
+    throw common::InvalidArgument("gap penalties must be >= 0");
+  }
+  return params;
+}
+
 }  // namespace
 
 BlastxSearch::BlastxSearch(std::vector<bio::SeqRecord> proteins, BlastxParams params)
     : proteins_(std::move(proteins)),
-      params_(params),
-      index_(proteins_, params.word_size, params.neighbor_threshold) {
-  if (params_.min_seeds_per_diagonal == 0) {
-    throw common::InvalidArgument("min_seeds_per_diagonal must be >= 1");
-  }
-  if (params_.band == 0) throw common::InvalidArgument("band must be >= 1");
+      params_(validated(params)),
+      index_(proteins_, params_.word_size, params_.neighbor_threshold) {
   const ScoringProfile& profile = ScoringProfile::protein_blosum62();
   prepared_subjects_.resize(proteins_.size());
   for (std::size_t i = 0; i < proteins_.size(); ++i) {
@@ -86,6 +104,7 @@ std::vector<TabularHit> BlastxSearch::search(const bio::SeqRecord& transcript) c
   std::vector<TabularHit> hits;
   const auto k = static_cast<std::size_t>(params_.word_size);
   const double db_residues = static_cast<double>(index_.total_residues());
+  const double query_residues = static_cast<double>(transcript.seq.size()) / 3.0;
   const ScoringProfile& profile = ScoringProfile::protein_blosum62();
   SearchScratch& scratch = search_scratch();
 
@@ -159,16 +178,25 @@ std::vector<TabularHit> BlastxSearch::search(const bio::SeqRecord& transcript) c
         }
       }
       if (!have_best) continue;
+      // The traceback reports the winner's score-only score, so its bit
+      // score and E-value are known now. Skip the traceback for a hit
+      // that would be dropped anyway: one over the E-value cutoff, or one
+      // that cannot strictly beat the subject's hit from an earlier frame.
+      const double bits = bit_score(best_score, params_.ka);
+      const double evalue = e_value(bits, query_residues, db_residues);
+      if (evalue > params_.evalue_cutoff) continue;
+      if (params_.best_hit_per_subject) {
+        const auto earlier = best_per_subject.find(subject);
+        if (earlier != best_per_subject.end() && !(bits > earlier->second.bitscore)) {
+          continue;
+        }
+      }
       const LocalAlignment best_aln =
           banded_align(scratch.frame_query, prepared_subjects_[subject], profile,
                        best_diag, params_.band, params_.gaps);
       if (static_cast<long>(best_aln.alignment_length()) < params_.min_alignment_length) {
         continue;
       }
-      const double bits = bit_score(best_aln.score, params_.ka);
-      const double evalue =
-          e_value(bits, static_cast<double>(transcript.seq.size()) / 3.0, db_residues);
-      if (evalue > params_.evalue_cutoff) continue;
 
       TabularHit hit;
       hit.qseqid = transcript.id;
@@ -185,8 +213,7 @@ std::vector<TabularHit> BlastxSearch::search(const bio::SeqRecord& transcript) c
       hit.bitscore = bits;
 
       if (params_.best_hit_per_subject) {
-        auto [it, inserted] = best_per_subject.try_emplace(subject, hit);
-        if (!inserted && hit.bitscore > it->second.bitscore) it->second = hit;
+        best_per_subject.insert_or_assign(subject, std::move(hit));  // gated above
       } else {
         hits.push_back(std::move(hit));
       }

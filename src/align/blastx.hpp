@@ -30,10 +30,19 @@ struct BlastxParams {
 };
 
 /// A reusable searcher over one protein database. Thread-safe: search()
-/// may be called concurrently from many threads.
+/// may be called concurrently from many threads. Movable but not
+/// copyable: the prepared subjects view the owned proteins' characters.
 class BlastxSearch {
  public:
+  /// Throws common::InvalidArgument for unusable parameters: zero
+  /// min_seeds_per_diagonal or band, a non-finite or negative
+  /// evalue_cutoff, non-finite or non-positive Karlin–Altschul
+  /// parameters, or negative gap penalties.
   BlastxSearch(std::vector<bio::SeqRecord> proteins, BlastxParams params = {});
+  BlastxSearch(const BlastxSearch&) = delete;
+  BlastxSearch& operator=(const BlastxSearch&) = delete;
+  BlastxSearch(BlastxSearch&&) noexcept = default;
+  BlastxSearch& operator=(BlastxSearch&&) noexcept = default;
 
   /// Searches one transcript; hits are sorted by descending bit score.
   [[nodiscard]] std::vector<TabularHit> search(const bio::SeqRecord& transcript) const;

@@ -1,6 +1,8 @@
 #include "align/kmer_index.hpp"
 
-#include <mutex>
+#include <algorithm>
+#include <array>
+#include <limits>
 
 #include "align/scoring.hpp"
 #include "bio/alphabet.hpp"
@@ -10,27 +12,82 @@ namespace pga::align {
 
 namespace {
 
-/// Decodes a word code back to residues (inverse of KmerIndex::encode).
-void decode(std::uint32_t code, int k, char* out) {
-  for (int i = 0; i < k; ++i) {
-    out[i] = bio::kAminoAcids[code % 20];
-    code /= 20;
+constexpr int kResidues = 20;
+constexpr int kMaxK = 5;
+
+/// Enumerates the query words whose score against one database word
+/// reaches the threshold: a depth-first walk over the 20^k words that
+/// cuts a branch as soon as its partial score plus the best the
+/// remaining positions could add falls short. Each position tries query
+/// residues in descending score order, so the first miss ends its loop.
+class NeighborWalk {
+ public:
+  NeighborWalk(int k, int threshold) : k_(k), threshold_(threshold) {
+    for (int d = 0; d < kResidues; ++d) {
+      auto& column = columns_[d];
+      for (int q = 0; q < kResidues; ++q) {
+        column[q] = {blosum62(bio::kAminoAcids[q], bio::kAminoAcids[d]), q};
+      }
+      std::stable_sort(column.begin(), column.end(),
+                       [](const Candidate& a, const Candidate& b) { return a.score > b.score; });
+    }
   }
-}
+
+  /// Calls visit(query_code) for every query word scoring >= threshold
+  /// against the database word `db_code`.
+  template <class Visit>
+  void run(std::uint32_t db_code, Visit&& visit) {
+    for (int i = 0; i < k_; ++i) {
+      db_[i] = static_cast<int>(db_code % kResidues);
+      db_code /= kResidues;
+    }
+    best_rest_[k_] = 0;
+    for (int i = k_ - 1; i >= 0; --i) {
+      best_rest_[i] = best_rest_[i + 1] + columns_[db_[i]][0].score;
+    }
+    step(0, 0, 0, 1, visit);
+  }
+
+ private:
+  struct Candidate {
+    int score;  ///< blosum62(query residue, database residue)
+    int query;  ///< query residue index
+  };
+
+  template <class Visit>
+  void step(int pos, int partial, std::uint32_t code, std::uint32_t place,
+            Visit& visit) const {
+    if (pos == k_) {
+      visit(code);
+      return;
+    }
+    const int need = threshold_ - partial - best_rest_[pos + 1];
+    for (const Candidate& c : columns_[db_[pos]]) {
+      if (c.score < need) break;
+      step(pos + 1, partial + c.score, code + static_cast<std::uint32_t>(c.query) * place,
+           place * kResidues, visit);
+    }
+  }
+
+  int k_;
+  int threshold_;
+  /// Per database residue: every query residue, by descending score.
+  std::array<std::array<Candidate, kResidues>, kResidues> columns_{};
+  std::array<int, kMaxK> db_{};             ///< current database word, residue indices
+  std::array<int, kMaxK + 1> best_rest_{};  ///< best score positions i..k-1 can add
+};
 
 }  // namespace
 
 KmerIndex::KmerIndex(const std::vector<bio::SeqRecord>& proteins, int k,
                      int threshold)
     : k_(k), threshold_(threshold) {
-  if (k < 2 || k > 5) {
+  if (k < 2 || k > kMaxK) {
     throw common::InvalidArgument("KmerIndex: k must be in [2,5]");
   }
   table_size_ = 1;
-  for (int i = 0; i < k; ++i) table_size_ *= 20;
+  for (int i = 0; i < k; ++i) table_size_ *= kResidues;
   table_.resize(table_size_);
-  neighbor_cache_.resize(table_size_);
-  neighbor_cached_.assign(table_size_, false);
 
   subject_count_ = proteins.size();
   if (proteins.size() > 0xffffffffULL) {
@@ -48,13 +105,38 @@ KmerIndex::KmerIndex(const std::vector<bio::SeqRecord>& proteins, int k,
       bucket.push_back(WordHit{s, static_cast<std::uint32_t>(pos)});
     }
   }
-  // Decode every occupied word once; neighborhood scans then compare raw
-  // residue arrays instead of re-deriving each candidate word per query.
-  occupied_residues_.resize(occupied_codes_.size() * static_cast<std::size_t>(k_));
-  for (std::size_t i = 0; i < occupied_codes_.size(); ++i) {
-    decode(occupied_codes_[i], k_,
-           occupied_residues_.data() + i * static_cast<std::size_t>(k_));
+  build_neighborhoods();
+}
+
+void KmerIndex::build_neighborhoods() {
+  // Inverted enumeration: instead of scoring every occupied word against
+  // each query word, walk from each occupied word to the query words that
+  // reach it. Visiting occupied words in occupied_codes_ order appends
+  // them to every query code's list in that same order.
+  NeighborWalk walk(k_, threshold_);
+  neighbor_offsets_.assign(table_size_ + 1, 0);
+  for (const std::uint32_t d : occupied_codes_) {
+    walk.run(d, [&](std::uint32_t c) { ++neighbor_offsets_[c + 1]; });
   }
+  std::uint64_t total = 0;
+  for (std::size_t c = 1; c <= table_size_; ++c) {
+    total += neighbor_offsets_[c];
+    if (total > std::numeric_limits<std::uint32_t>::max()) {
+      throw common::InvalidArgument("KmerIndex: neighborhood table too large");
+    }
+    neighbor_offsets_[c] = static_cast<std::uint32_t>(total);
+  }
+  // Fill using offsets_[c] as c's write cursor; afterwards each cursor
+  // sits on the next list's start, so shifting the array right by one
+  // restores the offsets.
+  neighbor_codes_.resize(static_cast<std::size_t>(total));
+  for (const std::uint32_t d : occupied_codes_) {
+    walk.run(d, [&](std::uint32_t c) { neighbor_codes_[neighbor_offsets_[c]++] = d; });
+  }
+  for (std::size_t c = table_size_; c > 0; --c) {
+    neighbor_offsets_[c] = neighbor_offsets_[c - 1];
+  }
+  neighbor_offsets_[0] = 0;
 }
 
 long KmerIndex::encode(std::string_view word) const {
@@ -65,7 +147,7 @@ long KmerIndex::encode(std::string_view word) const {
     const int idx = bio::amino_index(c);
     if (idx < 0) return -1;
     code += idx * mult;
-    mult *= 20;
+    mult *= kResidues;
   }
   return code;
 }
@@ -77,58 +159,24 @@ const std::vector<WordHit>& KmerIndex::exact(std::string_view word) const {
   return table_[static_cast<std::size_t>(code)];
 }
 
-std::vector<std::uint32_t> KmerIndex::compute_neighbors(std::uint32_t code) const {
-  std::vector<char> query(static_cast<std::size_t>(k_));
-  decode(code, k_, query.data());
-  std::vector<std::uint32_t> neighbors;
-  const auto k = static_cast<std::size_t>(k_);
-  const char* candidate = occupied_residues_.data();
-  for (const std::uint32_t occupied : occupied_codes_) {
-    int score = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      score += blosum62(query[i], candidate[i]);
-    }
-    if (score >= threshold_) neighbors.push_back(occupied);
-    candidate += k;
-  }
-  return neighbors;
-}
-
 void KmerIndex::neighborhood(std::string_view word, std::vector<WordHit>& out) const {
-  const long signed_code = encode(word);
-  if (signed_code < 0) return;
-  const auto code = static_cast<std::uint32_t>(signed_code);
+  const long code = encode(word);
+  if (code < 0) return;
+  const std::uint32_t* first =
+      neighbor_codes_.data() + neighbor_offsets_[static_cast<std::size_t>(code)];
+  const std::uint32_t* last =
+      neighbor_codes_.data() + neighbor_offsets_[static_cast<std::size_t>(code) + 1];
 
   // One reserve covering every neighbour bucket, then raw appends — the
   // repeated insert() growth was measurable at word_size 3 where a query
   // word fans out to dozens of buckets.
-  const auto append_buckets = [&](const std::vector<std::uint32_t>& neighbors) {
-    std::size_t total = 0;
-    for (const std::uint32_t n : neighbors) total += table_[n].size();
-    out.reserve(out.size() + total);
-    for (const std::uint32_t n : neighbors) {
-      const auto& bucket = table_[n];
-      out.insert(out.end(), bucket.begin(), bucket.end());
-    }
-  };
-
-  {
-    std::shared_lock lock(cache_mutex_);
-    if (neighbor_cached_[code]) {
-      append_buckets(neighbor_cache_[code]);
-      return;
-    }
+  std::size_t total = 0;
+  for (const std::uint32_t* n = first; n != last; ++n) total += table_[*n].size();
+  out.reserve(out.size() + total);
+  for (const std::uint32_t* n = first; n != last; ++n) {
+    const auto& bucket = table_[*n];
+    out.insert(out.end(), bucket.begin(), bucket.end());
   }
-  // Compute outside any lock (pure function of immutable index state).
-  std::vector<std::uint32_t> neighbors = compute_neighbors(code);
-  {
-    const std::unique_lock lock(cache_mutex_);
-    if (!neighbor_cached_[code]) {
-      neighbor_cache_[code] = neighbors;
-      neighbor_cached_[code] = true;
-    }
-  }
-  append_buckets(neighbors);
 }
 
 }  // namespace pga::align

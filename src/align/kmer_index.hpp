@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <shared_mutex>
 #include <string_view>
 #include <vector>
 
@@ -21,8 +20,11 @@ struct WordHit {
 /// least `threshold` against a query word under BLOSUM62 (BLAST's "T"
 /// parameter). Words containing nonstandard residues are skipped.
 ///
-/// Thread-safe for concurrent queries; neighborhood rows are computed
-/// lazily per distinct query word and memoized under a shared_mutex.
+/// The neighborhood of every possible query word is built once, at
+/// construction, into an immutable CSR table; queries are lock-free reads
+/// and safe from any number of threads. The table holds one entry per
+/// (query word, occupied word) pair above the threshold, so at k >= 4 the
+/// threshold has to grow with k to keep it small.
 class KmerIndex {
  public:
   /// Builds the index. k must be in [2, 5] (20^k table entries).
@@ -34,7 +36,8 @@ class KmerIndex {
 
   /// Appends occurrences of all database words in the BLOSUM62
   /// neighborhood of `word` (score >= threshold, including the word itself
-  /// when it qualifies) to `out`.
+  /// when it qualifies) to `out`. Neighbouring words are visited in the
+  /// order they first occur in the database.
   void neighborhood(std::string_view word, std::vector<WordHit>& out) const;
 
   [[nodiscard]] int k() const { return k_; }
@@ -48,8 +51,8 @@ class KmerIndex {
   /// nonstandard.
   [[nodiscard]] long encode(std::string_view word) const;
 
-  /// Occupied word codes whose word scores >= threshold against `code`'s word.
-  [[nodiscard]] std::vector<std::uint32_t> compute_neighbors(std::uint32_t code) const;
+  /// Fills neighbor_offsets_ / neighbor_codes_ from occupied_codes_.
+  void build_neighborhoods();
 
   int k_;
   int threshold_;
@@ -58,14 +61,12 @@ class KmerIndex {
   std::uint64_t total_residues_ = 0;
   std::vector<std::vector<WordHit>> table_;    // word code -> occurrences
   std::vector<std::uint32_t> occupied_codes_;  // codes with any occurrence
-  /// Residues of each occupied code (k chars per entry, parallel to
-  /// occupied_codes_) — decoded once at build so neighborhood scans don't
-  /// re-derive candidate words per query.
-  std::vector<char> occupied_residues_;
-
-  mutable std::shared_mutex cache_mutex_;
-  mutable std::vector<std::vector<std::uint32_t>> neighbor_cache_;
-  mutable std::vector<bool> neighbor_cached_;
+  /// CSR neighborhood table over every query code c: the occupied codes
+  /// scoring >= threshold against c are
+  /// neighbor_codes_[neighbor_offsets_[c] .. neighbor_offsets_[c + 1]),
+  /// each list in occupied_codes_ order.
+  std::vector<std::uint32_t> neighbor_offsets_;
+  std::vector<std::uint32_t> neighbor_codes_;
 };
 
 }  // namespace pga::align

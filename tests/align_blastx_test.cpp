@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
+#include "align/sw.hpp"
 #include "bio/alphabet.hpp"
 #include "bio/codon.hpp"
 #include "bio/transcriptome.hpp"
@@ -180,6 +185,135 @@ TEST(Blastx, ParameterValidation) {
   p = BlastxParams{};
   p.band = 0;
   EXPECT_THROW(BlastxSearch(fx.proteins, p), common::InvalidArgument);
+}
+
+TEST(Blastx, RejectsNonFiniteAndNegativeStatistics) {
+  auto fx = make_fixture(29);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double cutoff : {kNan, kInf, -kInf, -1e-6}) {
+    BlastxParams p;
+    p.evalue_cutoff = cutoff;
+    EXPECT_THROW(BlastxSearch(fx.proteins, p), common::InvalidArgument) << cutoff;
+  }
+  for (const double bad : {kNan, kInf, 0.0, -0.267}) {
+    BlastxParams p;
+    p.ka.lambda = bad;
+    EXPECT_THROW(BlastxSearch(fx.proteins, p), common::InvalidArgument) << bad;
+    p = BlastxParams{};
+    p.ka.k = bad;
+    EXPECT_THROW(BlastxSearch(fx.proteins, p), common::InvalidArgument) << bad;
+  }
+  BlastxParams p;
+  p.gaps.open = -1;
+  EXPECT_THROW(BlastxSearch(fx.proteins, p), common::InvalidArgument);
+  p = BlastxParams{};
+  p.gaps.extend = -1;
+  EXPECT_THROW(BlastxSearch(fx.proteins, p), common::InvalidArgument);
+  // Boundary values stay accepted.
+  p = BlastxParams{};
+  p.evalue_cutoff = 0.0;
+  p.gaps = {0, 0};
+  EXPECT_NO_THROW(BlastxSearch(fx.proteins, p));
+}
+
+TEST(Blastx, MovedSearchGivesSameHits) {
+  auto fx = make_fixture(31);
+  BlastxSearch original(fx.proteins);
+  const auto before = original.search(fx.transcript);
+  const BlastxSearch moved(std::move(original));
+  EXPECT_EQ(moved.search(fx.transcript), before);
+  EXPECT_FALSE(before.empty());
+}
+
+TEST(Blastx, EqualScoreLaterFrameDoesNotReplaceEarlierHit) {
+  // The CDS on the forward strand and again, reverse-complemented, after a
+  // spacer: frame +1 and a minus frame both align the whole target with
+  // the same score. The forward hit comes first and must be kept, and the
+  // tied minus-frame winner must not pay for a traceback.
+  auto fx = make_fixture(37);
+  const std::string cds = fx.transcript.seq;
+  fx.transcript.seq = cds + "TTTTTTTTTT" + bio::reverse_complement(cds);
+  const BlastxSearch search(fx.proteins);
+  reset_dp_counters();
+  const auto hits = search.search(fx.transcript);
+  const DpCounters counters = dp_counters();
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].sseqid, "target");
+  EXPECT_EQ(hits[0].qstart, 1);
+  EXPECT_EQ(hits[0].qend, static_cast<long>(cds.size()));
+  EXPECT_EQ(counters.tracebacks, 1u);
+
+  // The minus-strand copy alone scores exactly the same.
+  const auto minus_only =
+      search.search({"rc", "", bio::reverse_complement(cds)});
+  ASSERT_EQ(minus_only.size(), 1u);
+  EXPECT_EQ(minus_only[0].bitscore, hits[0].bitscore);
+  EXPECT_GT(minus_only[0].qstart, minus_only[0].qend);
+}
+
+/// Seeded transcriptome with the blastx golden fixtures' shape.
+bio::Transcriptome golden_transcriptome(std::uint64_t seed, std::size_t families,
+                                        std::size_t protein_max) {
+  bio::TranscriptomeParams params;
+  params.families = families;
+  params.protein_min = 80;
+  params.protein_max = protein_max;
+  params.seed = seed;
+  return bio::generate_transcriptome(params);
+}
+
+/// Hits of the search whose alignment is shorter than the default minimum
+/// length: with min_alignment_length = 0 and one HSP per (frame, subject),
+/// every winner that passes the E-value cutoff is reported, so these are
+/// exactly the winners the default search rejects on length.
+std::size_t short_winners(const bio::Transcriptome& txm) {
+  BlastxParams all;
+  all.best_hit_per_subject = false;
+  all.min_alignment_length = 0;
+  const long min_length = BlastxParams{}.min_alignment_length;
+  std::size_t n = 0;
+  for (const auto& h : BlastxSearch(txm.proteins, all).search_all(txm.transcripts)) {
+    if (h.length < min_length) ++n;
+  }
+  return n;
+}
+
+TEST(Blastx, TracebacksOnlyForReportableHits) {
+  const auto txm = golden_transcriptome(42, 8, 160);
+  const std::size_t rejects = short_winners(txm);
+  const BlastxSearch search(txm.proteins);
+  reset_dp_counters();
+  const auto hits = search.search_all(txm.transcripts);
+  const DpCounters counters = dp_counters();
+  ASSERT_FALSE(hits.empty());
+  EXPECT_LE(counters.tracebacks, hits.size() + rejects);
+  EXPECT_LT(counters.tracebacks, counters.score_only);
+  // Same bytes as the committed golden fixture.
+  std::string bytes;
+  for (const auto& h : hits) bytes += format_tabular(h) + "\n";
+  std::ifstream in(std::filesystem::path(PGA_GOLDEN_DIR) /
+                       "blastx_tabular_default_seed42.txt",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(bytes, golden.str());
+}
+
+TEST(Blastx, MultiHspTracebacksAreHitsPlusLengthRejects) {
+  // Without the per-subject collapse only the E-value gate applies: every
+  // traceback yields a reported hit or a min_alignment_length reject.
+  const auto txm = golden_transcriptome(7, 6, 140);
+  const std::size_t rejects = short_winners(txm);
+  BlastxParams p;
+  p.best_hit_per_subject = false;
+  const BlastxSearch search(txm.proteins, p);
+  reset_dp_counters();
+  const auto hits = search.search_all(txm.transcripts);
+  const DpCounters counters = dp_counters();
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(counters.tracebacks, hits.size() + rejects);
 }
 
 }  // namespace
