@@ -13,8 +13,10 @@
 //
 // --smoke runs the CI perf guard instead: machine-independent assertions
 // on DP cell-count envelopes, score-only == traceback scores,
-// serial == parallel overlap identity, and serial == pooled BLASTX bytes
-// with pinned DP counts. Exits non-zero on violation.
+// serial == parallel overlap identity, AVX2 == scalar kernels (protein,
+// and DNA at the overlap band), batch == per-pair score-only, and
+// serial == pooled BLASTX bytes with pinned DP counts. Exits non-zero on
+// violation.
 //
 // Usage: align_e2e [--smoke] [--out PATH] [--workers N]
 #include <algorithm>
@@ -431,31 +433,92 @@ int run_smoke(const std::string& out_path) {
   // levels resolve to scalar and the checks still hold (trivially).
   {
     const bool have_avx2 = align::cpu_supports_avx2();
+    // One pair on both levels: score-only and traceback results must agree.
+    const auto levels_agree = [](const std::string& q, const std::string& s,
+                                 const align::ScoringProfile& prof, long diag,
+                                 std::size_t band, const align::GapPenalties& gaps) {
+      align::set_simd_level(align::SimdLevel::kScalar);
+      const auto sc_so = align::banded_score_only(q, s, prof, diag, band, gaps);
+      const auto sc_aln = align::banded_align(q, s, prof, diag, band, gaps);
+      align::set_simd_level(align::SimdLevel::kAvx2);
+      const auto vx_so = align::banded_score_only(q, s, prof, diag, band, gaps);
+      const auto vx_aln = align::banded_align(q, s, prof, diag, band, gaps);
+      align::reset_simd_level();
+      return sc_so.score == vx_so.score && sc_so.q_end == vx_so.q_end &&
+             sc_so.s_end == vx_so.s_end && sc_aln.score == vx_aln.score &&
+             sc_aln.q_begin == vx_aln.q_begin && sc_aln.q_end == vx_aln.q_end &&
+             sc_aln.s_begin == vx_aln.s_begin && sc_aln.s_end == vx_aln.s_end &&
+             sc_aln.matches == vx_aln.matches &&
+             sc_aln.mismatches == vx_aln.mismatches &&
+             sc_aln.gap_opens == vx_aln.gap_opens &&
+             sc_aln.gap_residues == vx_aln.gap_residues;
+    };
     bool kernels_equal = true;
     for (int t = 0; t < 25 && kernels_equal; ++t) {
       const std::string q = random_protein(30 + rng.below(300), rng);
       const std::string s = random_protein(30 + rng.below(300), rng);
       const long diag = static_cast<long>(rng.below(33)) - 16;
-      align::set_simd_level(align::SimdLevel::kScalar);
-      const auto sc_so = align::banded_score_only(q, s, profile, diag, 24, {});
-      const auto sc_aln = align::banded_align(q, s, profile, diag, 24, {});
-      align::set_simd_level(align::SimdLevel::kAvx2);
-      const auto vx_so = align::banded_score_only(q, s, profile, diag, 24, {});
-      const auto vx_aln = align::banded_align(q, s, profile, diag, 24, {});
-      align::reset_simd_level();
-      kernels_equal =
-          sc_so.score == vx_so.score && sc_so.q_end == vx_so.q_end &&
-          sc_so.s_end == vx_so.s_end && sc_aln.score == vx_aln.score &&
-          sc_aln.q_begin == vx_aln.q_begin && sc_aln.q_end == vx_aln.q_end &&
-          sc_aln.s_begin == vx_aln.s_begin && sc_aln.s_end == vx_aln.s_end &&
-          sc_aln.matches == vx_aln.matches &&
-          sc_aln.mismatches == vx_aln.mismatches &&
-          sc_aln.gap_opens == vx_aln.gap_opens &&
-          sc_aln.gap_residues == vx_aln.gap_residues;
+      kernels_equal = levels_agree(q, s, profile, diag, 24, {});
     }
     expect(kernels_equal,
            have_avx2 ? "avx2 kernel byte-equivalent to scalar (25 pairs)"
                      : "scalar fallback self-consistent (host lacks AVX2)");
+
+    // DNA at the overlap phase's band (48), on related fragments so the
+    // band holds long alignments with gaps. Own generator: the draws of
+    // the checks after this one stay as they were.
+    common::Rng dna_rng(48);
+    const auto dna_profile = align::ScoringProfile::dna(1, -2);
+    bool dna_equal = true;
+    for (int t = 0; t < 25 && dna_equal; ++t) {
+      const std::string gene = random_dna(900, dna_rng);
+      const std::string q = gene.substr(dna_rng.below(300), 400);
+      std::string s = gene.substr(dna_rng.below(300), 400);
+      for (std::size_t i = dna_rng.below(20); i < s.size(); i += 23) s[i] = 'A';
+      s.erase(dna_rng.below(300), dna_rng.below(4));
+      const long diag = static_cast<long>(dna_rng.below(61)) - 30;
+      dna_equal = levels_agree(q, s, dna_profile, diag, 48, {6, 1});
+    }
+    expect(dna_equal, have_avx2 ? "avx2 DNA kernel == scalar at band 48 (25 pairs)"
+                                : "scalar DNA fallback self-consistent");
+
+    // A score-only batch equals the per-pair calls, results and counters.
+    common::Rng batch_rng(12);
+    const std::string query = random_protein(150, batch_rng);
+    std::vector<std::string> subjects;
+    for (int k = 0; k < 40; ++k) {
+      subjects.push_back(k % 8 == 0 ? random_protein(5, batch_rng)
+                                    : query.substr(batch_rng.below(60)) +
+                                          random_protein(batch_rng.below(80), batch_rng));
+    }
+    const align::PreparedSeq prepared_query(query, profile);
+    std::vector<align::PreparedSeq> prepared(subjects.size());
+    std::vector<align::ScoreOnlyCandidate> candidates;
+    for (std::size_t k = 0; k < subjects.size(); ++k) {
+      prepared[k].assign(subjects[k], profile);
+      candidates.push_back(
+          {&prepared[k], static_cast<long>(batch_rng.below(41)) - 20});
+    }
+    align::reset_dp_counters();
+    std::vector<align::ScoreOnlyResult> single;
+    for (const auto& c : candidates) {
+      single.push_back(align::banded_score_only(prepared_query, *c.subject, profile,
+                                                c.diagonal, 12, {}));
+    }
+    const auto single_counters = align::dp_counters();
+    align::reset_dp_counters();
+    std::vector<align::ScoreOnlyResult> batched(candidates.size());
+    align::banded_score_only_batch(prepared_query, candidates, profile, 12, {},
+                                   batched);
+    const auto batch_counters = align::dp_counters();
+    bool batch_equal = batch_counters.cells == single_counters.cells &&
+                       batch_counters.score_only == single_counters.score_only;
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+      batch_equal = batch_equal && batched[k].score == single[k].score &&
+                    batched[k].q_end == single[k].q_end &&
+                    batched[k].s_end == single[k].s_end;
+    }
+    expect(batch_equal, "score-only batch == per-pair calls (40 candidates)");
 
     const auto seqs = gene_fragments(3, 12, 9);
     align::set_simd_level(align::SimdLevel::kScalar);

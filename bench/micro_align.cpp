@@ -67,6 +67,82 @@ void BM_BandedScoreOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_BandedScoreOnly)->Range(64, 4096)->Complexity(benchmark::oN);
 
+/// BLASTX-shaped score-only work: one 150-residue frame query against 16
+/// related 150-residue subjects at band 12, each on its own diagonal.
+/// Inputs shared by the single-call and batch rows below.
+struct BlastxCandidates {
+  std::string query;
+  std::vector<std::string> subjects;
+  std::vector<long> diagonals;
+
+  BlastxCandidates() {
+    common::Rng rng(16);
+    query = random_protein(150, rng);
+    for (int k = 0; k < 16; ++k) {
+      const auto shift = static_cast<std::size_t>(rng.below(40));
+      std::string s = random_protein(shift, rng) + query.substr(0, 150 - shift);
+      for (std::size_t i = k % 7; i < s.size(); i += 7) {
+        s[i] = bio::kAminoAcids[rng.below(20)];
+      }
+      subjects.push_back(std::move(s));
+      diagonals.push_back(-static_cast<long>(shift));
+    }
+  }
+};
+
+/// The 16 candidates as 16 banded_score_only calls.
+void BM_BlastxCandidates16Single(benchmark::State& state) {
+  const BlastxCandidates in;
+  const auto& profile = align::ScoringProfile::protein_blosum62();
+  const align::PreparedSeq query(in.query, profile);
+  std::vector<align::PreparedSeq> subjects(in.subjects.size());
+  for (std::size_t k = 0; k < subjects.size(); ++k) {
+    subjects[k].assign(in.subjects[k], profile);
+  }
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < subjects.size(); ++k) {
+      benchmark::DoNotOptimize(align::banded_score_only(
+          query, subjects[k], profile, in.diagonals[k], 12, {}));
+    }
+  }
+}
+BENCHMARK(BM_BlastxCandidates16Single);
+
+/// The same 16 candidates as one banded_score_only_batch call.
+void BM_BlastxCandidates16Batch(benchmark::State& state) {
+  const BlastxCandidates in;
+  const auto& profile = align::ScoringProfile::protein_blosum62();
+  const align::PreparedSeq query(in.query, profile);
+  std::vector<align::PreparedSeq> subjects(in.subjects.size());
+  std::vector<align::ScoreOnlyCandidate> candidates;
+  for (std::size_t k = 0; k < subjects.size(); ++k) {
+    subjects[k].assign(in.subjects[k], profile);
+    candidates.push_back({&subjects[k], in.diagonals[k]});
+  }
+  std::vector<align::ScoreOnlyResult> results(candidates.size());
+  for (auto _ : state) {
+    align::banded_score_only_batch(query, candidates, profile, 12, {}, results);
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BlastxCandidates16Batch);
+
+/// Overlap-shaped traceback: two ~400 nt fragments of one gene, offset by
+/// 40 nt with scattered substitutions, at the overlap phase's band 48.
+void BM_OverlapAlignDna400(benchmark::State& state) {
+  common::Rng rng(48);
+  std::string gene;
+  for (int i = 0; i < 440; ++i) gene.push_back(bio::kBases[rng.below(4)]);
+  const std::string a = gene.substr(0, 400);
+  std::string b = gene.substr(40, 400);
+  for (std::size_t i = 5; i < b.size(); i += 31) b[i] = b[i] == 'A' ? 'C' : 'A';
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(align::banded_smith_waterman_dna(a, b, 40, 48));
+  }
+}
+BENCHMARK(BM_OverlapAlignDna400);
+
 /// Index construction, including the eager neighborhood table, over
 /// (database proteins, word size k, threshold T). Table size is occupied
 /// words times neighborhood size, so k = 5 runs at a T scaled up with k.

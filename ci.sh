@@ -96,6 +96,14 @@ echo "==> micro bench smoke (micro_sim --benchmark_filter=Hold)"
 cmake --build build -j "${jobs}" --target micro_sim
 build/bench/micro_sim --benchmark_filter=Hold --benchmark_min_time=0.01
 
+# Align micro bench smoke: one short pass of the batched BLASTX-shaped
+# score-only row (BM_BlastxCandidates16Batch: 16 candidates of a
+# 150-residue frame in one banded_score_only_batch call) so the batch
+# kernel's bench keeps building and running. No timing assertion.
+echo "==> micro bench smoke (micro_align --benchmark_filter=Candidates16Batch)"
+cmake --build build -j "${jobs}" --target micro_align
+build/bench/micro_align --benchmark_filter=Candidates16Batch --benchmark_min_time=0.01
+
 # Trigger perf smoke: the event-triggered pipeline + sharded replica
 # catalog. Machine-independent guards: the sharded catalog answers every
 # membership / replica-order / best_for_site / entries()-order question

@@ -42,6 +42,12 @@ struct SearchScratch {
   std::vector<std::uint64_t> seeds;
   std::vector<std::pair<std::size_t, long>> diags;  // (count, diagonal)
   PreparedSeq frame_query;  ///< current frame protein, encoded once
+  /// The frame's candidate diagonals, every subject's in subject order,
+  /// and their score-only results from one batch call.
+  std::vector<ScoreOnlyCandidate> candidates;
+  std::vector<ScoreOnlyResult> scores;
+  /// Per subject with candidates: (subject, end of its candidate run).
+  std::vector<std::pair<std::uint32_t, std::size_t>> subject_runs;
 };
 
 SearchScratch& search_scratch() {
@@ -137,6 +143,11 @@ std::vector<TabularHit> BlastxSearch::search(const bio::SeqRecord& transcript) c
 
     // Walk runs of equal keys; a subject's candidate diagonals arrive in
     // ascending-diagonal order, exactly as the old map iteration fed them.
+    std::vector<ScoreOnlyCandidate>& candidates = scratch.candidates;
+    std::vector<std::pair<std::uint32_t, std::size_t>>& subject_runs =
+        scratch.subject_runs;
+    candidates.clear();
+    subject_runs.clear();
     std::size_t run = 0;
     while (run < seeds.size()) {
       const std::uint32_t subject = seed_subject(seeds[run]);
@@ -160,23 +171,33 @@ std::vector<TabularHit> BlastxSearch::search(const bio::SeqRecord& transcript) c
       if (diags.size() > params_.max_diagonals_per_subject) {
         diags.resize(params_.max_diagonals_per_subject);
       }
-      // Score-only pass over the candidates; only the winner (first
-      // strict maximum, matching the old strict-greater update) pays for
-      // a traceback. Scores are identical between the two kernels, so
-      // the chosen alignment is too.
+      for (const auto& [count, diag] : diags) {
+        candidates.push_back({&prepared_subjects_[subject], diag});
+      }
+      subject_runs.push_back({subject, candidates.size()});
+    }
+
+    // One score-only batch over every subject's candidates in this frame.
+    scratch.scores.resize(candidates.size());
+    banded_score_only_batch(scratch.frame_query, candidates, profile, params_.band,
+                            params_.gaps, scratch.scores);
+
+    std::size_t begin = 0;
+    for (const auto& [subject, end] : subject_runs) {
+      // Only the winner (first strict maximum, matching the old
+      // strict-greater update) pays for a traceback. Scores are identical
+      // between the kernels, so the chosen alignment is too.
       int best_score = 0;
       long best_diag = 0;
       bool have_best = false;
-      for (const auto& [count, diag] : diags) {
-        const ScoreOnlyResult so =
-            banded_score_only(scratch.frame_query, prepared_subjects_[subject],
-                              profile, diag, params_.band, params_.gaps);
-        if (so.score > best_score) {
-          best_score = so.score;
-          best_diag = diag;
+      for (std::size_t c = begin; c < end; ++c) {
+        if (scratch.scores[c].score > best_score) {
+          best_score = scratch.scores[c].score;
+          best_diag = candidates[c].diagonal;
           have_best = true;
         }
       }
+      begin = end;
       if (!have_best) continue;
       // The traceback reports the winner's score-only score, so its bit
       // score and E-value are known now. Skip the traceback for a hit

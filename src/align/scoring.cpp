@@ -4,6 +4,7 @@
 #include <array>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 
 #include "bio/alphabet.hpp"
 
@@ -93,6 +94,7 @@ const ScoringProfile& ScoringProfile::protein_blosum62() {
             blosum62(rep(a), rep(b));
       }
     }
+    p.finish_tables();
     return p;
   }();
   return profile;
@@ -115,7 +117,18 @@ ScoringProfile ScoringProfile::dna(int match, int mismatch) {
           (a == b && a != kOtherCode) ? match : mismatch;
     }
   }
+  p.finish_tables();
   return p;
+}
+
+void ScoringProfile::finish_tables() {
+  max_score_ = *std::max_element(table_.begin(), table_.end());
+  fits_int8_ = true;
+  for (std::size_t k = 0; k < table_.size(); ++k) {
+    const int v = table_[k];
+    if (v < INT8_MIN || v > INT8_MAX) fits_int8_ = false;
+    table8_[k] = static_cast<std::int8_t>(std::clamp(v, INT8_MIN, INT8_MAX));
+  }
 }
 
 void ScoringProfile::encode(std::string_view seq,

@@ -41,7 +41,10 @@ int word_score(std::string_view a, std::string_view b);
 /// kernel's replacement for a per-cell score callback. Sequences are
 /// encoded once per alignment (char -> 5-bit code via a 256-entry map);
 /// the inner loop then reads `row(q_code)[s_code]` with no branching,
-/// case-folding or function-pointer indirection.
+/// case-folding or function-pointer indirection. The table is kept twice:
+/// as `int` for the scalar kernel, and as an `int8_t` copy whose 32-byte
+/// rows the 16-bit vector kernels look up with two byte shuffles
+/// (meaningful only when fits_int8()).
 class ScoringProfile {
  public:
   static constexpr int kCodes = 32;
@@ -69,6 +72,14 @@ class ScoringProfile {
   [[nodiscard]] const int* row(std::uint8_t code) const {
     return table_.data() + (static_cast<std::size_t>(code) << 5);
   }
+  /// The same row as 32 `int8_t` scores; exact only when fits_int8().
+  [[nodiscard]] const std::int8_t* row8(std::uint8_t code) const {
+    return table8_.data() + (static_cast<std::size_t>(code) << 5);
+  }
+  /// Largest entry of the table.
+  [[nodiscard]] int max_score() const { return max_score_; }
+  /// True when every entry lies in [-128, 127], so row8() is exact.
+  [[nodiscard]] bool fits_int8() const { return fits_int8_; }
   [[nodiscard]] std::uint8_t encode_char(char c) const {
     return encode_[static_cast<unsigned char>(c)];
   }
@@ -77,9 +88,14 @@ class ScoringProfile {
 
  private:
   ScoringProfile() = default;
+  /// Derives table8_, max_score_ and fits_int8_ from the filled table_.
+  void finish_tables();
 
   std::array<std::uint8_t, 256> encode_{};
   std::array<int, kCodes * kCodes> table_{};
+  std::array<std::int8_t, kCodes * kCodes> table8_{};
+  int max_score_ = 0;
+  bool fits_int8_ = false;
 };
 
 /// A sequence encoded once against a ScoringProfile and reused across many

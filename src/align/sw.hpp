@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "align/scoring.hpp"
@@ -99,6 +100,27 @@ ScoreOnlyResult banded_score_only(const PreparedSeq& query,
                                   const PreparedSeq& subject,
                                   const ScoringProfile& profile, long diagonal,
                                   std::size_t band, const GapPenalties& gaps = {});
+
+/// One candidate of a batched score-only pass: a subject (encoded under
+/// the batch's profile) and the diagonal its band is centred on.
+struct ScoreOnlyCandidate {
+  const PreparedSeq* subject = nullptr;
+  long diagonal = 0;
+};
+
+/// Score-only passes of one query against many (subject, diagonal)
+/// candidates, with one band, profile and gap model. results[k] and the
+/// DpCounters are exactly what banded_score_only(query,
+/// *candidates[k].subject, profile, candidates[k].diagonal, band, gaps)
+/// gives, call by call. On AVX2 the candidates run 16 to a vector
+/// (BLASTX scores every candidate diagonal of a query frame in one call);
+/// candidates the batch kernel cannot take run one by one. Throws
+/// common::InvalidArgument when the two spans differ in size.
+void banded_score_only_batch(const PreparedSeq& query,
+                             std::span<const ScoreOnlyCandidate> candidates,
+                             const ScoringProfile& profile, std::size_t band,
+                             const GapPenalties& gaps,
+                             std::span<ScoreOnlyResult> results);
 
 /// DNA score-only pass with the overlap detector's identity scoring.
 ScoreOnlyResult banded_score_only_dna(std::string_view query,

@@ -1,30 +1,61 @@
-// AVX2 row-vectorized banded Gotoh kernel.
+// AVX2 16-bit banded Gotoh kernels: a row kernel for one pair, and a
+// score-only batch kernel for up to 16 (subject, diagonal) candidates of
+// one query.
 //
-// Same recurrence as the scalar kernel in sw.cpp, reordered for data
-// parallelism — never a different cell value:
+// Both run the scalar kernel's recurrence in sw.cpp on 16 int16 lanes per
+// vector — never a different cell value:
 //
-//   * M (substitution) and Y (gap-in-subject) depend only on the previous
-//     row, so each row computes them 8 columns at a time with plain
-//     vector max/add over the previous row's M/X/Y arrays.
-//   * X (gap-in-query) carries the one intra-row dependency,
-//     X[j] = max(M[j-1] - open, X[j-1] - extend). Expanding the
-//     recurrence, X[j] = max_{k<j}(M[k] - open - (j-1-k)·extend): a
-//     max-prefix scan with linear decay, computed in-register as a
-//     Kogge–Stone scan (shift by 1, 2, 4 lanes, subtracting
-//     d·extend per step) plus a scalar carry between vectors.
+//   * Substitution scores need no gather. The profile's int8 copy holds
+//     one 32-byte row per query code; two `pshufb` lookups on the subject
+//     codes (low and high 16 entries), a blend on code bit 4 and a sign
+//     extension give 16 int16 scores.
+//   * Arithmetic saturates (adds/subs_epi16), and saturation never changes
+//     a cell the scalar kernel would keep. Every in-band M is >= 0 and
+//     every in-band X/Y is >= -(open + extend): each has a gap-open term
+//     from an M that is >= 0, or from an out-of-band M that reads as 0.
+//     So only values derived from the out-of-band sentinel kNegInf16 can
+//     saturate low, and they stay below every in-band value, so they
+//     compare as kNegInf did in 32 bits (fits_16bit() keeps the gap costs
+//     well clear of the sentinel). High saturation would first show as an
+//     M cell of INT16_MAX, and every X/Y value is at most some M, so the
+//     best score is the largest value in the band: when it comes within
+//     max_score() of INT16_MAX the caller reruns the pair on the scalar
+//     kernel (needs_scalar_rerun()).
 //
-// Unlike Farrar's query-striped layout (which assumes a full, unbanded
-// matrix and a lazy-F fixup), this keeps the band's row-major order, so
-// out-of-band defaults (M = 0, X = Y = -inf), the in-band cell count and
-// the packed traceback band are bit-compatible with the scalar kernel —
-// the golden fixtures pin both paths to the same bytes.
+// Row kernel. M (substitution) and Y (gap-in-subject) depend only on the
+// previous row, so each row computes them 16 columns at a time. X
+// (gap-in-query) carries the one intra-row dependency,
+// X[j] = max(M[j-1] - open, X[j-1] - extend), which expands to a
+// max-prefix scan with linear decay: X[j] = max_k(c[k] - (j-k)·extend)
+// over the vector's gap-open candidates c, maxed with the previous
+// vector's last X minus (lane+1)·extend. The scan is Kogge–Stone: shifts
+// by 1, 2, 4 and 8 lanes (permute2x128 + alignr), subtracting d·extend
+// per step. Unlike Farrar's query-striped layout (which assumes
+// a full, unbanded matrix and a lazy-F fixup), this keeps the band's
+// row-major order, so out-of-band defaults (M = 0, X = Y = -inf), the
+// in-band cell count and the packed traceback band (16 bytes per store,
+// in the scalar kernel's layout) are bit-compatible with the scalar
+// kernel, and sw.cpp walks the traceback the same way for both.
 //
 // Rows live in absolute-column arrays (index = subject column) with 16
-// ints of slack: full vectors may read/write up to 7 lanes past the band
-// edge. Dead lanes compute garbage that is never consumed — the row-max
-// update masks them, the ≤2 boundary columns the next row reads beyond
-// the written band are re-patched to out-of-band defaults, and the
-// traceback walk only visits in-band bytes.
+// lanes of slack: full vectors may read/write up to 15 lanes past the
+// band edge. Dead lanes compute values that are never consumed — the
+// row-max update masks them, the boundary columns the next row reads
+// beyond the written band are re-patched to out-of-band defaults, and
+// the traceback walk only visits in-band bytes.
+//
+// Batch kernel. Lanes are candidates, in a band-relative layout: lane
+// offset t in row i is column i - diagonal - band + t. There M reads the
+// previous row at the same t, Y reads it at t + 1, and X reads the
+// current row at t - 1, so no vector needs an intra-vector scan and the
+// 16 lanes are independent. Each row is updated in place in ascending t.
+// The subject codes are copied once per batch into a [position][lane]
+// byte buffer (position = i + t), so the codes of cell (i, t) for all 16
+// lanes are one 16-byte load; cells outside a lane's matrix carry a code
+// with bit 7 set (pshufb yields 0 for it) and are forced to M = 0,
+// X = Y = -inf, the values the scalar kernel reads outside the band.
+// The best cell per lane is tracked with a strict greater-than as (i, t)
+// in ascending row and column order, the scalar kernel's row-major scan.
 #include "align/sw_internal.hpp"
 
 #if PGA_HAVE_AVX2_KERNEL
@@ -32,6 +63,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 namespace pga::align::detail {
 
@@ -40,23 +72,46 @@ namespace {
 #define PGA_AVX2_INLINE \
   __attribute__((target("avx2"), always_inline)) static inline
 
-/// result[l] = v[l - D] for l >= D, else fill[l] (lane shift across the
-/// 128-bit boundary via a full-width permute + immediate blend).
+/// result[l] = v[l - D] for l >= D, else prev[16 + l - D]: v shifted up by
+/// D int16 lanes, the low lanes filled from the top lanes of `prev`.
 template <int D>
-PGA_AVX2_INLINE __m256i shift_lanes_left(__m256i v, __m256i fill) {
-  const __m256i idx = _mm256_setr_epi32((0 - D) & 7, (1 - D) & 7, (2 - D) & 7,
-                                        (3 - D) & 7, (4 - D) & 7, (5 - D) & 7,
-                                        (6 - D) & 7, (7 - D) & 7);
-  const __m256i rot = _mm256_permutevar8x32_epi32(v, idx);
-  return _mm256_blend_epi32(rot, fill, (1 << D) - 1);
+PGA_AVX2_INLINE __m256i shift_in(__m256i v, __m256i prev) {
+  // t = [prev.hi, v.lo]; for D < 8 alignr joins each 128-bit half of v
+  // with the half below it.
+  const __m256i t = _mm256_permute2x128_si256(v, prev, 0x03);
+  if constexpr (D == 8) {
+    return t;
+  } else {
+    return _mm256_alignr_epi8(v, t, 16 - 2 * D);
+  }
 }
 
-PGA_AVX2_INLINE int hmax_epi32(__m256i v) {
+/// 16 int16 substitution scores of one query code (its int8 row split in
+/// `lo`/`hi` halves) against 16 subject codes. Codes with bit 7 set score 0.
+PGA_AVX2_INLINE __m256i substitution_scores(__m128i lo, __m128i hi,
+                                            __m128i codes) {
+  const __m128i from_lo = _mm_shuffle_epi8(lo, codes);
+  const __m128i from_hi = _mm_shuffle_epi8(hi, codes);
+  // Bit 4 of each code byte moves to bit 7, the blend's selector bit
+  // (a 16-bit shift never carries into a byte's own bit 7).
+  const __m128i pick_hi = _mm_slli_epi16(codes, 3);
+  return _mm256_cvtepi8_epi16(_mm_blendv_epi8(from_lo, from_hi, pick_hi));
+}
+
+/// Every lane = lane 15 of v.
+PGA_AVX2_INLINE __m256i broadcast_last(__m256i v) {
+  // Each dword becomes dword 7 (lanes 14, 15); bytes 2-3 pick lane 15.
+  const __m256i pair = _mm256_permutevar8x32_epi32(v, _mm256_set1_epi32(7));
+  return _mm256_shuffle_epi8(pair, _mm256_set1_epi16(0x0302));
+}
+
+PGA_AVX2_INLINE int hmax_epi16(__m256i v) {
   __m128i a =
-      _mm_max_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-  a = _mm_max_epi32(a, _mm_shuffle_epi32(a, _MM_SHUFFLE(1, 0, 3, 2)));
-  a = _mm_max_epi32(a, _mm_shuffle_epi32(a, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(a);
+      _mm_max_epi16(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+  a = _mm_max_epi16(a, _mm_srli_si128(a, 8));
+  a = _mm_max_epi16(a, _mm_srli_si128(a, 4));
+  a = _mm_max_epi16(a, _mm_srli_si128(a, 2));
+  return static_cast<std::int16_t>(_mm_cvtsi128_si32(a));
 }
 
 template <bool Traceback>
@@ -82,30 +137,31 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
                  16);
   }
 
-  int* pm = ws.col_rows[0].data();
-  int* px = ws.col_rows[1].data();
-  int* py = ws.col_rows[2].data();
-  int* cm = ws.col_rows[3].data();
-  int* cx = ws.col_rows[4].data();
-  int* cy = ws.col_rows[5].data();
+  std::int16_t* pm = ws.col_rows[0].data();
+  std::int16_t* px = ws.col_rows[1].data();
+  std::int16_t* py = ws.col_rows[2].data();
+  std::int16_t* cm = ws.col_rows[3].data();
+  std::int16_t* cx = ws.col_rows[4].data();
+  std::int16_t* cy = ws.col_rows[5].data();
 
-  const int open_cost = kp.open_cost;
-  const int ext = kp.extend;
-
+  const auto ext = static_cast<std::int16_t>(kp.extend);
   const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vone = _mm256_set1_epi32(1);
-  const __m256i vdir2 = _mm256_set1_epi32(2);
-  const __m256i vdir3 = _mm256_set1_epi32(3);
-  const __m256i vneg = _mm256_set1_epi32(kNegInf);
-  const __m256i vopen = _mm256_set1_epi32(open_cost);
-  const __m256i vext = _mm256_set1_epi32(ext);
-  const __m256i vext2 = _mm256_set1_epi32(2 * ext);
-  const __m256i vext4 = _mm256_set1_epi32(4 * ext);
-  const __m256i vxbit = _mm256_set1_epi32(kXOpenBit);
-  const __m256i vybit = _mm256_set1_epi32(kYOpenBit);
-  const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i vdecay =
-      _mm256_mullo_epi32(vext, _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8));
+  const __m256i vone = _mm256_set1_epi16(1);
+  const __m256i vdir2 = _mm256_set1_epi16(2);
+  const __m256i vdir3 = _mm256_set1_epi16(3);
+  const __m256i vneg = _mm256_set1_epi16(kNegInf16);
+  const __m256i vopen = _mm256_set1_epi16(static_cast<std::int16_t>(kp.open_cost));
+  const __m256i vext = _mm256_set1_epi16(ext);
+  const __m256i vext2 = _mm256_set1_epi16(static_cast<std::int16_t>(2 * ext));
+  const __m256i vext4 = _mm256_set1_epi16(static_cast<std::int16_t>(4 * ext));
+  const __m256i vext8 = _mm256_set1_epi16(static_cast<std::int16_t>(8 * ext));
+  const __m256i vdecay = _mm256_mullo_epi16(
+      vext, _mm256_setr_epi16(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16));
+  const __m256i all_lanes = _mm256_cmpeq_epi16(vzero, vzero);
+  const __m256i vxbit = _mm256_set1_epi16(kXOpenBit);
+  const __m256i vybit = _mm256_set1_epi16(kYOpenBit);
+  const __m256i lane_idx = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                             11, 12, 13, 14, 15);
 
   // Seed the previous row with out-of-band defaults over the first row's
   // read span; later rows only re-patch the <=1 column the band grew by.
@@ -114,8 +170,8 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
     const long hi0 = row_hi(i_begin, diagonal, band, m);
     for (long c = lo0 - 1; c <= hi0; ++c) {
       pm[c] = 0;
-      px[c] = kNegInf;
-      py[c] = kNegInf;
+      px[c] = kNegInf16;
+      py[c] = kNegInf16;
     }
   }
   long valid_hi = row_hi(i_begin, diagonal, band, m);
@@ -125,38 +181,42 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
     const long hi = row_hi(i, diagonal, band, m);
     res.cells += static_cast<std::uint64_t>(hi - lo + 1);
     // Columns the band grew into read as out-of-band in the previous row
-    // (and overwrite any dead-lane garbage a full-vector store left).
+    // (and overwrite any dead-lane values a full-vector store left).
     for (long c = valid_hi + 1; c <= hi; ++c) {
       pm[c] = 0;
-      px[c] = kNegInf;
-      py[c] = kNegInf;
+      px[c] = kNegInf16;
+      py[c] = kNegInf16;
     }
-    // Column lo-1 of the current row is out-of-band: the first vector's
-    // j-1 reads (M for the X scan, X for the open/extend tie) and the
-    // next row's diagonal reads land here.
+    // Column lo-1 of the current row is out-of-band: the next row's
+    // diagonal reads land here.
     cm[lo - 1] = 0;
-    cx[lo - 1] = kNegInf;
-    cy[lo - 1] = kNegInf;
+    cx[lo - 1] = kNegInf16;
+    cy[lo - 1] = kNegInf16;
 
-    const int* srow = kp.profile->row(kp.q_codes[i - 1]);
+    const std::int8_t* srow = kp.profile->row8(kp.q_codes[i - 1]);
+    const __m128i tbl_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(srow));
+    const __m128i tbl_hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(srow + 16));
     unsigned char* tb_row =
         Traceback
             ? ws.tb.data() + static_cast<std::size_t>(i - 1) *
                                  static_cast<std::size_t>(width)
             : nullptr;
-    __m256i rowmax = vneg;
-    // Lane-7 broadcasts of the previous vector's M and X — the values
-    // column j0-1 holds. Kept in registers: reloading cm/cx at j0-1
-    // right after the j0 store is a partial-overlap load that defeats
-    // store-to-load forwarding and stalls every iteration.
-    __m256i m_carry = vzero;  // M at (i, lo-1) = 0
-    __m256i x_carry = vneg;   // X at (i, lo-1) = kNegInf
+    __m256i rowmax = vzero;
+    // In-band lanes of the row's last vector.
+    const __m256i last_valid = _mm256_cmpgt_epi16(
+        _mm256_set1_epi16(static_cast<std::int16_t>((hi - lo) % 16 + 1)), lane_idx);
+    // The previous vector's M and X; lane 15 holds column j0-1. Kept in
+    // registers: reloading cm/cx at j0-1 right after the j0 store is a
+    // partial-overlap load that defeats store-to-load forwarding.
+    __m256i m_before = vzero;  // M at (i, lo-1) = 0
+    __m256i x_before = vneg;   // X at (i, lo-1) = -inf
 
-    for (long j0 = lo; j0 <= hi; j0 += 8) {
+    for (long j0 = lo; j0 <= hi; j0 += 16) {
       // M state (and traceback direction) from the previous row.
-      const __m256i codes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(kp.s_codes + j0 - 1)));
-      const __m256i sub = _mm256_i32gather_epi32(srow, codes, 4);
+      const __m256i sub = substitution_scores(
+          tbl_lo, tbl_hi,
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kp.s_codes + j0 - 1)));
       const __m256i md =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pm + j0 - 1));
       const __m256i xd =
@@ -169,21 +229,21 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
         // dir = first strict improver over the running max, in the scalar
         // kernel's 0, M, X, Y comparison order.
         from = vzero;
-        const __m256i c1 = _mm256_cmpgt_epi32(md, from);
-        from = _mm256_max_epi32(from, md);
+        const __m256i c1 = _mm256_cmpgt_epi16(md, from);
+        from = _mm256_max_epi16(from, md);
         dir = _mm256_and_si256(c1, vone);
-        const __m256i c2 = _mm256_cmpgt_epi32(xd, from);
-        from = _mm256_max_epi32(from, xd);
+        const __m256i c2 = _mm256_cmpgt_epi16(xd, from);
+        from = _mm256_max_epi16(from, xd);
         dir = _mm256_blendv_epi8(dir, vdir2, c2);
-        const __m256i c3 = _mm256_cmpgt_epi32(yd, from);
-        from = _mm256_max_epi32(from, yd);
+        const __m256i c3 = _mm256_cmpgt_epi16(yd, from);
+        from = _mm256_max_epi16(from, yd);
         dir = _mm256_blendv_epi8(dir, vdir3, c3);
       } else {
-        from = _mm256_max_epi32(_mm256_max_epi32(md, xd),
-                                _mm256_max_epi32(yd, vzero));
+        from = _mm256_max_epi16(_mm256_max_epi16(md, xd),
+                                _mm256_max_epi16(yd, vzero));
       }
-      const __m256i m_raw = _mm256_add_epi32(from, sub);
-      const __m256i m_val = _mm256_max_epi32(m_raw, vzero);
+      const __m256i m_raw = _mm256_adds_epi16(from, sub);
+      const __m256i m_val = _mm256_max_epi16(m_raw, vzero);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(cm + j0), m_val);
 
       // Y state — previous row only.
@@ -191,66 +251,61 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pm + j0));
       const __m256i pyj =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(py + j0));
-      const __m256i y_open = _mm256_sub_epi32(pmj, vopen);
-      const __m256i y_ext = _mm256_sub_epi32(pyj, vext);
+      const __m256i y_open = _mm256_subs_epi16(pmj, vopen);
+      const __m256i y_ext = _mm256_subs_epi16(pyj, vext);
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(cy + j0),
-                          _mm256_max_epi32(y_open, y_ext));
+                          _mm256_max_epi16(y_open, y_ext));
 
-      // Track the row maximum over in-band lanes only.
-      const long rem = hi - j0;
-      const __m256i valid = _mm256_cmpgt_epi32(
-          _mm256_set1_epi32(rem >= 7 ? 8 : static_cast<int>(rem + 1)),
-          lane_idx);
-      rowmax =
-          _mm256_max_epi32(rowmax, _mm256_blendv_epi8(vneg, m_val, valid));
+      // Track the row maximum over in-band lanes only (M >= 0, so a
+      // zeroed dead lane never wins).
+      rowmax = _mm256_max_epi16(
+          rowmax, _mm256_and_si256(m_val, j0 + 15 <= hi ? all_lanes : last_valid));
 
-      // X state: Kogge–Stone max-prefix scan with linear decay over this
-      // vector's gap-open candidates, then the inter-vector carry. The
-      // left-neighbour M values come from m_val shifted one lane with the
-      // previous vector's lane 7 (m_carry) filling lane 0 — no reload.
-      const __m256i a =
-          _mm256_sub_epi32(shift_lanes_left<1>(m_val, m_carry), vopen);
+      // X state: gap-open candidates from the left-neighbour M (m_val
+      // shifted one lane, column j0-1 from the previous vector), their
+      // decaying max scan, then the previous vector's last X decayed
+      // across the lanes. Applying that carry after the scan keeps the
+      // chain between vectors short.
+      const __m256i a = _mm256_subs_epi16(shift_in<1>(m_val, m_before), vopen);
       __m256i v = a;
-      v = _mm256_max_epi32(
-          v, _mm256_sub_epi32(shift_lanes_left<1>(v, vneg), vext));
-      v = _mm256_max_epi32(
-          v, _mm256_sub_epi32(shift_lanes_left<2>(v, vneg), vext2));
-      v = _mm256_max_epi32(
-          v, _mm256_sub_epi32(shift_lanes_left<4>(v, vneg), vext4));
-      const __m256i carry_v = _mm256_sub_epi32(x_carry, vdecay);
-      const __m256i x_val = _mm256_max_epi32(v, carry_v);
+      v = _mm256_max_epi16(v, _mm256_subs_epi16(shift_in<1>(v, vneg), vext));
+      v = _mm256_max_epi16(v, _mm256_subs_epi16(shift_in<2>(v, vneg), vext2));
+      v = _mm256_max_epi16(v, _mm256_subs_epi16(shift_in<4>(v, vneg), vext4));
+      v = _mm256_max_epi16(v, _mm256_subs_epi16(shift_in<8>(v, vneg), vext8));
+      const __m256i x_val = _mm256_max_epi16(
+          v, _mm256_subs_epi16(broadcast_last(x_before), vdecay));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(cx + j0), x_val);
 
       if constexpr (Traceback) {
         // dir survives only where the unclamped M is positive; the gap
         // bits record open-vs-extend ties exactly like the scalar kernel
         // (>= favors opening).
-        __m256i tb32 = _mm256_and_si256(dir, _mm256_cmpgt_epi32(m_raw, vzero));
-        tb32 = _mm256_or_si256(
-            tb32, _mm256_andnot_si256(_mm256_cmpgt_epi32(y_ext, y_open), vybit));
-        const __m256i x_prev = shift_lanes_left<1>(x_val, x_carry);
-        const __m256i x_ext_v = _mm256_sub_epi32(x_prev, vext);
-        tb32 = _mm256_or_si256(
-            tb32, _mm256_andnot_si256(_mm256_cmpgt_epi32(x_ext_v, a), vxbit));
-        // Pack the 8 small ints to 8 bytes (dead lanes saturate to
-        // garbage bytes at offsets the walk never visits).
-        const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(tb32),
-                                            _mm256_extracti128_si256(tb32, 1));
-        const __m128i p8 = _mm_packus_epi16(p16, p16);
-        _mm_storel_epi64(reinterpret_cast<__m128i*>(tb_row + (j0 - lo)), p8);
+        __m256i tb16 = _mm256_and_si256(dir, _mm256_cmpgt_epi16(m_raw, vzero));
+        tb16 = _mm256_or_si256(
+            tb16, _mm256_andnot_si256(_mm256_cmpgt_epi16(y_ext, y_open), vybit));
+        const __m256i x_ext_v =
+            _mm256_subs_epi16(shift_in<1>(x_val, x_before), vext);
+        tb16 = _mm256_or_si256(
+            tb16, _mm256_andnot_si256(_mm256_cmpgt_epi16(x_ext_v, a), vxbit));
+        // 16 small values to 16 bytes (dead lanes land at offsets the
+        // walk never visits).
+        const __m128i p8 = _mm_packus_epi16(_mm256_castsi256_si128(tb16),
+                                            _mm256_extracti128_si256(tb16, 1));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(tb_row + (j0 - lo)), p8);
       }
 
-      const __m256i lane7 = _mm256_set1_epi32(7);
-      m_carry = _mm256_permutevar8x32_epi32(m_val, lane7);
-      x_carry = _mm256_permutevar8x32_epi32(x_val, lane7);
+      m_before = m_val;
+      x_before = x_val;
     }
 
     // The scalar kernel's strictly-greater update records the first cell
     // (row-major) attaining the final maximum, i.e. the first row that
     // improves the running best, and within it the first occurrence of
     // the row maximum.
-    const int row_max = hmax_epi32(rowmax);
-    if (row_max > res.best) {
+    const __m256i improves = _mm256_cmpgt_epi16(
+        rowmax, _mm256_set1_epi16(static_cast<std::int16_t>(res.best)));
+    if (_mm256_movemask_epi8(improves) != 0) {
+      const int row_max = hmax_epi16(rowmax);
       res.best = row_max;
       res.best_i = i;
       for (long j = lo; j <= hi; ++j) {
@@ -269,6 +324,138 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
   return res;
 }
 
+/// Subject code of a batch cell outside its lane's matrix.
+constexpr std::uint8_t kOutsideCode = 0x80;
+
+__attribute__((target("avx2"))) void batch_kernel(const KernelParams& kp,
+                                                  const BatchLane* lanes,
+                                                  std::size_t count,
+                                                  DpWorkspace& ws,
+                                                  KernelSummary* out) {
+  const long n = kp.n;
+  const long band = kp.band;
+  const long width = 2 * band + 1;  // offsets t = 0 .. 2*band
+  for (std::size_t l = 0; l < count; ++l) out[l] = KernelSummary{};
+
+  // Rows where some lane has a cell: lane l needs
+  // i - diagonal + band >= 1 and i - diagonal - band <= m.
+  long i_begin = n + 1;
+  long i_end = 0;
+  for (std::size_t l = 0; l < count; ++l) {
+    i_begin = std::min(i_begin, std::max(1L, lanes[l].diagonal - band + 1));
+    i_end = std::max(i_end, std::min(n, lanes[l].m + lanes[l].diagonal + band));
+  }
+  if (i_begin > i_end) return;
+
+  // Codes by position p = i + t, rows p - i_begin; lane l's column at p is
+  // j = p - diagonal - band, inside the matrix for 1 <= j <= m.
+  const long positions = i_end - i_begin + 1 + 2 * band;
+  ws.batch_codes.resize(static_cast<std::size_t>(positions) * kBatchLanes);
+  std::uint8_t* codes = ws.batch_codes.data();
+  std::memset(codes, kOutsideCode, ws.batch_codes.size());
+  for (std::size_t l = 0; l < count; ++l) {
+    const long shift = lanes[l].diagonal + band;
+    const long p_lo = std::max(i_begin, shift + 1);
+    const long p_hi = std::min(i_begin + positions - 1, shift + lanes[l].m);
+    const std::uint8_t* s = lanes[l].s_codes;
+    for (long p = p_lo; p <= p_hi; ++p) {
+      codes[static_cast<std::size_t>(p - i_begin) * kBatchLanes + l] =
+          s[p - shift - 1];
+    }
+  }
+
+  // One band row of M, X and Y per lane, updated in place. Slot `width`
+  // of M and Y is the out-of-band column right of the band, never written.
+  const std::size_t slots = static_cast<std::size_t>(width) + 1;
+  ws.batch_rows.resize(3 * slots * kBatchLanes);
+  std::int16_t* rm = ws.batch_rows.data();
+  std::int16_t* rx = rm + slots * kBatchLanes;
+  std::int16_t* ry = rx + slots * kBatchLanes;
+  std::fill(rm, rm + slots * kBatchLanes, std::int16_t{0});
+  std::fill(rx, ry + slots * kBatchLanes, kNegInf16);
+
+  const __m256i vzero = _mm256_setzero_si256();
+  const __m256i vone = _mm256_set1_epi16(1);
+  const __m256i vneg = _mm256_set1_epi16(kNegInf16);
+  const __m256i vopen = _mm256_set1_epi16(static_cast<std::int16_t>(kp.open_cost));
+  const __m256i vext = _mm256_set1_epi16(static_cast<std::int16_t>(kp.extend));
+  const auto at = [](std::int16_t* row, long t) {
+    return reinterpret_cast<__m256i*>(row + static_cast<std::size_t>(t) * kBatchLanes);
+  };
+
+  __m256i best = vzero;
+  __m256i best_t = vzero;
+  long best_i[kBatchLanes] = {};
+  for (long i = i_begin; i <= i_end; ++i) {
+    const std::int8_t* srow = kp.profile->row8(kp.q_codes[i - 1]);
+    const __m128i tbl_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(srow));
+    const __m128i tbl_hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(srow + 16));
+    const std::uint8_t* row_codes =
+        codes + static_cast<std::size_t>(i - i_begin) * kBatchLanes;
+    const __m256i best_before = best;
+    __m256i m_left = vzero;  // column left of the band: M = 0, X = -inf
+    __m256i x_left = vneg;
+    __m256i m_up = _mm256_loadu_si256(at(rm, 0));  // previous row, offset t
+    __m256i y_up = _mm256_loadu_si256(at(ry, 0));
+    __m256i t_vec = vzero;
+    for (long t = 0; t < width; ++t) {
+      const __m128i c8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+          row_codes + static_cast<std::size_t>(t) * kBatchLanes));
+      const __m256i sub = substitution_scores(tbl_lo, tbl_hi, c8);
+      const __m256i outside = _mm256_srai_epi16(_mm256_cvtepi8_epi16(c8), 15);
+      const __m256i x_up = _mm256_loadu_si256(at(rx, t));
+      const __m256i m_up_next = _mm256_loadu_si256(at(rm, t + 1));
+      const __m256i y_up_next = _mm256_loadu_si256(at(ry, t + 1));
+
+      const __m256i from = _mm256_max_epi16(_mm256_max_epi16(m_up, x_up),
+                                            _mm256_max_epi16(y_up, vzero));
+      const __m256i m_val = _mm256_andnot_si256(
+          outside, _mm256_max_epi16(_mm256_adds_epi16(from, sub), vzero));
+      const __m256i y_val = _mm256_blendv_epi8(
+          _mm256_max_epi16(_mm256_subs_epi16(m_up_next, vopen),
+                           _mm256_subs_epi16(y_up_next, vext)),
+          vneg, outside);
+      const __m256i x_val = _mm256_blendv_epi8(
+          _mm256_max_epi16(_mm256_subs_epi16(m_left, vopen),
+                           _mm256_subs_epi16(x_left, vext)),
+          vneg, outside);
+      _mm256_storeu_si256(at(rm, t), m_val);
+      _mm256_storeu_si256(at(rx, t), x_val);
+      _mm256_storeu_si256(at(ry, t), y_val);
+
+      const __m256i gt = _mm256_cmpgt_epi16(m_val, best);
+      best = _mm256_max_epi16(best, m_val);
+      best_t = _mm256_blendv_epi8(best_t, t_vec, gt);
+      t_vec = _mm256_add_epi16(t_vec, vone);
+
+      m_left = m_val;
+      x_left = x_val;
+      m_up = m_up_next;
+      y_up = y_up_next;
+    }
+    // Two mask bits per int16 lane.
+    unsigned improved = static_cast<unsigned>(
+        _mm256_movemask_epi8(_mm256_cmpgt_epi16(best, best_before)));
+    while (improved != 0) {
+      best_i[__builtin_ctz(improved) / 2] = i;
+      improved &= improved - 1;
+      improved &= improved - 1;
+    }
+  }
+
+  alignas(32) std::int16_t best_lanes[kBatchLanes];
+  alignas(32) std::int16_t best_t_lanes[kBatchLanes];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(best_lanes), best);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(best_t_lanes), best_t);
+  for (std::size_t l = 0; l < count; ++l) {
+    if (best_lanes[l] <= 0) continue;
+    out[l].best = best_lanes[l];
+    out[l].best_i = best_i[l];
+    out[l].best_j = best_i[l] - lanes[l].diagonal - band + best_t_lanes[l];
+  }
+}
+
 #undef PGA_AVX2_INLINE
 
 }  // namespace
@@ -280,6 +467,11 @@ KernelSummary banded_kernel_avx2(const KernelParams& kp, DpWorkspace& ws,
   return traceback ? avx2_kernel<true>(kp, ws) : avx2_kernel<false>(kp, ws);
 }
 
+void banded_batch_avx2(const KernelParams& kp, const BatchLane* lanes,
+                       std::size_t count, DpWorkspace& ws, KernelSummary* out) {
+  batch_kernel(kp, lanes, count, ws, out);
+}
+
 }  // namespace pga::align::detail
 
 #else  // !PGA_HAVE_AVX2_KERNEL
@@ -288,9 +480,13 @@ namespace pga::align::detail {
 
 bool avx2_kernel_compiled() { return false; }
 
+// Unreachable: dispatch never selects AVX2 without support.
 KernelSummary banded_kernel_avx2(const KernelParams&, DpWorkspace&, bool) {
-  return {};  // unreachable: dispatch never selects AVX2 without support
+  return {};
 }
+
+void banded_batch_avx2(const KernelParams&, const BatchLane*, std::size_t,
+                       DpWorkspace&, KernelSummary*) {}
 
 }  // namespace pga::align::detail
 

@@ -123,6 +123,17 @@ std::vector<Overlap> find_overlaps(const std::vector<bio::SeqRecord>& seqs,
   if (params.match <= 0 || params.mismatch >= 0) {
     throw common::InvalidArgument("OverlapParams: need match > 0 > mismatch");
   }
+  // A NaN cutoff would make every `pid < min_identity` test false and
+  // switch the identity filter off (and min_acceptable_score would floor
+  // a NaN into an int); a cutoff above 100 would silently accept nothing.
+  if (!std::isfinite(params.min_identity) || params.min_identity < 0.0 ||
+      params.min_identity > 100.0) {
+    throw common::InvalidArgument(
+        "OverlapParams.min_identity must be finite and in [0, 100]");
+  }
+  if (params.gaps.open < 0 || params.gaps.extend < 0) {
+    throw common::InvalidArgument("OverlapParams: gap penalties must be >= 0");
+  }
 
   // Reverse complements, computed once when strand-agnostic matching is on.
   std::vector<std::string> rc;

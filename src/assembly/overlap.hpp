@@ -104,6 +104,9 @@ int min_acceptable_score(const OverlapParams& params,
 /// for a traceback. With a pool, candidates are aligned in parallel in
 /// deterministic chunks — the result is bit-identical to the serial run
 /// for any worker count. `stats`, when non-null, receives work counters.
+/// Throws common::InvalidArgument for a kmer outside [8, 32], min_overlap
+/// below kmer, match <= 0 or mismatch >= 0, a min_identity that is not
+/// finite or lies outside [0, 100], or a negative gap penalty.
 std::vector<Overlap> find_overlaps(const std::vector<bio::SeqRecord>& seqs,
                                    const OverlapParams& params = {},
                                    common::ThreadPool* pool = nullptr,

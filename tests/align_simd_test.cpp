@@ -1,11 +1,13 @@
 // SIMD == scalar properties for the banded Smith–Waterman kernels.
 //
-// The AVX2 kernel must be bit-equivalent to the scalar reference on every
+// The AVX2 kernels must be bit-equivalent to the scalar reference on every
 // input: same scores, same end cells, same tracebacks (observed through
 // the full LocalAlignment), same DpCounters. These tests force each
 // dispatch level in turn over adversarial shapes — empty/tiny inputs,
 // band-edge widths, vector-boundary lengths, lowercase/ambiguous DNA,
-// near-sentinel gap penalties — and require exact equality.
+// near-sentinel gap penalties, scores past INT16_MAX, profiles outside
+// int8 — and require exact equality, for the single-pair entry points and
+// for banded_score_only_batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,8 @@
 
 #include "align/simd.hpp"
 #include "align/sw.hpp"
+#include "align/sw_internal.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace pga::align {
@@ -169,6 +173,245 @@ TEST(SimdKernel, LongSequences) {
                      GapPenalties{11, 1});
   expect_paths_agree(q, s, profile, /*diagonal=*/-40, /*band=*/64,
                      GapPenalties{11, 1});
+}
+
+// --- The 16-bit kernels' limits ------------------------------------------
+
+TEST(SimdKernel16, IdenticalDnaPastInt16MaxRerunsOnScalar) {
+  if (!simd_available()) GTEST_SKIP() << "CPU lacks AVX2";
+  common::Rng rng(1616);
+  const ScoringProfile profile = ScoringProfile::dna(1, -2);
+  // At match = 1 an identical pair scores its length. 32'700 stays below
+  // the rerun threshold INT16_MAX - max_score(); the longer ones cross it
+  // (33'500 would saturate an M cell) and must come back from the scalar
+  // kernel with the exact score.
+  for (const std::size_t n : {32'700u, 32'770u, 33'500u}) {
+    const std::string q = random_dna(n, rng);
+    expect_paths_agree(q, q, profile, /*diagonal=*/0, /*band=*/8,
+                       GapPenalties{6, 1});
+    set_simd_level(SimdLevel::kAvx2);
+    EXPECT_EQ(banded_score_only(q, q, profile, 0, 8, GapPenalties{6, 1}).score,
+              static_cast<int>(n));
+    reset_simd_level();
+  }
+}
+
+TEST(SimdKernel16, IdenticalProteinPastInt16MaxRerunsOnScalar) {
+  if (!simd_available()) GTEST_SKIP() << "CPU lacks AVX2";
+  common::Rng rng(3600);
+  const ScoringProfile& profile = ScoringProfile::protein_blosum62();
+  // Three in four residues are W (self-score 11), so 3'600 residues
+  // self-align well past INT16_MAX.
+  std::string q = random_protein(3'600, rng);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (rng.below(4) != 0) q[i] = 'W';
+  }
+  set_simd_level(SimdLevel::kScalar);
+  ASSERT_GT(banded_score_only(q, q, profile, 0, 12, GapPenalties{11, 1}).score,
+            32'767);
+  reset_simd_level();
+  expect_paths_agree(q, q, profile, /*diagonal=*/0, /*band=*/12,
+                     GapPenalties{11, 1});
+  expect_paths_agree(q, q, profile, /*diagonal=*/3, /*band=*/24,
+                     GapPenalties{11, 1});
+}
+
+TEST(SimdKernel16, ProfilesOutsideInt8UseScalar) {
+  if (!simd_available()) GTEST_SKIP() << "CPU lacks AVX2";
+  common::Rng rng(200);
+  const ScoringProfile wide_match = ScoringProfile::dna(200, -2);
+  const ScoringProfile wide_mismatch = ScoringProfile::dna(1, -200);
+  ASSERT_FALSE(wide_match.fits_int8());
+  ASSERT_FALSE(wide_mismatch.fits_int8());
+  ASSERT_TRUE(ScoringProfile::dna(1, -2).fits_int8());
+  ASSERT_TRUE(ScoringProfile::protein_blosum62().fits_int8());
+  for (int round = 0; round < 10; ++round) {
+    const std::string q = random_dna(100 + rng.below(300), rng);
+    std::string s = q.substr(rng.below(50));
+    for (std::size_t i = 0; i < s.size(); i += 13) s[i] = 'A';
+    const long diagonal = static_cast<long>(rng.below(21)) - 10;
+    expect_paths_agree(q, s, wide_match, diagonal, 48, GapPenalties{6, 1});
+    expect_paths_agree(q, s, wide_mismatch, diagonal, 48, GapPenalties{6, 1});
+  }
+}
+
+TEST(SimdKernel16, GapPenaltiesEitherSideOfTheSentinelHeadroom) {
+  if (!simd_available()) GTEST_SKIP() << "CPU lacks AVX2";
+  common::Rng rng(8192);
+  const ScoringProfile& profile = ScoringProfile::protein_blosum62();
+  const std::string q = random_protein(300, rng);
+  std::string s = random_protein(20, rng) + q.substr(0, 150) +
+                  random_protein(7, rng) + q.substr(150);
+  for (std::size_t i = 0; i < s.size(); i += 9) s[i] = 'G';
+  // The 16-bit kernels take open + 16 * extend < kGapLimit16; each pair
+  // sits on the two sides of that limit, once through open and once
+  // through extend.
+  constexpr int kLimit = static_cast<int>(detail::kGapLimit16);
+  const GapPenalties cases[] = {
+      {kLimit - 17, 1}, {kLimit - 16, 1},
+      {0, (kLimit - 1) / 16}, {0, kLimit / 16},
+      {11, 1}, {0, 0}};
+  for (const GapPenalties& gaps : cases) {
+    for (const long diagonal : {-20L, -7L, 0L}) {
+      expect_paths_agree(q, s, profile, diagonal, 24, gaps);
+    }
+  }
+}
+
+// --- Batched score-only passes -------------------------------------------
+
+/// Subjects of mixed lengths: empty, shorter than a vector (< 8), and
+/// longer than the query; related to the query so bands hold real scores.
+std::vector<std::string> batch_subjects(const std::string& query,
+                                        std::size_t count, bool dna,
+                                        common::Rng& rng) {
+  const auto random_seq = [&](std::size_t n) {
+    return dna ? random_dna(n, rng) : random_protein(n, rng);
+  };
+  std::vector<std::string> subjects;
+  for (std::size_t k = 0; k < count; ++k) {
+    switch (k % 5) {
+      case 0: subjects.push_back(""); break;
+      case 1: subjects.push_back(random_seq(1 + rng.below(7))); break;
+      case 2: subjects.push_back(random_seq(query.size() + 40)); break;
+      default: {
+        std::string s = random_seq(rng.below(30)) +
+                        query.substr(rng.below(query.size() / 2)) +
+                        random_seq(rng.below(60));
+        for (std::size_t i = rng.below(5); i < s.size(); i += 11) {
+          s[i] = dna ? 'A' : 'L';
+        }
+        subjects.push_back(std::move(s));
+      }
+    }
+  }
+  return subjects;
+}
+
+/// The batch must equal per-pair banded_score_only on every candidate, and
+/// move the DpCounters exactly as the per-pair calls do, at both levels.
+void expect_batch_matches_pairs(const std::string& query,
+                                const std::vector<std::string>& subjects,
+                                const std::vector<long>& diagonals,
+                                const ScoringProfile& profile, std::size_t band,
+                                const GapPenalties& gaps) {
+  const PreparedSeq pq(query, profile);
+  std::vector<PreparedSeq> prepared(subjects.size());
+  std::vector<ScoreOnlyCandidate> candidates;
+  for (std::size_t k = 0; k < subjects.size(); ++k) {
+    prepared[k].assign(subjects[k], profile);
+    candidates.push_back({&prepared[k], diagonals[k]});
+  }
+
+  set_simd_level(SimdLevel::kScalar);
+  reset_dp_counters();
+  std::vector<ScoreOnlyResult> reference;
+  for (const ScoreOnlyCandidate& c : candidates) {
+    reference.push_back(
+        banded_score_only(pq, *c.subject, profile, c.diagonal, band, gaps));
+  }
+  const DpCounters ref_counters = dp_counters();
+
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    set_simd_level(level);
+    reset_dp_counters();
+    std::vector<ScoreOnlyResult> batch(candidates.size());
+    banded_score_only_batch(pq, candidates, profile, band, gaps, batch);
+    const DpCounters counters = dp_counters();
+    for (std::size_t k = 0; k < candidates.size(); ++k) {
+      EXPECT_EQ(batch[k].score, reference[k].score) << "candidate " << k;
+      EXPECT_EQ(batch[k].q_end, reference[k].q_end) << "candidate " << k;
+      EXPECT_EQ(batch[k].s_end, reference[k].s_end) << "candidate " << k;
+    }
+    EXPECT_EQ(counters.cells, ref_counters.cells);
+    EXPECT_EQ(counters.score_only, ref_counters.score_only);
+    EXPECT_EQ(counters.tracebacks, 0u);
+  }
+  reset_simd_level();
+}
+
+TEST(BatchScoreOnly, MatchesPerPairCallsAcrossSizesAndBands) {
+  common::Rng rng(1640);
+  const ScoringProfile& profile = ScoringProfile::protein_blosum62();
+  for (const std::size_t n : {20u, 150u}) {
+    const std::string query = random_protein(n, rng);
+    for (const std::size_t count : {0u, 1u, 15u, 16u, 17u, 40u}) {
+      const auto subjects = batch_subjects(query, count, /*dna=*/false, rng);
+      for (const std::size_t band : {1u, 12u, 24u, 48u}) {
+        std::vector<long> diagonals;
+        for (std::size_t k = 0; k < count; ++k) {
+          const long m = static_cast<long>(subjects[k].size());
+          const long b = static_cast<long>(band);
+          // Every third diagonal lies far enough off the matrix that the
+          // lane's band is empty; the rest are anywhere near it.
+          if (k % 3 == 2) {
+            diagonals.push_back(rng.below(2) == 0
+                                    ? -(m + b + 1 + static_cast<long>(rng.below(5)))
+                                    : static_cast<long>(n) + b +
+                                          static_cast<long>(rng.below(5)));
+          } else {
+            diagonals.push_back(static_cast<long>(rng.below(
+                                    static_cast<std::uint64_t>(n + m + 1))) -
+                                m);
+          }
+        }
+        expect_batch_matches_pairs(query, subjects, diagonals, profile, band,
+                                   GapPenalties{11, 1});
+      }
+    }
+  }
+}
+
+TEST(BatchScoreOnly, DnaAtTheOverlapBand) {
+  common::Rng rng(48);
+  const ScoringProfile profile = ScoringProfile::dna(1, -2);
+  const std::string query = random_dna(400, rng);
+  const auto subjects = batch_subjects(query, 33, /*dna=*/true, rng);
+  std::vector<long> diagonals;
+  for (std::size_t k = 0; k < subjects.size(); ++k) {
+    diagonals.push_back(static_cast<long>(rng.below(121)) - 60);
+  }
+  expect_batch_matches_pairs(query, subjects, diagonals, profile, 48,
+                             GapPenalties{6, 1});
+}
+
+TEST(BatchScoreOnly, GapsAndProfilesOutsideInt16RunPerPair) {
+  common::Rng rng(77);
+  const std::string query = random_protein(120, rng);
+  const auto subjects = batch_subjects(query, 20, /*dna=*/false, rng);
+  std::vector<long> diagonals;
+  for (std::size_t k = 0; k < subjects.size(); ++k) {
+    diagonals.push_back(static_cast<long>(rng.below(41)) - 20);
+  }
+  expect_batch_matches_pairs(query, subjects, diagonals,
+                             ScoringProfile::protein_blosum62(), 12,
+                             GapPenalties{1 << 20, 3});
+  const std::string dna_query = random_dna(200, rng);
+  const auto dna_subjects = batch_subjects(dna_query, 20, /*dna=*/true, rng);
+  expect_batch_matches_pairs(dna_query, dna_subjects, diagonals,
+                             ScoringProfile::dna(200, -2), 24, GapPenalties{6, 1});
+}
+
+TEST(BatchScoreOnly, ScoresPastInt16MaxRerunOnScalar) {
+  common::Rng rng(32767);
+  const ScoringProfile profile = ScoringProfile::dna(1, -2);
+  const std::string query = random_dna(33'000, rng);
+  // Lane 0 self-aligns to 33'000 (past INT16_MAX); the other lanes score
+  // normally beside it.
+  std::vector<std::string> subjects = {query, query.substr(100, 500),
+                                       random_dna(300, rng), query.substr(0, 32'700)};
+  expect_batch_matches_pairs(query, subjects, {0, 100, 5, 0}, profile, 8,
+                             GapPenalties{6, 1});
+}
+
+TEST(BatchScoreOnly, MismatchedResultSpanThrows) {
+  const ScoringProfile& profile = ScoringProfile::protein_blosum62();
+  const PreparedSeq q("MKVLAAGIVG", profile);
+  const ScoreOnlyCandidate candidates[2] = {{&q, 0}, {&q, 1}};
+  std::vector<ScoreOnlyResult> results(1);
+  EXPECT_THROW(banded_score_only_batch(q, candidates, profile, 12, GapPenalties{},
+                                       results),
+               common::InvalidArgument);
 }
 
 TEST(SimdKernel, PreparedSeqMatchesStringEntryPoints) {

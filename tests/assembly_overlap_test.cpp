@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "align/simd.hpp"
 #include "align/sw.hpp"
 #include "common/error.hpp"
@@ -230,6 +232,49 @@ TEST(FindOverlaps, ParameterValidation) {
   EXPECT_THROW(find_overlaps({}, OverlapParams{.kmer = 4}), common::InvalidArgument);
   EXPECT_THROW(find_overlaps({}, OverlapParams{.min_overlap = 10, .kmer = 16}),
                common::InvalidArgument);
+}
+
+TEST(FindOverlaps, RejectsNonFiniteOrOutOfRangeIdentity) {
+  // Checked even on empty input: the parameters are bad whatever the data.
+  for (const double identity :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -0.5, 100.5, 150.0}) {
+    OverlapParams params;
+    params.min_identity = identity;
+    EXPECT_THROW(find_overlaps({}, params), common::InvalidArgument) << identity;
+  }
+  // The closed interval's ends are valid cutoffs.
+  for (const double identity : {0.0, 100.0}) {
+    OverlapParams params;
+    params.min_identity = identity;
+    EXPECT_NO_THROW(find_overlaps({}, params)) << identity;
+  }
+}
+
+TEST(FindOverlaps, NanIdentityDoesNotDisableTheCutoff) {
+  // A NaN used to pass every `pid < min_identity` test, so the run kept
+  // overlaps of any identity instead of failing.
+  common::Rng rng(5);
+  const std::string shared = random_dna(200, rng);
+  const std::string a = random_dna(100, rng) + shared;
+  const std::string b = shared + random_dna(100, rng);
+  OverlapParams params;
+  params.min_identity = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(find_overlaps({{"a", "", a}, {"b", "", b}}, params),
+               common::InvalidArgument);
+}
+
+TEST(FindOverlaps, RejectsNegativeGapPenalties) {
+  for (const align::GapPenalties gaps :
+       {align::GapPenalties{-1, 1}, align::GapPenalties{6, -1}}) {
+    OverlapParams params;
+    params.gaps = gaps;
+    EXPECT_THROW(find_overlaps({}, params), common::InvalidArgument);
+  }
+  OverlapParams free_gaps;
+  free_gaps.gaps = {0, 0};
+  EXPECT_NO_THROW(find_overlaps({}, free_gaps));
 }
 
 TEST(FindOverlaps, EmptyAndSingletonInputs) {
