@@ -125,4 +125,11 @@ build/bench/trigger_bench --smoke --out build/BENCH_trigger_smoke.json
 echo "==> perf smoke (perfbench/run.py --smoke)"
 python3 perfbench/run.py --smoke
 
+# Size report: lines of C++ in src+bench+tests, the measure ROADMAP item 4
+# tracks. Printed only, with no assertion, so each change's size shows in
+# the log.
+echo "==> size (C++ lines in src+bench+tests)"
+git ls-files src bench tests | grep -E '\.(cpp|hpp)$' | xargs cat | wc -l \
+  || echo "(not a git checkout; size not counted)"
+
 echo "==> CI OK (default + asan/ubsan + tsan + perf smokes)"

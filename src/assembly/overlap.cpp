@@ -82,10 +82,33 @@ struct Candidate {
   long diagonal;
 };
 
-}  // namespace
+/// Rejects parameters the overlap kernels cannot honour.
+void check_params(const OverlapParams& params) {
+  if (params.kmer < 8 || params.kmer > 32) {
+    throw common::InvalidArgument("OverlapParams.kmer must be in [8,32]");
+  }
+  if (params.min_overlap < params.kmer) {
+    throw common::InvalidArgument("min_overlap must be >= kmer");
+  }
+  if (params.match <= 0 || params.mismatch >= 0) {
+    throw common::InvalidArgument("OverlapParams: need match > 0 > mismatch");
+  }
+  // A NaN cutoff would make every `pid < min_identity` test false and
+  // switch the identity filter off (and score_floor would floor a NaN into
+  // an int); a cutoff above 100 would silently accept nothing.
+  if (!std::isfinite(params.min_identity) || params.min_identity < 0.0 ||
+      params.min_identity > 100.0) {
+    throw common::InvalidArgument(
+        "OverlapParams.min_identity must be finite and in [0, 100]");
+  }
+  if (params.gaps.open < 0 || params.gaps.extend < 0) {
+    throw common::InvalidArgument("OverlapParams: gap penalties must be >= 0");
+  }
+}
 
-int min_acceptable_score(const OverlapParams& params,
-                         std::size_t max_alignment_length) {
+/// min_acceptable_score without the parameter check, for callers that
+/// have already run check_params.
+int score_floor(const OverlapParams& params, std::size_t max_alignment_length) {
   // An acceptable alignment of length L has matches >= p*L/100 (identity
   // cutoff) and at most L - p*L/100 non-match columns, each costing at
   // most w = max(-mismatch, open + extend) (a gap run of g residues costs
@@ -93,9 +116,9 @@ int min_acceptable_score(const OverlapParams& params,
   // increasing in the match count, so
   //   g(L) = match * p*L/100 - w * L*(1 - p/100)
   // lower-bounds it; g is linear in L, so its minimum over the length
-  // interval sits at an endpoint. Requires match > 0 and mismatch < 0
-  // (enforced by the DNA kernels' parameter check).
-  const double p = std::min(params.min_identity, 100.0) / 100.0;
+  // interval sits at an endpoint. Requires match > 0, mismatch < 0 and
+  // p in [0, 100] (enforced by check_params).
+  const double p = params.min_identity / 100.0;
   const double w = std::max<double>(-params.mismatch,
                                     static_cast<double>(params.gaps.open) +
                                         static_cast<double>(params.gaps.extend));
@@ -108,31 +131,20 @@ int min_acceptable_score(const OverlapParams& params,
   return static_cast<int>(std::floor(std::min(g(lo), g(hi))));
 }
 
+}  // namespace
+
+int min_acceptable_score(const OverlapParams& params,
+                         std::size_t max_alignment_length) {
+  check_params(params);
+  return score_floor(params, max_alignment_length);
+}
+
 std::vector<Overlap> find_overlaps(const std::vector<bio::SeqRecord>& seqs,
                                    const OverlapParams& params,
                                    common::ThreadPool* pool, OverlapStats* stats) {
-  if (params.kmer < 8 || params.kmer > 32) {
-    throw common::InvalidArgument("OverlapParams.kmer must be in [8,32]");
-  }
-  if (params.min_overlap < params.kmer) {
-    throw common::InvalidArgument("min_overlap must be >= kmer");
-  }
+  check_params(params);
   if (seqs.size() >= (1ULL << 31)) {
     throw common::InvalidArgument("too many sequences");
-  }
-  if (params.match <= 0 || params.mismatch >= 0) {
-    throw common::InvalidArgument("OverlapParams: need match > 0 > mismatch");
-  }
-  // A NaN cutoff would make every `pid < min_identity` test false and
-  // switch the identity filter off (and min_acceptable_score would floor
-  // a NaN into an int); a cutoff above 100 would silently accept nothing.
-  if (!std::isfinite(params.min_identity) || params.min_identity < 0.0 ||
-      params.min_identity > 100.0) {
-    throw common::InvalidArgument(
-        "OverlapParams.min_identity must be finite and in [0, 100]");
-  }
-  if (params.gaps.open < 0 || params.gaps.extend < 0) {
-    throw common::InvalidArgument("OverlapParams: gap penalties must be >= 0");
   }
 
   // Reverse complements, computed once when strand-agnostic matching is on.
@@ -234,7 +246,7 @@ std::vector<Overlap> find_overlaps(const std::vector<bio::SeqRecord>& seqs,
   // bound at or below that can never fire — skip the extra pass entirely.
   const bool prune =
       params.score_prune &&
-      min_acceptable_score(params, params.min_overlap) >
+      score_floor(params, params.min_overlap) >
           static_cast<int>(params.kmer) * params.match;
   const auto align_range = [&](std::size_t begin, std::size_t end,
                                std::vector<Overlap>& out, OverlapStats& st) {
@@ -245,7 +257,7 @@ std::vector<Overlap> find_overlaps(const std::vector<bio::SeqRecord>& seqs,
       if (prune) {
         const align::ScoreOnlyResult so = align::banded_score_only(
             pa, pb, dna_prof, c.diagonal, kAlignmentBand, params.gaps);
-        if (so.score < min_acceptable_score(params, pa.size() + pb.size())) {
+        if (so.score < score_floor(params, pa.size() + pb.size())) {
           ++st.pruned;
           continue;
         }

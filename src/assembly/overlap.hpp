@@ -94,7 +94,8 @@ struct OverlapStats {
 /// (score-only) alignment scores below this bound cannot classify as an
 /// overlap, so the traceback can be skipped. Conservative: derived from
 /// the per-column worst case w = max(-mismatch, gap_open + gap_extend),
-/// evaluated at both interval endpoints.
+/// evaluated at both interval endpoints. Throws common::InvalidArgument on
+/// the parameters find_overlaps rejects.
 int min_acceptable_score(const OverlapParams& params,
                          std::size_t max_alignment_length);
 

@@ -39,12 +39,6 @@ struct B2c3WorkflowSpec {
 wms::AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
                                            const WorkloadModel* workload = nullptr);
 
-/// The two execution sites of the paper, as catalog entries.
-/// "sandhills": 1,440-core campus cluster, software preinstalled.
-/// "osg": opportunistic grid, software must be staged per task.
-wms::SiteCatalog paper_site_catalog(std::size_t sandhills_slots = 64,
-                                    std::size_t osg_slots = 150);
-
 /// Registers every blast2cap3 transformation for both sites (installed on
 /// sandhills, stageable on osg).
 wms::TransformationCatalog paper_transformation_catalog();

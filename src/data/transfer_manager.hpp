@@ -150,4 +150,10 @@ class TransferManager {
   Stats stats_;
 };
 
+/// Registers one storage element per site of `sites`, moving data at the
+/// site's stage bandwidth both ways, plus the submit host ("local"); every
+/// element gets `transfer_slots` concurrent transfers.
+void add_site_elements(TransferManager& transfers, const wms::SiteCatalog& sites,
+                       std::size_t transfer_slots);
+
 }  // namespace pga::data

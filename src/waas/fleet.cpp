@@ -31,26 +31,6 @@ constexpr std::uint64_t kTransferSalt = 0x5452414e53460003ULL;
 constexpr std::uint64_t kChaosSalt = 0x4348414f53000004ULL;
 constexpr std::uint64_t kBackoffSalt = 0x4241434b4f460005ULL;
 
-/// Registers one storage element per generator-catalog site plus the
-/// submit host (same shape as the core experiment wiring).
-void add_fleet_elements(data::TransferManager& transfers,
-                        std::size_t transfer_slots) {
-  const wms::SiteCatalog sites = workload::generator_site_catalog();
-  for (const auto& name : sites.names()) {
-    const wms::SiteEntry& site = sites.site(name);
-    data::StorageElementConfig element;
-    element.site = name;
-    element.bandwidth_in_bps = site.stage_bandwidth_bps;
-    element.bandwidth_out_bps = site.stage_bandwidth_bps;
-    element.transfer_slots = transfer_slots;
-    transfers.add_element(std::move(element));
-  }
-  data::StorageElementConfig submit_host;
-  submit_host.site = "local";
-  submit_host.transfer_slots = transfer_slots;
-  transfers.add_element(std::move(submit_host));
-}
-
 }  // namespace
 
 /// One admitted workflow. Members are declaration-ordered so destruction
@@ -108,7 +88,8 @@ FleetController::FleetController(sim::EventQueue& queue, FleetOptions options)
     data::TransferConfig transfer_cfg;
     transfer_cfg.seed = common::mix64(options_.seed ^ kTransferSalt);
     transfers_ = std::make_unique<data::TransferManager>(queue_, transfer_cfg);
-    add_fleet_elements(*transfers_, options_.transfer_slots);
+    data::add_site_elements(*transfers_, workload::generator_site_catalog(),
+                            options_.transfer_slots);
     storage_bus_ = std::make_unique<data::StorageEventBus>(&queue_);
     transfers_->set_event_bus(storage_bus_.get());
   }

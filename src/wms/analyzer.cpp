@@ -151,56 +151,15 @@ std::size_t peak_utilization(const RunReport& report) {
   return peak;
 }
 
-void TraceCollector::on_event(const EngineEvent& event) {
-  switch (event.type) {
-    case EngineEventType::kRunStarted:
-      ids_ = IdTable();
-      jobs_.clear();
-      break;
-    case EngineEventType::kAttemptFinished: {
-      const std::uint32_t handle = ids_.intern(event.job_id);
-      if (handle >= jobs_.size()) jobs_.resize(handle + 1);
-      JobTrace& trace = jobs_[handle];
-      if (trace.id.empty()) trace.id = std::string(event.job_id);
-      trace.transformation = event.result->transformation;
-      trace.attempts.push_back(*event.result);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void TraceCollector::ingest(const RunReport& report) {
-  for (const JobRun& run : report.runs) {
-    if (run.attempts.empty()) continue;
-    const std::uint32_t handle = ids_.intern(run.id);
-    if (handle >= jobs_.size()) jobs_.resize(handle + 1);
-    JobTrace& trace = jobs_[handle];
-    if (trace.id.empty()) trace.id = run.id;
-    trace.transformation = run.transformation;
-    trace.attempts.insert(trace.attempts.end(), run.attempts.begin(),
-                          run.attempts.end());
-  }
-}
-
-std::string TraceCollector::csv() const {
-  // Rows sorted by job id — the order the old map-keyed collection walked.
-  std::vector<const JobTrace*> sorted;
-  sorted.reserve(jobs_.size());
-  for (const JobTrace& trace : jobs_) {
-    if (!trace.attempts.empty()) sorted.push_back(&trace);
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const JobTrace* a, const JobTrace* b) { return a->id < b->id; });
+std::string attempts_csv(const RunReport& report) {
   std::ostringstream os;
   os << "job,transformation,attempt,success,node,submit,start,end,wait,install,exec\n";
-  for (const JobTrace* trace : sorted) {
+  for (const JobRun& run : report.runs) {
     std::size_t attempt_number = 1;
-    for (const TaskAttempt& attempt : trace->attempts) {
+    for (const TaskAttempt& attempt : run.attempts) {
       const double start =
           attempt.end_time - attempt.exec_seconds - attempt.install_seconds;
-      os << trace->id << ',' << trace->transformation << ',' << attempt_number++
+      os << run.id << ',' << run.transformation << ',' << attempt_number++
          << ',' << (attempt.success ? 1 : 0) << ',' << attempt.node << ','
          << common::format_fixed(attempt.submit_time, 3) << ','
          << common::format_fixed(start, 3) << ','
@@ -211,18 +170,6 @@ std::string TraceCollector::csv() const {
     }
   }
   return os.str();
-}
-
-std::size_t TraceCollector::attempt_count() const {
-  std::size_t total = 0;
-  for (const JobTrace& trace : jobs_) total += trace.attempts.size();
-  return total;
-}
-
-std::string attempts_csv(const RunReport& report) {
-  TraceCollector collector;
-  collector.ingest(report);
-  return collector.csv();
 }
 
 }  // namespace pga::wms

@@ -8,13 +8,10 @@
 // for external plotting.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "wms/engine.hpp"
-#include "wms/events.hpp"
-#include "wms/id_table.hpp"
 
 namespace pga::wms {
 
@@ -72,34 +69,8 @@ std::vector<UtilizationSample> utilization(const RunReport& report);
 /// Peak concurrently-running attempts.
 std::size_t peak_utilization(const RunReport& report);
 
-/// Collects per-attempt trace records for the plot/trace writers — either
-/// live, as an engine-event observer (EngineOptions.observers), or after the
-/// fact from a finished report via ingest(). Both paths produce the same
-/// rows; attempts_csv() is implemented on top of this. Reusable: observing
-/// kRunStarted resets the collection.
-class TraceCollector final : public EngineObserver {
- public:
-  void on_event(const EngineEvent& event) override;
-  /// Replays every recorded attempt of a finished report into the trace.
-  void ingest(const RunReport& report);
-  /// CSV with one row per attempt, jobs in id order:
-  ///   job,transformation,attempt,success,node,submit,start,end,wait,install,exec
-  [[nodiscard]] std::string csv() const;
-  [[nodiscard]] std::size_t attempt_count() const;
-
- private:
-  struct JobTrace {
-    std::string id;
-    std::string transformation;
-    std::vector<TaskAttempt> attempts;
-  };
-  /// Jobs in first-seen order, interned by id; csv() sorts by id at render
-  /// time (the order the old map produced).
-  IdTable ids_;
-  std::vector<JobTrace> jobs_;
-};
-
-/// Exports per-attempt rows as CSV (TraceCollector::csv over one report):
+/// Exports one CSV row per recorded attempt, jobs in report.runs order (id
+/// order for an engine report):
 ///   job,transformation,attempt,success,node,submit,start,end,wait,install,exec
 std::string attempts_csv(const RunReport& report);
 

@@ -19,8 +19,9 @@ namespace pga::wms {
 
 // ------------------------------------------------------ RunReportBuilder
 
-RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow)
-    : log_(report_.jobstate_log) {
+RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow, bool lean)
+    : lean_(lean) {
+  if (lean_) return;
   runs_.reserve(workflow.jobs().size());
   for (const auto& job : workflow.jobs()) {
     JobRun run;
@@ -32,7 +33,14 @@ RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow)
 }
 
 void RunReportBuilder::on_event(const EngineEvent& event) {
-  log_.on_event(event);
+  if (format_jobstate_line(event, line_)) {
+    // The fold matches common::lines_digest (per line, then '\n') byte for
+    // byte, so lean mode fingerprints the log it never stores.
+    digest_ = common::fnv1a(digest_, line_);
+    digest_ = common::fnv1a(digest_, "\n");
+    ++report_.jobstate_lines;
+    if (!lean_) report_.jobstate_log.push_back(line_);
+  }
   switch (event.type) {
     case EngineEventType::kRunStarted:
       report_.workflow = std::string(event.workflow);
@@ -41,94 +49,30 @@ void RunReportBuilder::on_event(const EngineEvent& event) {
       report_.start_time = event.time;
       // A clean run logs two lines per job (SUBMIT, SUCCESS); sizing the
       // vector up front avoids ~20 reallocations at million-job scale.
-      report_.jobstate_log.reserve(2 * event.total_jobs + 8);
-      break;
-    case EngineEventType::kJobRescued: {
-      JobRun& run = runs_.at(event.job);
-      run.succeeded = true;
-      run.skipped_by_rescue = true;
-      ++report_.jobs_skipped;
-      break;
-    }
-    case EngineEventType::kAttemptFinished: {
-      ++report_.total_attempts;
-      JobRun& run = runs_.at(event.job);
-      run.attempts.push_back(*event.result);
-      if (event.success) run.succeeded = true;
-      break;
-    }
-    case EngineEventType::kJobRetry:
-      ++report_.total_retries;
-      break;
-    case EngineEventType::kJobBackoff:
-      runs_.at(event.job).backoff_seconds += event.backoff_seconds;
-      report_.total_backoff_seconds += event.backoff_seconds;
-      break;
-    case EngineEventType::kAttemptTimedOut:
-      ++report_.timed_out_attempts;
-      break;
-    case EngineEventType::kNodeBlacklisted:
-      report_.blacklisted_nodes.emplace_back(event.node);
-      break;
-    case EngineEventType::kJobFailed:
-      ++report_.jobs_failed;
-      break;
-    case EngineEventType::kRunFinished:
-      report_.end_time = event.time;
-      report_.success = event.success;
-      break;
-    default:
-      break;  // kJobReady / kJobSubmitted / kJobSucceeded carry no accounting
-  }
-}
-
-RunReport RunReportBuilder::take() {
-  // Emit sorted by job id — the order the old map<string, JobRun> walked in.
-  std::vector<std::uint32_t> by_id(runs_.size());
-  std::iota(by_id.begin(), by_id.end(), 0);
-  std::sort(by_id.begin(), by_id.end(), [this](std::uint32_t a, std::uint32_t b) {
-    return runs_[a].id < runs_[b].id;
-  });
-  report_.runs.reserve(runs_.size());
-  for (const std::uint32_t index : by_id) {
-    JobRun& run = runs_[index];
-    if (run.succeeded && !run.skipped_by_rescue) ++report_.jobs_succeeded;
-    report_.runs.push_back(std::move(run));
-  }
-  runs_.clear();
-  report_.jobstate_digest = common::lines_digest(report_.jobstate_log);
-  report_.jobstate_lines = report_.jobstate_log.size();
-  return std::move(report_);
-}
-
-// ---------------------------------------------------- LeanReportObserver
-
-void LeanReportObserver::on_event(const EngineEvent& event) {
-  if (format_jobstate_line(event, line_)) {
-    // Stream the log through the digest instead of storing it; the fold
-    // matches common::lines_digest (per line, then '\n') byte for byte.
-    digest_ = common::fnv1a(digest_, line_);
-    digest_ = common::fnv1a(digest_, "\n");
-    ++report_.jobstate_lines;
-  }
-  switch (event.type) {
-    case EngineEventType::kRunStarted:
-      report_.workflow = std::string(event.workflow);
-      report_.service = std::string(event.service);
-      report_.jobs_total = event.total_jobs;
-      report_.start_time = event.time;
+      if (!lean_) report_.jobstate_log.reserve(2 * event.total_jobs + 8);
       break;
     case EngineEventType::kJobRescued:
       ++report_.jobs_skipped;
+      if (!lean_) {
+        JobRun& run = runs_.at(event.job);
+        run.succeeded = true;
+        run.skipped_by_rescue = true;
+      }
       break;
     case EngineEventType::kAttemptFinished:
       ++report_.total_attempts;
+      if (!lean_) {
+        JobRun& run = runs_.at(event.job);
+        run.attempts.push_back(*event.result);
+        if (event.success) run.succeeded = true;
+      }
       break;
     case EngineEventType::kJobRetry:
       ++report_.total_retries;
       break;
     case EngineEventType::kJobBackoff:
       report_.total_backoff_seconds += event.backoff_seconds;
+      if (!lean_) runs_.at(event.job).backoff_seconds += event.backoff_seconds;
       break;
     case EngineEventType::kAttemptTimedOut:
       ++report_.timed_out_attempts;
@@ -137,8 +81,7 @@ void LeanReportObserver::on_event(const EngineEvent& event) {
       report_.blacklisted_nodes.emplace_back(event.node);
       break;
     case EngineEventType::kJobSucceeded:
-      // Rescued jobs never emit kJobSucceeded, so this counter matches the
-      // full builder's `succeeded && !skipped_by_rescue` tally.
+      // Rescued jobs never emit kJobSucceeded, so they are not counted.
       ++report_.jobs_succeeded;
       break;
     case EngineEventType::kJobFailed:
@@ -149,12 +92,23 @@ void LeanReportObserver::on_event(const EngineEvent& event) {
       report_.success = event.success;
       break;
     default:
-      break;
+      break;  // kJobReady / kJobSubmitted carry no accounting
   }
 }
 
-RunReport LeanReportObserver::take() {
+RunReport RunReportBuilder::take() {
   report_.jobstate_digest = digest_;
+  // Emit sorted by job id — the order the old map<string, JobRun> walked in.
+  std::vector<std::uint32_t> by_id(runs_.size());
+  std::iota(by_id.begin(), by_id.end(), 0);
+  std::sort(by_id.begin(), by_id.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return runs_[a].id < runs_[b].id;
+  });
+  report_.runs.reserve(runs_.size());
+  for (const std::uint32_t index : by_id) {
+    report_.runs.push_back(std::move(runs_[index]));
+  }
+  runs_.clear();
   return std::move(report_);
 }
 
@@ -257,6 +211,7 @@ EngineInstance::EngineInstance(const EngineOptions& options,
       ids_(workflow.ids()),
       service_(service),
       fsm_(workflow),
+      builder_(workflow, options.lean_report),
       in_flight_(workflow.jobs().size()),
       stale_attempts_(workflow.jobs().size(), 0),
       backoff_rng_(options.backoff_seed),
@@ -270,16 +225,10 @@ EngineInstance::EngineInstance(const EngineOptions& options,
   }
   policy_->prepare(workflow_);
 
-  // Full mode keeps the per-job roster and the stored jobstate log; lean
-  // mode never allocates either (the roster alone is ~100 B/job — at 10^7
+  // The report builder sees every event first. Lean mode never allocates
+  // the roster or the stored log (the roster alone is ~100 B/job — at 10^7
   // jobs that is a gigabyte the report cannot afford).
-  if (options_.lean_report) {
-    lean_builder_ = std::make_unique<LeanReportObserver>();
-    bus_.subscribe(lean_builder_.get());
-  } else {
-    builder_ = std::make_unique<RunReportBuilder>(workflow_);
-    bus_.subscribe(builder_.get());
-  }
+  bus_.subscribe(&builder_);
   if (options_.status != nullptr) {
     status_observer_ = std::make_unique<StatusBoardObserver>(*options_.status);
     bus_.subscribe(status_observer_.get());
@@ -684,7 +633,7 @@ RunReport EngineInstance::take_report() {
     throw common::InvalidArgument("EngineInstance::take_report called twice");
   }
   report_taken_ = true;
-  RunReport report = builder_ != nullptr ? builder_->take() : lean_builder_->take();
+  RunReport report = builder_.take();
   report.error = abort_error_;
   return report;
 }

@@ -13,8 +13,9 @@
 //   - a SchedulingPolicy picks which ready job submits next under the
 //     max_jobs_in_flight throttle (default FIFO, byte-identical to the
 //     pre-refactor engine);
-//   - an EventBus (wms/events.hpp) publishes every observable step; the
-//     jobstate log, the StatusBoard and RunReport itself are observers.
+//   - an EventBus (wms/events.hpp) publishes every observable step; one
+//     RunReportBuilder turns it into the RunReport and its jobstate log,
+//     and the StatusBoard is a second observer.
 //
 // The loop itself lives in EngineInstance, a re-entrant steppable core:
 // run() is a thin drive-to-completion wrapper (`while (step()) {}`), and a
@@ -133,13 +134,12 @@ struct RunReport {
   double total_backoff_seconds = 0;    ///< summed retry cool-off across jobs
   /// Nodes blacklisted during the run, in blacklist order.
   std::vector<std::string> blacklisted_nodes;
-  std::vector<JobRun> runs;       ///< per job, in completion order (empty
-                                  ///< under EngineOptions::lean_report)
+  std::vector<JobRun> runs;       ///< per job, sorted by id (empty under
+                                  ///< EngineOptions::lean_report)
   std::vector<std::string> jobstate_log;  ///< "<t> <job> <EVENT>" lines
                                           ///< (empty under lean_report)
-  /// common::lines_digest of the jobstate log and its line count — filled
-  /// in both modes (streamed in lean mode, computed from the stored log
-  /// otherwise), so double-run identity checks work without the log.
+  /// common::lines_digest of the jobstate log and its line count — streamed
+  /// in both modes, so double-run identity checks work without the log.
   std::uint64_t jobstate_digest = 0;
   std::size_t jobstate_lines = 0;
 
@@ -147,42 +147,31 @@ struct RunReport {
   [[nodiscard]] double wall_seconds() const { return end_time - start_time; }
 };
 
-/// Assembles a RunReport purely from the engine-event stream: counters from
-/// the typed events, per-job attempt records from kAttemptFinished, and the
-/// jobstate log via an embedded JobstateLogObserver. The engine subscribes
-/// one per run; it is public so tests and external replays can feed a
-/// recorded stream through the same accounting.
+/// Assembles a RunReport purely from the engine-event stream, in one of
+/// two modes chosen by EngineOptions::lean_report. Both modes count the
+/// same scalars from the typed events and stream each jobstate line
+/// (format_jobstate_line, events.hpp) through the FNV-1a fold of
+/// common::lines_digest. Full mode also stores the lines and keeps the
+/// per-job roster (attempt records from kAttemptFinished); lean mode stores
+/// neither, so report memory stays O(1) in job count. The engine subscribes
+/// one per run, ahead of every other observer.
 class RunReportBuilder final : public EngineObserver {
  public:
-  /// `workflow` provides the job roster (id, transformation, kind) and must
-  /// outlive the builder.
-  explicit RunReportBuilder(const ConcreteWorkflow& workflow);
+  /// Full mode copies its roster (id, transformation, kind) from
+  /// `workflow`; lean mode does not read it.
+  RunReportBuilder(const ConcreteWorkflow& workflow, bool lean);
   void on_event(const EngineEvent& event) override;
   /// Finalizes and returns the report. Call once, after kRunFinished.
   [[nodiscard]] RunReport take();
 
  private:
   RunReport report_;
-  JobstateLogObserver log_;  ///< writes into report_.jobstate_log
   /// Per-job records indexed by dense handle (EngineEvent::job); take()
-  /// emits them sorted by id, matching the old map iteration order.
+  /// emits them sorted by id. Empty in lean mode.
   std::vector<JobRun> runs_;
-};
-
-/// The lean_report counterpart of RunReportBuilder: accumulates the same
-/// scalar counters from the event stream and hashes each jobstate line as
-/// it is formatted (one shared formatter, events.hpp) without storing the
-/// line or any per-job record — report memory stays O(1) in job count.
-class LeanReportObserver final : public EngineObserver {
- public:
-  void on_event(const EngineEvent& event) override;
-  /// Finalizes and returns the report. Call once, after kRunFinished.
-  [[nodiscard]] RunReport take();
-
- private:
-  RunReport report_;
   std::uint64_t digest_ = common::kFnv1aOffset;  ///< streamed line digest
   std::string line_;  ///< format scratch, reused across events
+  bool lean_;
 };
 
 /// One re-entrant, steppable engine run: everything the drive-to-completion
@@ -308,9 +297,7 @@ class EngineInstance {
   JobStateMachine fsm_;
   std::unique_ptr<SchedulingPolicy> default_policy_;
   SchedulingPolicy* policy_ = nullptr;
-  /// Exactly one of these is live, chosen by EngineOptions::lean_report.
-  std::unique_ptr<RunReportBuilder> builder_;
-  std::unique_ptr<LeanReportObserver> lean_builder_;
+  RunReportBuilder builder_;
   std::unique_ptr<StatusBoardObserver> status_observer_;
   EventBus bus_;
 

@@ -65,11 +65,6 @@ bool format_jobstate_line(const EngineEvent& event, std::string& line) {
   return true;
 }
 
-void JobstateLogObserver::on_event(const EngineEvent& event) {
-  std::string line;
-  if (format_jobstate_line(event, line)) sink_->push_back(std::move(line));
-}
-
 void StatusBoardObserver::on_event(const EngineEvent& event) {
   switch (event.type) {
     case EngineEventType::kRunStarted:

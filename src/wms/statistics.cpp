@@ -1,6 +1,5 @@
 #include "wms/statistics.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -51,92 +50,6 @@ WorkflowStatistics WorkflowStatistics::from_run(const RunReport& report) {
     tf.install.add(job_install);
   }
   return stats;
-}
-
-void StatisticsAccumulator::on_event(const EngineEvent& event) {
-  switch (event.type) {
-    case EngineEventType::kRunStarted:
-      jobs_.assign(event.total_jobs, JobAgg{});
-      stats_ = WorkflowStatistics();
-      start_time_ = event.time;
-      break;
-    case EngineEventType::kAttemptFinished: {
-      if (event.job >= jobs_.size()) jobs_.resize(event.job + 1);
-      JobAgg& agg = jobs_[event.job];
-      if (agg.id.empty()) agg.id = std::string(event.job_id);
-      agg.transformation = event.result->transformation;
-      agg.attempts.push_back(AttemptSlice{event.result->success,
-                                          event.result->exec_seconds,
-                                          event.result->wait_seconds,
-                                          event.result->install_seconds,
-                                          event.result->install_cache_hit,
-                                          event.result->transferred_bytes,
-                                          event.result->transfer_attempts});
-      break;
-    }
-    case EngineEventType::kJobRetry:
-      ++stats_.retries_;
-      break;
-    case EngineEventType::kJobBackoff:
-      stats_.total_backoff_seconds_ += event.backoff_seconds;
-      break;
-    case EngineEventType::kAttemptTimedOut:
-      ++stats_.timed_out_attempts_;
-      break;
-    case EngineEventType::kNodeBlacklisted:
-      ++stats_.blacklisted_nodes_;
-      break;
-    case EngineEventType::kJobFailed:
-      ++stats_.failed_jobs_;
-      break;
-    case EngineEventType::kRunFinished: {
-      stats_.success_ = event.success;
-      stats_.wall_seconds_ = event.time - start_time_;
-      // Finalize the per-job aggregation in sorted-job order — the same
-      // traversal from_run does over report.runs, so sums match exactly.
-      std::vector<const JobAgg*> ran;
-      ran.reserve(jobs_.size());
-      for (const JobAgg& agg : jobs_) {
-        if (!agg.attempts.empty()) ran.push_back(&agg);
-      }
-      std::sort(ran.begin(), ran.end(),
-                [](const JobAgg* a, const JobAgg* b) { return a->id < b->id; });
-      for (const JobAgg* agg_ptr : ran) {
-        const JobAgg& agg = *agg_ptr;
-        ++stats_.jobs_;
-        auto& tf = stats_.per_transformation_[agg.transformation];
-        ++tf.jobs;
-        double job_wait = 0;
-        double job_install = 0;
-        for (const AttemptSlice& attempt : agg.attempts) {
-          ++stats_.attempts_;
-          ++tf.attempts;
-          job_wait += attempt.wait_seconds;
-          job_install += attempt.install_seconds;
-          if (attempt.install_cache_hit) {
-            ++stats_.warm_installs_;
-          } else if (attempt.install_seconds > 0) {
-            ++stats_.cold_installs_;
-          }
-          stats_.bytes_staged_ += attempt.transferred_bytes;
-          stats_.transfer_attempts_ += attempt.transfer_attempts;
-          if (attempt.success) {
-            stats_.cumulative_kickstart_ += attempt.exec_seconds;
-            tf.kickstart.add(attempt.exec_seconds);
-          } else {
-            stats_.cumulative_badput_ += attempt.exec_seconds;
-          }
-        }
-        stats_.cumulative_waiting_ += job_wait;
-        stats_.cumulative_install_ += job_install;
-        tf.waiting.add(job_wait);
-        tf.install.add(job_install);
-      }
-      break;
-    }
-    default:
-      break;
-  }
 }
 
 std::string WorkflowStatistics::render(const std::string& title) const {

@@ -493,6 +493,8 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
 
 wms::SiteCatalog generator_site_catalog() {
   wms::SiteCatalog sites;
+  // Campus scratch filesystems sustain ~100 MB/s; wide-area transfers into
+  // opportunistic OSG sites run an order of magnitude slower.
   sites.add({"sandhills", 64, /*software_preinstalled=*/true,
              "/work/group/scratch", /*stage_bandwidth_bps=*/100e6});
   sites.add({"osg", 150, /*software_preinstalled=*/false, "/tmp/osg-scratch",

@@ -97,8 +97,9 @@ struct ShapeCounts {
 [[nodiscard]] wms::AbstractWorkflow build_workflow(const ShapeSpec& spec);
 
 /// The paper's two sites (campus cluster with preinstalled software at
-/// 100 MB/s; opportunistic grid staging at 10 MB/s), so generated shapes
-/// run on the same platform pair every blast2cap3 result used.
+/// 100 MB/s; opportunistic grid staging at 10 MB/s): the one site catalog
+/// that generated shapes, core::plan_for_site's blast2cap3 plans and the
+/// storage-element wiring (data::add_site_elements) all use.
 [[nodiscard]] wms::SiteCatalog generator_site_catalog();
 
 /// Every transformation of `workflow` on both sites: installed on

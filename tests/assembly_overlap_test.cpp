@@ -432,5 +432,27 @@ TEST(MinAcceptableScore, LowerBoundsEveryAcceptedOverlap) {
   }
 }
 
+TEST(MinAcceptableScore, RejectsNonFiniteOrOutOfRangeIdentity) {
+  // The bound is public, so it checks its parameters like find_overlaps:
+  // a NaN cutoff would otherwise reach a floor-to-int conversion.
+  for (const double identity :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -0.5, 100.5}) {
+    OverlapParams params;
+    params.min_identity = identity;
+    EXPECT_THROW(min_acceptable_score(params, 200), common::InvalidArgument)
+        << identity;
+  }
+  OverlapParams bad_kmer;
+  bad_kmer.kmer = 4;
+  EXPECT_THROW(min_acceptable_score(bad_kmer, 200), common::InvalidArgument);
+  for (const double identity : {0.0, 100.0}) {
+    OverlapParams params;
+    params.min_identity = identity;
+    EXPECT_NO_THROW(min_acceptable_score(params, 200)) << identity;
+  }
+}
+
 }  // namespace
 }  // namespace pga::assembly

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "wms/dax_xml.hpp"
+#include "workload/generator.hpp"
 
 namespace pga::core {
 namespace {
@@ -84,7 +85,7 @@ TEST(B2c3Dax, SerializesToDaxXml) {
 }
 
 TEST(PaperCatalogs, SitesMatchPaperDescription) {
-  const auto sites = paper_site_catalog();
+  const auto sites = workload::generator_site_catalog();
   EXPECT_TRUE(sites.site("sandhills").software_preinstalled);
   EXPECT_FALSE(sites.site("osg").software_preinstalled);
 }

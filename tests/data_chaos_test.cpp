@@ -4,11 +4,14 @@
 // with coherent accounting, and a fixed seed replays byte-identically.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "data/software_cache.hpp"
 #include "data/staging_service.hpp"
+#include "sim/campus_cluster.hpp"
 #include "sim/osg.hpp"
 #include "wms/engine.hpp"
 #include "wms/exec_service.hpp"
@@ -209,6 +212,108 @@ TEST_P(DataChaosSeed, GeneratedShapesReplayByteIdenticallyOnTheFullStack) {
     EXPECT_EQ(first.transfers.bytes_moved, second.transfers.bytes_moved)
         << workload::spec_name(spec);
     EXPECT_DOUBLE_EQ(first.wall, second.wall) << workload::spec_name(spec);
+  }
+}
+
+// ------------------------------------------------ lean vs full reports
+//
+// The lean report (EngineOptions::lean_report) keeps counters and a
+// streamed digest instead of the log and the roster. Both modes must
+// account the densest event stream the same way: chaos with hangs over
+// modeled staging, with attempt timeouts, retry backoff and node
+// blacklisting all switched on.
+
+/// Compute jobs per run: enough attempts that every seed below hangs one
+/// attempt into a timeout and fails one node three times in a row.
+constexpr std::size_t kWidth = 32;
+
+/// One hardened staging-heavy run on `site` ("sandhills" or "osg").
+wms::RunReport run_report_mode(std::uint64_t seed, const std::string& site,
+                               bool lean) {
+  sim::EventQueue queue;
+  std::unique_ptr<sim::ExecutionPlatform> platform;
+  wms::EngineOptions options = wms::testing::hardened_options();
+  if (site == "sandhills") {
+    sim::CampusClusterConfig config;
+    config.allocated_slots = 4;
+    config.seed = seed;
+    platform = std::make_unique<sim::CampusClusterPlatform>(queue, config);
+  } else {
+    sim::OsgConfig config;
+    config.seed = seed;
+    config.base_slots = 8;
+    platform = std::make_unique<sim::OsgPlatform>(queue, config);
+    options.retries = 10;
+    options.attempt_timeout_seconds = 50'000;  // OSG waits are heavy-tailed
+  }
+  options.lean_report = lean;
+
+  wms::SimService sim_service(queue, *platform);
+  wms::FaultyService faulty(sim_service,
+                            wms::FaultPlan().chaos(wms::testing::chaos_for(seed)));
+  TransferConfig transfer_config;
+  transfer_config.failure_probability = 0.3;
+  transfer_config.max_retries = 5;
+  transfer_config.retry_backoff_seconds = 10;
+  transfer_config.seed = seed ^ 0xda7aULL;
+  TransferManager transfers(queue, transfer_config);
+  add_site_elements(transfers, workload::generator_site_catalog(),
+                    /*transfer_slots=*/4);
+  const auto replicas = wms::testing::staging_heavy_replicas(kWidth, site);
+  StagingConfig staging_config;
+  staging_config.execution_site = site;
+  StagingService staging(queue, faulty, transfers, replicas, staging_config);
+
+  wms::DagmanEngine engine(options);
+  return engine.run(wms::testing::staging_heavy_dag(kWidth, site), staging);
+}
+
+/// Number of jobstate lines whose event is `event` ("TIMEOUT", ...).
+std::size_t count_event(const std::vector<std::string>& log, const std::string& event) {
+  std::size_t count = 0;
+  for (const auto& line : log) {
+    if (line.find(' ' + event) != std::string::npos) ++count;
+  }
+  return count;
+}
+
+class LeanReportSeed : public ::testing::TestWithParam<std::uint64_t> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, LeanReportSeed,
+                         ::testing::Values(3ULL, 17ULL, 42ULL, 101ULL));
+
+TEST_P(LeanReportSeed, LeanAndFullReportsAgreeUnderChaosAndStaging) {
+  const std::uint64_t seed = GetParam();
+  for (const std::string site : {"sandhills", "osg"}) {
+    const auto full = run_report_mode(seed, site, /*lean=*/false);
+    const auto lean = run_report_mode(seed, site, /*lean=*/true);
+    EXPECT_TRUE(lean.jobstate_log.empty()) << site;
+    EXPECT_TRUE(lean.runs.empty()) << site;
+    EXPECT_EQ(full.jobstate_digest, common::lines_digest(full.jobstate_log)) << site;
+    EXPECT_EQ(lean.jobstate_digest, full.jobstate_digest) << site;
+    EXPECT_EQ(lean.jobstate_lines, full.jobstate_log.size()) << site;
+    EXPECT_EQ(lean.success, full.success) << site;
+    EXPECT_EQ(lean.error, full.error) << site;
+    EXPECT_EQ(lean.workflow, full.workflow) << site;
+    EXPECT_EQ(lean.service, full.service) << site;
+    EXPECT_DOUBLE_EQ(lean.start_time, full.start_time) << site;
+    EXPECT_DOUBLE_EQ(lean.end_time, full.end_time) << site;
+    EXPECT_EQ(lean.jobs_total, full.jobs_total) << site;
+    EXPECT_EQ(lean.jobs_succeeded, full.jobs_succeeded) << site;
+    EXPECT_EQ(lean.jobs_failed, full.jobs_failed) << site;
+    EXPECT_EQ(lean.jobs_skipped, full.jobs_skipped) << site;
+    EXPECT_EQ(lean.total_attempts, full.total_attempts) << site;
+    EXPECT_EQ(lean.total_retries, full.total_retries) << site;
+    EXPECT_EQ(lean.timed_out_attempts, full.timed_out_attempts) << site;
+    EXPECT_DOUBLE_EQ(lean.total_backoff_seconds, full.total_backoff_seconds) << site;
+    EXPECT_EQ(lean.blacklisted_nodes, full.blacklisted_nodes) << site;
+    // The full roster agrees with the success tally both modes keep.
+    std::size_t succeeded = 0;
+    for (const auto& run : full.runs) succeeded += run.succeeded ? 1 : 0;
+    EXPECT_EQ(full.jobs_succeeded, succeeded) << site;
+    // The run exercised every hardening line, not just SUBMIT/SUCCESS.
+    EXPECT_GT(count_event(full.jobstate_log, "TIMEOUT"), 0u) << site;
+    EXPECT_GT(count_event(full.jobstate_log, "BACKOFF"), 0u) << site;
+    EXPECT_GT(count_event(full.jobstate_log, "BLACKLIST"), 0u) << site;
   }
 }
 

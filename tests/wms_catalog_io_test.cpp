@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "core/b2c3_workflow.hpp"
+#include "workload/generator.hpp"
 
 namespace pga::wms {
 namespace {
@@ -100,7 +101,7 @@ TEST(TransformationCatalogIo, ParseErrors) {
 }
 
 TEST(SiteCatalogIo, RoundTrip) {
-  const auto sites = core::paper_site_catalog();
+  const auto sites = workload::generator_site_catalog();
   const auto parsed = parse_site_xml(to_site_xml(sites));
   EXPECT_EQ(parsed.names(), sites.names());
   for (const auto& name : sites.names()) {
@@ -129,7 +130,7 @@ TEST(CatalogIo, FileRoundTripAndPlanFromFiles) {
   common::ScratchDir dir("catalog-io");
   write_rc_file(dir.file("rc.txt"), core::paper_replica_catalog());
   write_tc_file(dir.file("tc.txt"), core::paper_transformation_catalog());
-  write_site_file(dir.file("sites.xml"), core::paper_site_catalog());
+  write_site_file(dir.file("sites.xml"), workload::generator_site_catalog());
 
   const auto rc = read_rc_file(dir.file("rc.txt"));
   const auto tc = read_tc_file(dir.file("tc.txt"));

@@ -5,10 +5,6 @@
 // refactor; the scenarios are rebuilt here from the same shared builders
 // (tests/wms_test_dags.hpp), so any drift — event order, timestamps,
 // formatting — fails line-by-line with context.
-//
-// The same runs double as live-observer equivalence checks: statistics and
-// traces accumulated from the event stream must match what the post-hoc
-// RunReport paths compute.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -56,44 +52,10 @@ void expect_matches_golden(const RunReport& report, const std::string& name) {
         << name << " diverges at line " << i + 1;
   }
   EXPECT_EQ(report.jobstate_log.size(), expected.size()) << name;
+  // The report's streamed fingerprint is the digest of the stored log.
+  EXPECT_EQ(report.jobstate_digest, common::lines_digest(report.jobstate_log)) << name;
+  EXPECT_EQ(report.jobstate_lines, report.jobstate_log.size()) << name;
 }
-
-/// Every scenario also validates the event-stream observers against the
-/// post-hoc RunReport paths they replaced.
-void expect_observers_agree(const RunReport& report,
-                            const StatisticsAccumulator& accumulator,
-                            const TraceCollector& live_trace) {
-  const auto reference = WorkflowStatistics::from_run(report);
-  const auto& live = accumulator.stats();
-  EXPECT_EQ(live.success(), reference.success());
-  EXPECT_EQ(live.jobs(), reference.jobs());
-  EXPECT_EQ(live.attempts(), reference.attempts());
-  EXPECT_EQ(live.retries(), reference.retries());
-  EXPECT_EQ(live.failed_jobs(), reference.failed_jobs());
-  EXPECT_EQ(live.timed_out_attempts(), reference.timed_out_attempts());
-  EXPECT_EQ(live.blacklisted_nodes(), reference.blacklisted_nodes());
-  EXPECT_DOUBLE_EQ(live.wall_seconds(), reference.wall_seconds());
-  EXPECT_DOUBLE_EQ(live.cumulative_kickstart(), reference.cumulative_kickstart());
-  EXPECT_DOUBLE_EQ(live.cumulative_badput(), reference.cumulative_badput());
-  EXPECT_DOUBLE_EQ(live.cumulative_waiting(), reference.cumulative_waiting());
-  EXPECT_DOUBLE_EQ(live.cumulative_install(), reference.cumulative_install());
-  EXPECT_DOUBLE_EQ(live.total_backoff_seconds(), reference.total_backoff_seconds());
-  // The rendered summaries cover the per-transformation distributions.
-  EXPECT_EQ(live.render("x"), reference.render("x"));
-  EXPECT_EQ(live_trace.csv(), attempts_csv(report));
-  EXPECT_EQ(live_trace.attempt_count(), report.total_attempts);
-}
-
-/// Observer bundle every scenario threads through EngineOptions.observers.
-struct LiveObservers {
-  StatisticsAccumulator statistics;
-  TraceCollector trace;
-
-  void attach(EngineOptions& options) {
-    options.observers.push_back(&statistics);
-    options.observers.push_back(&trace);
-  }
-};
 
 TEST(GoldenLog, SandhillsN10MatchesPreRefactorEngine) {
   const core::WorkloadModel workload;
@@ -106,14 +68,10 @@ TEST(GoldenLog, SandhillsN10MatchesPreRefactorEngine) {
   config.seed = 11;
   sim::CampusClusterPlatform platform(queue, config);
   SimService service(queue, platform);
-  EngineOptions options;
-  LiveObservers live;
-  live.attach(options);
-  DagmanEngine engine(std::move(options));
+  DagmanEngine engine;
   const auto report = engine.run(concrete, service);
   ASSERT_TRUE(report.success);
   expect_matches_golden(report, "sandhills_n10.log");
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 TEST(GoldenLog, OsgN10MatchesPreRefactorEngine) {
@@ -128,19 +86,16 @@ TEST(GoldenLog, OsgN10MatchesPreRefactorEngine) {
   SimService service(queue, platform);
   EngineOptions options;
   options.retries = 100;
-  LiveObservers live;
-  live.attach(options);
   DagmanEngine engine(std::move(options));
   const auto report = engine.run(concrete, service);
   ASSERT_TRUE(report.success);
   expect_matches_golden(report, "osg_n10.log");
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 /// Paper-scale scenario: plans blast2cap3 at `n` for `site` and runs it on
 /// the platform the pre-PR fixtures were recorded with. Checks the
-/// jobstate log byte-for-byte, the rendered statistics against the .stats
-/// fixture, and the live observers against the post-hoc paths.
+/// jobstate log byte-for-byte and the rendered statistics against the
+/// .stats fixture.
 void run_paper_scale_scenario(const std::string& site, std::size_t n) {
   const core::WorkloadModel workload;
   const core::B2c3WorkflowSpec spec{.n = n};
@@ -175,8 +130,6 @@ void run_paper_scale_scenario(const std::string& site, std::size_t n) {
     options.retries = 100;
   }
   SimService service(queue, *platform);
-  LiveObservers live;
-  live.attach(options);
   DagmanEngine engine(std::move(options));
   const auto report = engine.run(concrete, service);
   ASSERT_TRUE(report.success);
@@ -186,7 +139,6 @@ void run_paper_scale_scenario(const std::string& site, std::size_t n) {
   EXPECT_EQ(WorkflowStatistics::from_run(report).render("golden"),
             common::read_file(golden_path(stem + ".stats")))
       << stem << ".stats";
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 TEST(GoldenLog, SandhillsN100MatchesPreReworkEngine) {
@@ -216,13 +168,12 @@ TEST(GoldenLog, ChaosSeed42MatchesPreRefactorEngine) {
   sim::CampusClusterPlatform platform(queue, config);
   SimService sim_service(queue, platform);
   FaultyService faulty(sim_service, FaultPlan().chaos(testing::chaos_for(42)));
-  auto options = testing::hardened_options();
-  LiveObservers live;
-  live.attach(options);
-  DagmanEngine engine(std::move(options));
+  DagmanEngine engine(testing::hardened_options());
   const auto report = engine.run(testing::random_dag(42), faulty);
   expect_matches_golden(report, "chaos_42.log");
-  expect_observers_agree(report, live.statistics, live.trace);
+  // The same run's per-attempt trace (retries and timeouts included),
+  // pinned by its FNV-1a digest.
+  EXPECT_EQ(common::fnv1a(attempts_csv(report)), 9519693816167169647ULL);
 }
 
 TEST(GoldenLog, ExplicitFifoAndNullPolicyAreIdentical) {
