@@ -311,6 +311,9 @@ E2eResult bench_e2e(std::size_t workers) {
 // ---------------------------------------------------------------------------
 // Smoke mode: deterministic, machine-independent guards for CI.
 
+/// DP work of the smoke's fixed overlap phase (check 4).
+constexpr std::uint64_t kOverlapCells = 8206383;
+constexpr std::uint64_t kOverlapTracebacks = 189;
 /// DP work of the smoke's fixed BLASTX search (check 8).
 constexpr std::uint64_t kBlastxCells = 171261363;
 constexpr std::uint64_t kBlastxScoreOnly = 72292;
@@ -375,23 +378,40 @@ int run_smoke(const std::string& out_path) {
     expect(equal, "covering band reproduces the full-matrix alignment");
   }
 
-  // 4. Parallel overlap phase is bit-identical to serial, and the pruning
-  // counters account for every candidate.
+  // 4. Parallel overlap phase is bit-identical to serial, the pruning
+  // counters account for every candidate, and the phase's DP work is
+  // pinned: the per-pair and the batched traceback kernels count the same
+  // cells, so these hold at every dispatch level.
   {
     const auto seqs = gene_fragments(3, 12, 5);
     assembly::OverlapStats stats;
+    align::reset_dp_counters();
     const auto serial = assembly::find_overlaps(seqs, {}, nullptr, &stats);
+    const auto c = align::dp_counters();
+    std::printf("  overlap dp: cells=%llu tracebacks=%llu score_only=%llu\n",
+                static_cast<unsigned long long>(c.cells),
+                static_cast<unsigned long long>(c.tracebacks),
+                static_cast<unsigned long long>(c.score_only));
     expect(stats.pruned + stats.tracebacks == stats.candidate_pairs,
            "pruned + tracebacks == candidate pairs");
     expect(stats.accepted == serial.size(), "accepted counter == overlaps kept");
+    expect(c.cells == kOverlapCells && c.tracebacks == kOverlapTracebacks &&
+               c.score_only == 0 && stats.tracebacks == kOverlapTracebacks,
+           "overlap DP cells / tracebacks == pinned counts");
     bool identical = true;
+    bool same_work = true;
     for (const std::size_t workers : {2u, 5u}) {
       common::ThreadPool pool(workers);
+      align::reset_dp_counters();
       const auto parallel = assembly::find_overlaps(seqs, {}, &pool);
+      const auto pc = align::dp_counters();
       identical = identical &&
                   serialize_overlaps(serial) == serialize_overlaps(parallel);
+      same_work = same_work && pc.cells == c.cells && pc.tracebacks == c.tracebacks &&
+                  pc.score_only == c.score_only;
     }
     expect(identical, "parallel overlaps bit-identical to serial (2 and 5 workers)");
+    expect(same_work, "parallel overlap DP counters == serial");
     // The score floor really is a lower bound for everything accepted.
     bool floor_holds = true;
     for (const auto& ov : serial) {

@@ -143,6 +143,67 @@ void BM_OverlapAlignDna400(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlapAlignDna400);
 
+/// Overlap-phase-shaped tracebacks: 16 unrelated pairs of ~400 nt
+/// fragments (each pair two windows of its own gene, with scattered
+/// substitutions) on their own diagonals, at band 48. Inputs shared by the
+/// per-pair and batch rows below.
+struct OverlapPairs {
+  std::vector<std::string> queries, subjects;
+  std::vector<long> diagonals;
+
+  OverlapPairs() {
+    common::Rng rng(4816);
+    for (int k = 0; k < 16; ++k) {
+      std::string gene;
+      for (int i = 0; i < 480; ++i) gene.push_back(bio::kBases[rng.below(4)]);
+      const auto shift = static_cast<long>(rng.below(60));
+      queries.push_back(gene.substr(static_cast<std::size_t>(shift), 380 + rng.below(40)));
+      std::string s = gene.substr(0, 380 + rng.below(40));
+      for (std::size_t i = k % 11; i < s.size(); i += 29) s[i] = s[i] == 'A' ? 'C' : 'A';
+      subjects.push_back(std::move(s));
+      diagonals.push_back(-shift);
+    }
+  }
+};
+
+/// The 16 pairs as 16 banded_align calls.
+void BM_OverlapPairs16Single(benchmark::State& state) {
+  const OverlapPairs in;
+  const auto profile = align::ScoringProfile::dna(1, -2);
+  std::vector<align::PreparedSeq> q(16), s(16);
+  for (std::size_t k = 0; k < 16; ++k) {
+    q[k].assign(in.queries[k], profile);
+    s[k].assign(in.subjects[k], profile);
+  }
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < 16; ++k) {
+      benchmark::DoNotOptimize(
+          align::banded_align(q[k], s[k], profile, in.diagonals[k], 48, {6, 1}));
+    }
+  }
+}
+BENCHMARK(BM_OverlapPairs16Single);
+
+/// The same 16 pairs as one banded_align_batch call.
+void BM_OverlapPairs16Batch(benchmark::State& state) {
+  const OverlapPairs in;
+  const auto profile = align::ScoringProfile::dna(1, -2);
+  std::vector<align::PreparedSeq> q(16), s(16);
+  std::vector<align::AlignmentPair> pairs;
+  for (std::size_t k = 0; k < 16; ++k) {
+    q[k].assign(in.queries[k], profile);
+    s[k].assign(in.subjects[k], profile);
+    pairs.push_back({&q[k], &s[k], in.diagonals[k]});
+  }
+  std::vector<align::LocalAlignment> results(pairs.size());
+  for (auto _ : state) {
+    align::banded_align_batch(pairs, profile, 48, {6, 1}, results);
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_OverlapPairs16Batch);
+
 /// Index construction, including the eager neighborhood table, over
 /// (database proteins, word size k, threshold T). Table size is occupied
 /// words times neighborhood size, so k = 5 runs at a T scaled up with k.

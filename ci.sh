@@ -54,7 +54,7 @@ build/bench/scale_dag --smoke --out build/BENCH_scale_smoke.json
 # or layout regression that reintroduces quadratic work fails), score-only
 # and traceback kernels agree, the AVX2 and scalar kernels are
 # byte-equivalent, the parallel overlap phase is bit-identical to
-# serial, and a fixed BLASTX search gives the same outfmt-6 bytes pooled
+# serial with pinned DP cell / traceback counts, and a fixed BLASTX search gives the same outfmt-6 bytes pooled
 # as serial with pinned DP cell / score-only / traceback counts (the
 # traceback gate runs at most one traceback per score-only winner). Runs twice — dispatch forced scalar, then auto (AVX2 where the
 # CPU has it) — so both code paths stay green on every CI run.
@@ -103,6 +103,13 @@ build/bench/micro_sim --benchmark_filter=Hold --benchmark_min_time=0.01
 echo "==> micro bench smoke (micro_align --benchmark_filter=Candidates16Batch)"
 cmake --build build -j "${jobs}" --target micro_align
 build/bench/micro_align --benchmark_filter=Candidates16Batch --benchmark_min_time=0.01
+
+# Overlap micro bench smoke: one short pass of the batched overlap-shaped
+# traceback row (BM_OverlapPairs16Batch: 16 unrelated ~400 nt DNA pairs in
+# one banded_align_batch call) so the pair-batch kernel's bench keeps
+# building and running. No timing assertion.
+echo "==> micro bench smoke (micro_align --benchmark_filter=OverlapPairs16Batch)"
+build/bench/micro_align --benchmark_filter=OverlapPairs16Batch --benchmark_min_time=0.01
 
 # Trigger perf smoke: the event-triggered pipeline + sharded replica
 # catalog. Machine-independent guards: the sharded catalog answers every

@@ -105,7 +105,7 @@ ScoringProfile ScoringProfile::dna(int match, int mismatch) {
   // Codes 0..9 cover ACGTN in both cases (char-exact identity, like the
   // old `a == b` comparison); 31 is the catch-all.
   constexpr std::string_view kKnown = "ACGTacgtNn";
-  constexpr std::uint8_t kOtherCode = 31;
+  constexpr std::uint8_t kOtherCode = kDnaOtherCode;
   p.encode_.fill(kOtherCode);
   for (std::size_t i = 0; i < kKnown.size(); ++i) {
     p.encode_[static_cast<unsigned char>(kKnown[i])] =
@@ -117,6 +117,9 @@ ScoringProfile ScoringProfile::dna(int match, int mismatch) {
           (a == b && a != kOtherCode) ? match : mismatch;
     }
   }
+  p.identity_ = true;
+  p.match_ = match;
+  p.mismatch_ = mismatch;
   p.finish_tables();
   return p;
 }

@@ -55,10 +55,13 @@ class ScoringProfile {
 
   /// DNA identity profile matching `a == b ? match : mismatch` over
   /// A/C/G/T/N in both cases. Characters outside that set share one
-  /// catch-all code and score `mismatch` even against themselves (the
-  /// overlap pipeline never feeds such characters; reverse_complement
-  /// rejects them earlier).
+  /// catch-all code (kDnaOtherCode) and score `mismatch` even against
+  /// themselves (the overlap pipeline never feeds such characters;
+  /// reverse_complement rejects them earlier).
   static ScoringProfile dna(int match, int mismatch);
+
+  /// The catch-all code of dna() profiles.
+  static constexpr std::uint8_t kDnaOtherCode = 31;
 
   /// Bytes of zero-padding PreparedSeq keeps after the encoded codes, so a
   /// vector kernel may overread up to one SIMD register past the end.
@@ -80,6 +83,12 @@ class ScoringProfile {
   [[nodiscard]] int max_score() const { return max_score_; }
   /// True when every entry lies in [-128, 127], so row8() is exact.
   [[nodiscard]] bool fits_int8() const { return fits_int8_; }
+  /// True for dna() profiles: two codes score match_score() when they are
+  /// equal and not kDnaOtherCode, else mismatch_score(), so a kernel may
+  /// score a cell by comparing codes instead of looking up a table row.
+  [[nodiscard]] bool identity_scores() const { return identity_; }
+  [[nodiscard]] int match_score() const { return match_; }
+  [[nodiscard]] int mismatch_score() const { return mismatch_; }
   [[nodiscard]] std::uint8_t encode_char(char c) const {
     return encode_[static_cast<unsigned char>(c)];
   }
@@ -96,6 +105,9 @@ class ScoringProfile {
   std::array<std::int8_t, kCodes * kCodes> table8_{};
   int max_score_ = 0;
   bool fits_int8_ = false;
+  bool identity_ = false;
+  int match_ = 0;
+  int mismatch_ = 0;
 };
 
 /// A sequence encoded once against a ScoringProfile and reused across many

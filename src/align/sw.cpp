@@ -66,6 +66,11 @@ DpWorkspace& workspace() {
   return ws;
 }
 
+/// Fewest lanes banded_align_batch runs through the pair-batch kernel. A
+/// batch costs the same with 1 lane as with 16, about what 8 per-pair
+/// tracebacks cost (400 x 400 DNA pairs at band 48 on AVX2).
+constexpr std::size_t kMinPairBatchLanes = 9;
+
 // ---------------------------------------------------------------------------
 // Scalar band-compressed Gotoh kernel — the mandatory fallback and the
 // reference implementation the golden fixtures pin. With Traceback, fills
@@ -221,6 +226,54 @@ KernelSummary run_kernel(const KernelParams& kp, const GapPenalties& gaps,
 }
 
 // ---------------------------------------------------------------------------
+// Traceback from the best substitution cell, shared by every kernel.
+// `tb_byte(i, j)` returns the cell's packed byte, or 0 outside the band —
+// M stops, X/Y extend — matching the defaults the full-matrix layout kept
+// in its unvisited cells. Matches are counted on the characters.
+template <typename TbByte>
+void walk_traceback(std::string_view q, std::string_view s, const KernelSummary& res,
+                    LocalAlignment* aln, TbByte tb_byte) {
+  aln->score = res.best;
+  aln->q_end = static_cast<std::size_t>(res.best_i);
+  aln->s_end = static_cast<std::size_t>(res.best_j);
+  long i = res.best_i, j = res.best_j;
+  char state = 'M';
+  while (i > 0 && j > 0) {
+    const unsigned char byte = tb_byte(i, j);
+    if (state == 'M') {
+      if (q[static_cast<std::size_t>(i - 1)] == s[static_cast<std::size_t>(j - 1)]) {
+        ++aln->matches;
+      } else {
+        ++aln->mismatches;
+      }
+      const unsigned char dir = byte & kMDirMask;
+      --i;
+      --j;
+      if (dir == 0) break;
+      if (dir == kDiagFromM) state = 'M';
+      else if (dir == kDiagFromX) state = 'X';
+      else state = 'Y';
+    } else if (state == 'X') {
+      ++aln->gap_residues;
+      --j;
+      if (byte & kXOpenBit) {
+        ++aln->gap_opens;
+        state = 'M';
+      }
+    } else {  // 'Y'
+      ++aln->gap_residues;
+      --i;
+      if (byte & kYOpenBit) {
+        ++aln->gap_opens;
+        state = 'M';
+      }
+    }
+  }
+  aln->q_begin = static_cast<std::size_t>(i);
+  aln->s_begin = static_cast<std::size_t>(j);
+}
+
+// ---------------------------------------------------------------------------
 // Shared entry: run the dispatched kernel, update this thread's counters,
 // then (for traceback runs) walk the packed band both kernels fill.
 
@@ -275,54 +328,14 @@ void run_banded(std::string_view q, const std::uint8_t* q_codes,
     score_out->s_end = static_cast<std::size_t>(res.best_j);
     return;
   }
-
-  // Traceback from the best substitution cell. Out-of-band reads return
-  // byte 0 — M stops, X/Y extend — matching the defaults the full-matrix
-  // layout kept in its unvisited cells.
-  aln->score = res.best;
-  aln->q_end = static_cast<std::size_t>(res.best_i);
-  aln->s_end = static_cast<std::size_t>(res.best_j);
-  long i = res.best_i, j = res.best_j;
-  char state = 'M';
-  while (i > 0 && j > 0) {
+  walk_traceback(q, s, res, aln, [&](long i, long j) -> unsigned char {
     const long lo = row_lo(i, diagonal, kp.band);
     const long hi = row_hi(i, diagonal, kp.band, m);
-    const unsigned char tb_byte =
-        (j >= lo && j <= hi)
-            ? ws.tb[static_cast<std::size_t>(i - 1) * static_cast<std::size_t>(width) +
-                    static_cast<std::size_t>(j - lo)]
-            : 0;
-    if (state == 'M') {
-      if (q[static_cast<std::size_t>(i - 1)] == s[static_cast<std::size_t>(j - 1)]) {
-        ++aln->matches;
-      } else {
-        ++aln->mismatches;
-      }
-      const unsigned char dir = tb_byte & kMDirMask;
-      --i;
-      --j;
-      if (dir == 0) break;
-      if (dir == kDiagFromM) state = 'M';
-      else if (dir == kDiagFromX) state = 'X';
-      else state = 'Y';
-    } else if (state == 'X') {
-      ++aln->gap_residues;
-      --j;
-      if (tb_byte & kXOpenBit) {
-        ++aln->gap_opens;
-        state = 'M';
-      }
-    } else {  // 'Y'
-      ++aln->gap_residues;
-      --i;
-      if (tb_byte & kYOpenBit) {
-        ++aln->gap_opens;
-        state = 'M';
-      }
-    }
-  }
-  aln->q_begin = static_cast<std::size_t>(i);
-  aln->s_begin = static_cast<std::size_t>(j);
+    return (j >= lo && j <= hi)
+               ? ws.tb[static_cast<std::size_t>(i - 1) * static_cast<std::size_t>(width) +
+                       static_cast<std::size_t>(j - lo)]
+               : 0;
+  });
 }
 
 /// Per-thread PreparedSeq scratch for the string_view entry points: the
@@ -500,6 +513,117 @@ void banded_score_only_batch(const PreparedSeq& query,
   CounterNode& counters = local_counters();
   counters.cells.fetch_add(cells, std::memory_order_relaxed);
   counters.score_only.fetch_add(calls, std::memory_order_relaxed);
+}
+
+std::size_t band_rows(std::size_t n, std::size_t m, long diagonal, std::size_t band) {
+  if (n == 0 || m == 0) return 0;
+  const long b = static_cast<long>(std::min(band, n + m));
+  const long rows = detail::band_row_end(static_cast<long>(n), static_cast<long>(m),
+                                         diagonal, b) -
+                    detail::band_row_begin(diagonal, b) + 1;
+  return rows > 0 ? static_cast<std::size_t>(rows) : 0;
+}
+
+void banded_align_batch(std::span<const AlignmentPair> pairs,
+                        const ScoringProfile& profile, std::size_t band,
+                        const GapPenalties& gaps,
+                        std::span<LocalAlignment> results) {
+  if (results.size() != pairs.size()) {
+    throw common::InvalidArgument(
+        "banded_align_batch: results and pairs differ in size");
+  }
+  // The kernel scores cells by code equality at 16 bits and relies on a
+  // mismatch lowering the score (steps past a lane's last row must not
+  // raise its best); its band offsets must fit int16 and the pair indices
+  // the 32-bit half of a sort key.
+  const bool batch =
+      profile.identity_scores() && profile.mismatch_score() < 0 &&
+      use_avx2_16bit(profile, gaps) &&
+      band <= static_cast<std::size_t>(std::numeric_limits<std::int16_t>::max() / 2) &&
+      pairs.size() <= std::numeric_limits<std::uint32_t>::max();
+  const std::size_t stride =
+      batch ? static_cast<std::size_t>(detail::pair_tb_stride(static_cast<long>(band))) : 1;
+  const std::size_t max_rows =
+      batch ? detail::kPairBatchTracebackBytes / (detail::kBatchLanes * stride) : 0;
+  const auto single = [&](std::size_t k) {
+    results[k] = banded_align(*pairs[k].query, *pairs[k].subject, profile,
+                              pairs[k].diagonal, band, gaps);
+  };
+
+  // Sort keys (rows << 32 | index): a batch runs as many steps as its
+  // tallest lane, so lanes of similar row count belong together.
+  DpWorkspace& ws = workspace();
+  std::vector<std::size_t>& order = ws.batch_order;
+  order.clear();
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const std::size_t n = pairs[k].query->size();
+    const std::size_t m = pairs[k].subject->size();
+    const std::size_t rows = batch ? band_rows(n, m, pairs[k].diagonal, band) : 0;
+    // Like the row kernel, the batch needs an unclamped band and band rows
+    // of at least 8 cells.
+    if (rows == 0 || rows > max_rows || band > n + m ||
+        detail::tb_width(static_cast<long>(m), static_cast<long>(band)) < 8) {
+      single(k);
+      continue;
+    }
+    order.push_back((static_cast<std::uint64_t>(rows) << 32) | k);
+  }
+  std::sort(order.begin(), order.end());
+  // Sized for the tallest lane, the last in row order.
+  std::vector<unsigned char> tb(
+      order.empty() ? 0 : (order.back() >> 32) * stride * detail::kBatchLanes);
+
+  detail::PairBatchParams pp;
+  pp.match = profile.match_score();
+  pp.mismatch = profile.mismatch_score();
+  pp.open_cost = gaps.open + gaps.extend;
+  pp.extend = gaps.extend;
+  pp.band = static_cast<long>(band);
+  detail::PairLane lanes[detail::kBatchLanes];
+  KernelSummary lane_out[detail::kBatchLanes];
+  std::uint64_t cells = 0;
+  std::uint64_t calls = 0;
+  for (std::size_t g = 0; g < order.size(); g += detail::kBatchLanes) {
+    const std::size_t count = std::min(detail::kBatchLanes, order.size() - g);
+    const auto index = [&](std::size_t l) {
+      return static_cast<std::size_t>(order[g + l] & 0xffffffffULL);
+    };
+    // A short tail batch costs as much as a full one; a few lanes run
+    // faster one by one.
+    if (count < kMinPairBatchLanes) {
+      for (std::size_t l = 0; l < count; ++l) single(index(l));
+      continue;
+    }
+    for (std::size_t l = 0; l < count; ++l) {
+      const AlignmentPair& p = pairs[index(l)];
+      lanes[l] = {p.query->codes(), static_cast<long>(p.query->size()),
+                  p.subject->codes(), static_cast<long>(p.subject->size()),
+                  p.diagonal};
+    }
+    detail::banded_pair_batch_avx2(pp, lanes, count, ws, tb.data(), lane_out);
+    for (std::size_t l = 0; l < count; ++l) {
+      const std::size_t k = index(l);
+      if (detail::needs_scalar_rerun(profile, lane_out[l].best)) {
+        single(k);
+        continue;
+      }
+      cells += detail::band_cells(lanes[l].n, lanes[l].m, lanes[l].diagonal, pp.band);
+      ++calls;
+      LocalAlignment aln;
+      if (lane_out[l].best > 0) {
+        walk_traceback(pairs[k].query->chars(), pairs[k].subject->chars(), lane_out[l],
+                       &aln, [&](long i, long j) {
+                         return detail::pair_batch_tb_byte(tb.data(), lanes[l], l,
+                                                           pp.band, i, j);
+                       });
+      }
+      results[k] = aln;
+    }
+  }
+
+  CounterNode& counters = local_counters();
+  counters.cells.fetch_add(cells, std::memory_order_relaxed);
+  counters.tracebacks.fetch_add(calls, std::memory_order_relaxed);
 }
 
 LocalAlignment banded_align(std::string_view query, std::string_view subject,

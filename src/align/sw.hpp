@@ -122,6 +122,36 @@ void banded_score_only_batch(const PreparedSeq& query,
                              const GapPenalties& gaps,
                              std::span<ScoreOnlyResult> results);
 
+/// One pair of a batched traceback run: pre-encoded query and subject
+/// (encoded under the batch's profile) and the diagonal the band is
+/// centred on.
+struct AlignmentPair {
+  const PreparedSeq* query = nullptr;
+  const PreparedSeq* subject = nullptr;
+  long diagonal = 0;
+};
+
+/// Banded alignments with traceback of many unrelated (query, subject,
+/// diagonal) pairs under one band, profile and gap model. results[k] and
+/// the DpCounters are exactly what banded_align(*pairs[k].query,
+/// *pairs[k].subject, profile, pairs[k].diagonal, band, gaps) gives, call
+/// by call. On AVX2, with an identity profile (ScoringProfile::dna), the
+/// pairs run 16 to a vector, each lane its own pair, lanes packed by
+/// band_rows(); the call's traceback buffer stays within 512 KiB. Pairs
+/// the batch kernel cannot take run one by one. Throws
+/// common::InvalidArgument when the two spans differ in size.
+void banded_align_batch(std::span<const AlignmentPair> pairs,
+                        const ScoringProfile& profile, std::size_t band,
+                        const GapPenalties& gaps,
+                        std::span<LocalAlignment> results);
+
+/// Rows of the n x m banded matrix around `diagonal` (band clamped to
+/// n + m) that hold an in-band cell: the steps banded_align_batch spends
+/// on the pair. A caller that splits its pairs over several batch calls
+/// wastes the fewest lane-steps by keeping pairs of close row counts in
+/// the same call.
+std::size_t band_rows(std::size_t n, std::size_t m, long diagonal, std::size_t band);
+
 /// DNA score-only pass with the overlap detector's identity scoring.
 ScoreOnlyResult banded_score_only_dna(std::string_view query,
                                       std::string_view subject, long diagonal,

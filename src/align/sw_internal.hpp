@@ -88,16 +88,30 @@ inline std::uint64_t band_cells(long n, long m, long diagonal, long band) {
   return cells;
 }
 
+/// Rows of an n x m band around `diagonal` that hold an in-band cell: one
+/// contiguous interval [band_row_begin, band_row_end] (empty when begin >
+/// end), since the band needs i - diagonal + band >= 1 and
+/// i - diagonal - band <= m.
+inline long band_row_begin(long diagonal, long band) {
+  return std::max(1L, diagonal - band + 1);
+}
+inline long band_row_end(long n, long m, long diagonal, long band) {
+  return std::min(n, m + diagonal + band);
+}
+
 /// Reused per-thread DP storage. `band_rows` are the scalar kernel's six
 /// rolling band-compressed rows; `col_rows` are the 16-bit row kernel's
 /// six rolling absolute-column rows (index = subject column, 16 lanes of
 /// slack for full-vector overreads/overstores past the band edge); `tb`
 /// is the packed traceback band both kernels fill in the identical
 /// [row * width + (col - row_lo)] layout. `batch_rows` and `batch_codes`
-/// are the batch kernel's band-relative M/X/Y rows and its
+/// are the batch kernels' band-relative M/X/Y rows and their
 /// [position][lane] subject codes; `batch_order` is the order a batched
-/// call takes its candidates in. Capacity persists across calls, so the
-/// steady-state kernels allocate nothing.
+/// call takes its candidates in. The pair-batch kernel adds its
+/// [step][lane] query and [position][lane] subject code words
+/// (`batch_query`, `batch_subject`); its traceback buffer belongs to the
+/// banded_align_batch call, not to the thread. Capacity persists across
+/// calls, so the steady-state kernels allocate nothing else.
 struct DpWorkspace {
   std::vector<int> band_rows[6];
   std::vector<std::int16_t> col_rows[6];
@@ -105,6 +119,8 @@ struct DpWorkspace {
   std::vector<std::int16_t> batch_rows;
   std::vector<std::uint8_t> batch_codes;
   std::vector<std::size_t> batch_order;
+  std::vector<std::int16_t> batch_query;
+  std::vector<std::int16_t> batch_subject;
 };
 
 /// One banded-Gotoh invocation, fully described. `band` is pre-clamped to
@@ -154,6 +170,71 @@ struct BatchLane {
 /// left 0 (the caller counts them with band_cells).
 void banded_batch_avx2(const KernelParams& kp, const BatchLane* lanes,
                        std::size_t count, DpWorkspace& ws, KernelSummary* out);
+
+/// Bytes per lane and step of the pair-batch traceback buffer, laid out
+/// [step][t / 2][lane]: a byte holds the 4-bit traceback states of
+/// offsets 2u (low nibble) and 2u + 1.
+inline long pair_tb_stride(long band) { return band + 1; }
+
+/// Upper bound on the pair-batch kernel's traceback buffer: a lane is
+/// batched only when its steps * kBatchLanes * pair_tb_stride(band)
+/// bytes fit. It also keeps every (step, offset) cell key below 2^16.
+/// The buffer lives for one banded_align_batch call: kept per thread, it
+/// would outlive the call in every pool and slot thread.
+constexpr std::size_t kPairBatchTracebackBytes = std::size_t{1} << 19;
+
+/// One lane of the pair-batch kernel: its own query, subject and diagonal.
+struct PairLane {
+  const std::uint8_t* q_codes = nullptr;
+  long n = 0;
+  const std::uint8_t* s_codes = nullptr;
+  long m = 0;
+  long diagonal = 0;
+};
+
+/// The shared settings of one pair-batch call: an identity profile's
+/// scores (ScoringProfile::identity_scores(), with mismatch < 0), the gap
+/// model and the band.
+struct PairBatchParams {
+  int match = 0;
+  int mismatch = 0;
+  int open_cost = 0;  ///< gaps.open + gaps.extend
+  int extend = 0;
+  long band = 0;
+};
+
+/// AVX2 16-bit traceback kernel over up to kBatchLanes unrelated pairs.
+/// Lane l runs rows band_row_begin .. band_row_end of its own pair, one
+/// row per step, so lanes with similar row counts belong together. Every
+/// lane needs n, m >= 1, band <= n + m, tb_width(m, band) >= 8,
+/// 2 * band + 1 <= INT16_MAX and its steps times kBatchLanes *
+/// pair_tb_stride(band) within kPairBatchTracebackBytes; match, mismatch
+/// and the gaps must pass fits_16bit() as a dna() profile would, with
+/// mismatch < 0. Writes best, best_i,
+/// best_j per lane into out[0, count) (cells left 0) and fills `tb`
+/// (steps * kBatchLanes * pair_tb_stride(band) bytes) so that
+/// pair_batch_tb_byte() reads the scalar kernel's traceback byte of any
+/// cell; all exact unless needs_scalar_rerun() holds for the best.
+void banded_pair_batch_avx2(const PairBatchParams& pp, const PairLane* lanes,
+                            std::size_t count, DpWorkspace& ws, unsigned char* tb,
+                            KernelSummary* out);
+
+/// Traceback byte of cell (i, j) of lane `lane` after
+/// banded_pair_batch_avx2: 0 outside the lane's band, as the scalar
+/// kernel's walk reads there.
+inline unsigned char pair_batch_tb_byte(const unsigned char* tb, const PairLane& lane,
+                                        std::size_t lane_index, long band, long i,
+                                        long j) {
+  const long step = i - band_row_begin(lane.diagonal, band);
+  const long t = j - (i - lane.diagonal - band);
+  if (step < 0 || t < 0 || t > 2 * band) return 0;
+  const unsigned char pair =
+      tb[(static_cast<std::size_t>(step) * static_cast<std::size_t>(pair_tb_stride(band)) +
+          static_cast<std::size_t>(t / 2)) *
+             kBatchLanes +
+         lane_index];
+  return (t & 1) != 0 ? pair >> 4 : pair & 0xf;
+}
 
 /// True when banded_kernel_avx2 is compiled into this binary (the runtime
 /// CPU check lives in cpu_supports_avx2()).

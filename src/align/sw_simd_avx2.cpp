@@ -1,6 +1,6 @@
-// AVX2 16-bit banded Gotoh kernels: a row kernel for one pair, and a
+// AVX2 16-bit banded Gotoh kernels: a row kernel for one pair, a
 // score-only batch kernel for up to 16 (subject, diagonal) candidates of
-// one query.
+// one query, and a traceback batch kernel for up to 16 unrelated pairs.
 //
 // Both run the scalar kernel's recurrence in sw.cpp on 16 int16 lanes per
 // vector — never a different cell value:
@@ -56,6 +56,22 @@
 // X = Y = -inf, the values the scalar kernel reads outside the band.
 // The best cell per lane is tracked with a strict greater-than as (i, t)
 // in ascending row and column order, the scalar kernel's row-major scan.
+//
+// Pair-batch kernel. The same band-relative layout, but every lane is its
+// own (query, subject, diagonal) pair and steps through its own band
+// rows: step s is row band_row_begin + s of the lane's pair. Only
+// identity profiles qualify, so a cell scores by comparing int16 code
+// words (query words by step, subject words by position s + t) instead
+// of looking up a table row. Cells outside a lane's matrix need no mask,
+// because the mismatch is negative: left of the matrix every cell reads
+// only cells left of it or the initial row, so M stays 0 and X, Y stay
+// at or below -(open + extend), the values the scalar kernel reads out
+// of band. Right of the matrix, and in the steps past a lane's last row
+// (whose query word never matches), every M is a mismatch below some
+// earlier cell, so below the lane's best, and no cell in the matrix
+// reads them. The best cell is the largest unsigned key step * width + t
+// among strict improvements. Traceback states are 4 bits; two offsets
+// share a byte of the caller's [step][t / 2][lane] buffer.
 #include "align/sw_internal.hpp"
 
 #if PGA_HAVE_AVX2_KERNEL
@@ -124,10 +140,8 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
   const long width = tb_width(m, band);
   KernelSummary res;
 
-  // Rows with any in-band cell form one contiguous i-interval: the band
-  // needs i - diagonal + band >= 1 and i - diagonal - band <= m.
-  const long i_begin = std::max(1L, diagonal - band + 1);
-  const long i_end = std::min(n, m + diagonal + band);
+  const long i_begin = band_row_begin(diagonal, band);
+  const long i_end = band_row_end(n, m, diagonal, band);
   if (i_begin > i_end) return res;
 
   const std::size_t cols = static_cast<std::size_t>(m) + 1 + 16;
@@ -308,9 +322,17 @@ __attribute__((target("avx2"))) KernelSummary avx2_kernel(const KernelParams& kp
       const int row_max = hmax_epi16(rowmax);
       res.best = row_max;
       res.best_i = i;
-      for (long j = lo; j <= hi; ++j) {
-        if (cm[j] == row_max) {
-          res.best_j = j;
+      // First column holding the maximum, 16 columns per compare. Only
+      // lanes past hi hold dead values, and the maximum sits at or before
+      // hi, so the first hit is always in band.
+      const __m256i target = _mm256_set1_epi16(static_cast<std::int16_t>(row_max));
+      for (long j0 = lo;; j0 += 16) {
+        const unsigned hits = static_cast<unsigned>(_mm256_movemask_epi8(
+            _mm256_cmpeq_epi16(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cm + j0)),
+                target)));
+        if (hits != 0) {
+          res.best_j = j0 + __builtin_ctz(hits) / 2;
           break;
         }
       }
@@ -337,13 +359,12 @@ __attribute__((target("avx2"))) void batch_kernel(const KernelParams& kp,
   const long width = 2 * band + 1;  // offsets t = 0 .. 2*band
   for (std::size_t l = 0; l < count; ++l) out[l] = KernelSummary{};
 
-  // Rows where some lane has a cell: lane l needs
-  // i - diagonal + band >= 1 and i - diagonal - band <= m.
+  // Rows where some lane has a cell.
   long i_begin = n + 1;
   long i_end = 0;
   for (std::size_t l = 0; l < count; ++l) {
-    i_begin = std::min(i_begin, std::max(1L, lanes[l].diagonal - band + 1));
-    i_end = std::max(i_end, std::min(n, lanes[l].m + lanes[l].diagonal + band));
+    i_begin = std::min(i_begin, band_row_begin(lanes[l].diagonal, band));
+    i_end = std::max(i_end, band_row_end(n, lanes[l].m, lanes[l].diagonal, band));
   }
   if (i_begin > i_end) return;
 
@@ -456,6 +477,200 @@ __attribute__((target("avx2"))) void batch_kernel(const KernelParams& kp,
   }
 }
 
+/// Pair-batch code words: a query code by step, a subject code by
+/// position. Outside its lane's matrix a subject word is kOutside; the
+/// catch-all query code, the steps past a lane's last row and unused lanes
+/// take kNeverMatches. Neither equals any word of the other side.
+constexpr std::int16_t kOutside = -1;
+constexpr std::int16_t kNeverMatches = 0x40;
+
+/// The pair-batch kernel's loop-invariant vectors.
+struct PairConstants {
+  __m256i zero, one, dir2, dir3, mismatch, gain, open, ext, xbit, ybit;
+};
+
+__attribute__((target("avx2"))) PairConstants pair_constants(const PairBatchParams& pp) {
+  PairConstants k;
+  k.zero = _mm256_setzero_si256();
+  k.one = _mm256_set1_epi16(1);
+  k.dir2 = _mm256_set1_epi16(2);
+  k.dir3 = _mm256_set1_epi16(3);
+  k.mismatch = _mm256_set1_epi16(static_cast<std::int16_t>(pp.mismatch));
+  k.gain = _mm256_set1_epi16(static_cast<std::int16_t>(pp.match - pp.mismatch));
+  k.open = _mm256_set1_epi16(static_cast<std::int16_t>(pp.open_cost));
+  k.ext = _mm256_set1_epi16(static_cast<std::int16_t>(pp.extend));
+  k.xbit = _mm256_set1_epi16(kXOpenBit);
+  k.ybit = _mm256_set1_epi16(kYOpenBit);
+  return k;
+}
+
+/// What the pair-batch kernel carries from cell to cell: the left
+/// neighbour's M and X, the previous row's M and Y at this offset, and
+/// the best-cell tracking.
+struct PairState {
+  __m256i m_left, x_left, m_up, y_up, best, best_key, key;
+};
+
+PGA_AVX2_INLINE __m256i* pair_row(std::int16_t* row, long t) {
+  return reinterpret_cast<__m256i*>(row + static_cast<std::size_t>(t) * kBatchLanes);
+}
+
+/// 16 int16 values below 256 to 16 bytes at `out`.
+PGA_AVX2_INLINE void store_tb_bytes(unsigned char* out, __m256i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_packus_epi16(_mm256_castsi256_si128(v),
+                                    _mm256_extracti128_si256(v, 1)));
+}
+
+/// One cell (offset t of the current step) for all 16 lanes: updates the
+/// band rows in place and the state, and returns the scalar kernel's
+/// traceback byte of each lane's cell.
+PGA_AVX2_INLINE __m256i pair_cell(PairState& st, const PairConstants& k, __m256i q16,
+                                  const std::int16_t* step_subject, std::int16_t* rm,
+                                  std::int16_t* rx, std::int16_t* ry, long t) {
+  const __m256i s16 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      step_subject + static_cast<std::size_t>(t) * kBatchLanes));
+  const __m256i sub = _mm256_add_epi16(
+      k.mismatch, _mm256_and_si256(_mm256_cmpeq_epi16(s16, q16), k.gain));
+  const __m256i x_up = _mm256_loadu_si256(pair_row(rx, t));
+  const __m256i m_up_next = _mm256_loadu_si256(pair_row(rm, t + 1));
+  const __m256i y_up_next = _mm256_loadu_si256(pair_row(ry, t + 1));
+
+  // dir = first strict improver over the running max, in the scalar
+  // kernel's 0, M, X, Y comparison order: the largest of 1, 2, 3 whose
+  // comparison holds.
+  __m256i from = _mm256_max_epi16(st.m_up, k.zero);
+  __m256i dir = _mm256_and_si256(_mm256_cmpgt_epi16(st.m_up, k.zero), k.one);
+  dir = _mm256_max_epi16(dir, _mm256_and_si256(_mm256_cmpgt_epi16(x_up, from), k.dir2));
+  from = _mm256_max_epi16(from, x_up);
+  dir = _mm256_max_epi16(dir, _mm256_and_si256(_mm256_cmpgt_epi16(st.y_up, from), k.dir3));
+  from = _mm256_max_epi16(from, st.y_up);
+  const __m256i m_raw = _mm256_adds_epi16(from, sub);
+  const __m256i m_val = _mm256_max_epi16(m_raw, k.zero);
+
+  const __m256i y_open = _mm256_subs_epi16(m_up_next, k.open);
+  const __m256i y_ext = _mm256_subs_epi16(y_up_next, k.ext);
+  const __m256i x_open = _mm256_subs_epi16(st.m_left, k.open);
+  const __m256i x_ext = _mm256_subs_epi16(st.x_left, k.ext);
+  const __m256i x_val = _mm256_max_epi16(x_open, x_ext);
+  _mm256_storeu_si256(pair_row(rm, t), m_val);
+  _mm256_storeu_si256(pair_row(rx, t), x_val);
+  _mm256_storeu_si256(pair_row(ry, t), _mm256_max_epi16(y_open, y_ext));
+
+  st.best_key = _mm256_max_epu16(
+      st.best_key, _mm256_and_si256(_mm256_cmpgt_epi16(m_val, st.best), st.key));
+  st.best = _mm256_max_epi16(st.best, m_val);
+  st.key = _mm256_add_epi16(st.key, k.one);
+  st.m_left = m_val;
+  st.x_left = x_val;
+  st.m_up = m_up_next;
+  st.y_up = y_up_next;
+
+  // dir where M stays positive, and the gap bits where opening ties or
+  // beats extending.
+  __m256i tb16 = _mm256_and_si256(dir, _mm256_cmpgt_epi16(m_raw, k.zero));
+  tb16 = _mm256_or_si256(tb16, _mm256_andnot_si256(_mm256_cmpgt_epi16(y_ext, y_open), k.ybit));
+  return _mm256_or_si256(tb16,
+                         _mm256_andnot_si256(_mm256_cmpgt_epi16(x_ext, x_open), k.xbit));
+}
+
+__attribute__((target("avx2"))) void pair_batch_kernel(const PairBatchParams& pp,
+                                                       const PairLane* lanes,
+                                                       std::size_t count,
+                                                       DpWorkspace& ws,
+                                                       unsigned char* tb,
+                                                       KernelSummary* out) {
+  const long band = pp.band;
+  const long width = 2 * band + 1;  // offsets t = 0 .. 2*band
+  long begin[kBatchLanes] = {};
+  long rows[kBatchLanes] = {};
+  long steps = 0;
+  for (std::size_t l = 0; l < count; ++l) {
+    out[l] = KernelSummary{};
+    begin[l] = band_row_begin(lanes[l].diagonal, band);
+    rows[l] = band_row_end(lanes[l].n, lanes[l].m, lanes[l].diagonal, band) -
+              begin[l] + 1;
+    steps = std::max(steps, rows[l]);
+  }
+  if (steps <= 0) return;
+
+  // Query words by step: lane l's step s is row begin[l] + s.
+  ws.batch_query.assign(static_cast<std::size_t>(steps) * kBatchLanes, kNeverMatches);
+  std::int16_t* query = ws.batch_query.data();
+  for (std::size_t l = 0; l < count; ++l) {
+    const std::uint8_t* q = lanes[l].q_codes + (begin[l] - 1);
+    for (long r = 0; r < rows[l]; ++r) {
+      query[static_cast<std::size_t>(r) * kBatchLanes + l] =
+          q[r] == ScoringProfile::kDnaOtherCode ? kNeverMatches : q[r];
+    }
+  }
+
+  // Subject words by position p = s + t: lane l's column there is
+  // j = begin[l] - diagonal - band + p, inside the matrix for 1 <= j <= m.
+  const long positions = steps + width - 1;
+  ws.batch_subject.assign(static_cast<std::size_t>(positions) * kBatchLanes, kOutside);
+  std::int16_t* subject = ws.batch_subject.data();
+  for (std::size_t l = 0; l < count; ++l) {
+    const long col0 = begin[l] - lanes[l].diagonal - band;
+    const long p_lo = std::max(0L, 1 - col0);
+    const long p_hi = std::min(positions - 1, lanes[l].m - col0);
+    const std::uint8_t* sc = lanes[l].s_codes;
+    for (long p = p_lo; p <= p_hi; ++p) {
+      subject[static_cast<std::size_t>(p) * kBatchLanes + l] = sc[col0 + p - 1];
+    }
+  }
+
+  // One band row of M, X and Y per lane, updated in place; slot `width`
+  // of M and Y is the out-of-band column right of the band.
+  const std::size_t slots = static_cast<std::size_t>(width) + 1;
+  ws.batch_rows.resize(3 * slots * kBatchLanes);
+  std::int16_t* rm = ws.batch_rows.data();
+  std::int16_t* rx = rm + slots * kBatchLanes;
+  std::int16_t* ry = rx + slots * kBatchLanes;
+  std::fill(rm, rm + slots * kBatchLanes, std::int16_t{0});
+  std::fill(rx, ry + slots * kBatchLanes, kNegInf16);
+
+  const PairConstants k = pair_constants(pp);
+  PairState st;
+  st.best = _mm256_setzero_si256();
+  // Cell (s, t) has key s * width + t, increasing in the scalar kernel's
+  // row-major scan order; the caller keeps steps * width within 2^16, so
+  // the key of the last strict improvement is the largest, unsigned.
+  st.best_key = _mm256_setzero_si256();
+  st.key = _mm256_setzero_si256();
+  for (long s = 0; s < steps; ++s) {
+    const __m256i q16 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+        query + static_cast<std::size_t>(s) * kBatchLanes));
+    const std::int16_t* step_subject = subject + static_cast<std::size_t>(s) * kBatchLanes;
+    st.m_left = _mm256_setzero_si256();  // left of the band: M = 0, X = -inf
+    st.x_left = _mm256_set1_epi16(kNegInf16);
+    st.m_up = _mm256_loadu_si256(pair_row(rm, 0));  // previous row, offset t
+    st.y_up = _mm256_loadu_si256(pair_row(ry, 0));
+    // Two offsets per traceback byte: t even in the low nibble.
+    long t = 0;
+    for (; t + 1 < width; t += 2) {
+      const __m256i lo = pair_cell(st, k, q16, step_subject, rm, rx, ry, t);
+      const __m256i hi = pair_cell(st, k, q16, step_subject, rm, rx, ry, t + 1);
+      store_tb_bytes(tb, _mm256_or_si256(lo, _mm256_slli_epi16(hi, 4)));
+      tb += kBatchLanes;
+    }
+    if (t < width) {
+      store_tb_bytes(tb, pair_cell(st, k, q16, step_subject, rm, rx, ry, t));
+      tb += kBatchLanes;
+    }
+  }
+  alignas(32) std::uint16_t best_lanes[kBatchLanes];
+  alignas(32) std::uint16_t key_lanes[kBatchLanes];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(best_lanes), st.best);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(key_lanes), st.best_key);
+  for (std::size_t l = 0; l < count; ++l) {
+    if (best_lanes[l] == 0) continue;
+    out[l].best = best_lanes[l];
+    out[l].best_i = begin[l] + key_lanes[l] / width;
+    out[l].best_j = out[l].best_i - lanes[l].diagonal - band + key_lanes[l] % width;
+  }
+}
+
 #undef PGA_AVX2_INLINE
 
 }  // namespace
@@ -470,6 +685,12 @@ KernelSummary banded_kernel_avx2(const KernelParams& kp, DpWorkspace& ws,
 void banded_batch_avx2(const KernelParams& kp, const BatchLane* lanes,
                        std::size_t count, DpWorkspace& ws, KernelSummary* out) {
   batch_kernel(kp, lanes, count, ws, out);
+}
+
+void banded_pair_batch_avx2(const PairBatchParams& pp, const PairLane* lanes,
+                            std::size_t count, DpWorkspace& ws, unsigned char* tb,
+                            KernelSummary* out) {
+  pair_batch_kernel(pp, lanes, count, ws, tb, out);
 }
 
 }  // namespace pga::align::detail
@@ -487,6 +708,9 @@ KernelSummary banded_kernel_avx2(const KernelParams&, DpWorkspace&, bool) {
 
 void banded_batch_avx2(const KernelParams&, const BatchLane*, std::size_t,
                        DpWorkspace&, KernelSummary*) {}
+
+void banded_pair_batch_avx2(const PairBatchParams&, const PairLane*, std::size_t,
+                            DpWorkspace&, unsigned char*, KernelSummary*) {}
 
 }  // namespace pga::align::detail
 

@@ -1,5 +1,6 @@
 #include "align/tabular.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -47,6 +48,17 @@ TabularHit parse_tabular_line(const std::string& line) {
   hit.bitscore = common::parse_double(fields[11]);
   if (hit.qseqid.empty() || hit.sseqid.empty()) {
     throw ParseError("tabular line has empty sequence id: " + line);
+  }
+  // A NaN would make best-hit comparisons depend on input order; an
+  // infinity or an out-of-range value is no BLAST output either.
+  if (!std::isfinite(hit.pident) || hit.pident < 0.0 || hit.pident > 100.0) {
+    throw ParseError("tabular pident must be finite and in [0, 100]: " + line);
+  }
+  if (!std::isfinite(hit.evalue) || hit.evalue < 0.0) {
+    throw ParseError("tabular evalue must be finite and >= 0: " + line);
+  }
+  if (!std::isfinite(hit.bitscore)) {
+    throw ParseError("tabular bitscore must be finite: " + line);
   }
   return hit;
 }

@@ -1,5 +1,7 @@
 #include "data/storage_element.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 
 namespace pga::data {
@@ -9,8 +11,11 @@ StorageElement::StorageElement(StorageElementConfig config)
   if (config_.site.empty()) {
     throw common::InvalidArgument("StorageElement: empty site name");
   }
-  if (config_.bandwidth_in_bps <= 0 || config_.bandwidth_out_bps <= 0) {
-    throw common::InvalidArgument("StorageElement: bandwidth must be > 0");
+  // Written so that NaN fails too; an infinite bandwidth would price every
+  // transfer at zero seconds.
+  const auto usable = [](double bps) { return bps > 0 && std::isfinite(bps); };
+  if (!usable(config_.bandwidth_in_bps) || !usable(config_.bandwidth_out_bps)) {
+    throw common::InvalidArgument("StorageElement: bandwidth must be finite and > 0");
   }
   if (config_.transfer_slots == 0) {
     throw common::InvalidArgument("StorageElement: transfer_slots must be >= 1");

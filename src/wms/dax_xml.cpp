@@ -1,5 +1,6 @@
 #include "wms/dax_xml.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -58,6 +59,10 @@ AbstractWorkflow from_dax_xml(const std::string& xml_text) {
     job.transformation = child.attr("name");
     if (child.has_attr("runtime")) {
       job.cpu_seconds_hint = common::parse_double(child.attr("runtime"));
+      if (!std::isfinite(job.cpu_seconds_hint) || job.cpu_seconds_hint < 0) {
+        throw ParseError("DAX job runtime must be finite and >= 0: " +
+                         child.attr("runtime"));
+      }
     }
     for (const auto& sub : child.children) {
       if (sub.name == "argument") {

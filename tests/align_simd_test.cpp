@@ -6,8 +6,8 @@
 // dispatch level in turn over adversarial shapes — empty/tiny inputs,
 // band-edge widths, vector-boundary lengths, lowercase/ambiguous DNA,
 // near-sentinel gap penalties, scores past INT16_MAX, profiles outside
-// int8 — and require exact equality, for the single-pair entry points and
-// for banded_score_only_batch.
+// int8 — and require exact equality, for the single-pair entry points,
+// for banded_score_only_batch and for banded_align_batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -411,6 +411,189 @@ TEST(BatchScoreOnly, MismatchedResultSpanThrows) {
   std::vector<ScoreOnlyResult> results(1);
   EXPECT_THROW(banded_score_only_batch(q, candidates, profile, 12, GapPenalties{},
                                        results),
+               common::InvalidArgument);
+}
+
+// --- Batched tracebacks of unrelated pairs --------------------------------
+
+struct TextPair {
+  std::string query, subject;
+};
+
+/// Two overlapping windows of one random gene, the subject with
+/// substitutions and a short deletion. `alphabet` adds N, lowercase and
+/// characters outside the DNA profile (the catch-all code, which must
+/// never match, not even itself).
+TextPair related_dna_pair(std::size_t q_len, std::size_t s_len, common::Rng& rng,
+                          bool alphabet) {
+  static constexpr std::string_view kOdd = "NnacgtX*-";
+  std::string gene;
+  for (std::size_t i = 0; i < q_len + s_len + 64; ++i) {
+    gene.push_back(alphabet && rng.below(12) == 0 ? kOdd[rng.below(kOdd.size())]
+                                                  : "ACGT"[rng.below(4)]);
+  }
+  TextPair p{gene.substr(rng.below(32), q_len), gene.substr(rng.below(32), s_len)};
+  for (std::size_t i = rng.below(19); i < p.subject.size(); i += 13 + rng.below(9)) {
+    p.subject[i] = "ACGTX"[rng.below(5)];
+  }
+  if (p.subject.size() > 20) p.subject.erase(rng.below(p.subject.size() - 8), rng.below(4));
+  return p;
+}
+
+/// banded_align_batch must equal per-pair banded_align on every pair, in
+/// every LocalAlignment field, and move the DpCounters exactly as the
+/// per-pair calls do, at both dispatch levels.
+void expect_pair_batch_matches(const std::vector<TextPair>& texts,
+                               const std::vector<long>& diagonals,
+                               const ScoringProfile& profile, std::size_t band,
+                               const GapPenalties& gaps) {
+  std::vector<PreparedSeq> queries(texts.size()), subjects(texts.size());
+  std::vector<AlignmentPair> pairs;
+  for (std::size_t k = 0; k < texts.size(); ++k) {
+    queries[k].assign(texts[k].query, profile);
+    subjects[k].assign(texts[k].subject, profile);
+    pairs.push_back({&queries[k], &subjects[k], diagonals[k]});
+  }
+
+  set_simd_level(SimdLevel::kScalar);
+  reset_dp_counters();
+  std::vector<LocalAlignment> reference;
+  for (const AlignmentPair& p : pairs) {
+    reference.push_back(banded_align(*p.query, *p.subject, profile, p.diagonal, band, gaps));
+  }
+  const DpCounters ref_counters = dp_counters();
+
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    set_simd_level(level);
+    reset_dp_counters();
+    std::vector<LocalAlignment> batch(pairs.size());
+    banded_align_batch(pairs, profile, band, gaps, batch);
+    const DpCounters counters = dp_counters();
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      SCOPED_TRACE("pair " + std::to_string(k) + " of " + std::to_string(pairs.size()));
+      expect_same_alignment(batch[k], reference[k]);
+    }
+    EXPECT_EQ(counters.cells, ref_counters.cells);
+    EXPECT_EQ(counters.tracebacks, ref_counters.tracebacks);
+    EXPECT_EQ(counters.score_only, 0u);
+  }
+  reset_simd_level();
+}
+
+TEST(PairBatch, MatchesPerPairAcrossLaneCountsLengthsAndDiagonals) {
+  common::Rng rng(2016);
+  const ScoringProfile profile = ScoringProfile::dna(1, -2);
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 1; c <= 16; ++c) counts.push_back(c);
+  counts.push_back(17);
+  counts.push_back(53);
+  for (const std::size_t count : counts) {
+    for (const std::size_t band : {3u, 17u, 48u}) {
+      std::vector<TextPair> texts;
+      std::vector<long> diagonals;
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t q_len = 8 + rng.below(k % 4 == 0 ? 40 : 420);
+        const std::size_t s_len = 8 + rng.below(k % 3 == 0 ? 60 : 420);
+        texts.push_back(related_dna_pair(q_len, s_len, rng, /*alphabet=*/k % 2 == 1));
+        // Mostly near the main diagonal; every fifth far enough off it that
+        // the band only grazes a corner of the matrix.
+        const long reach = static_cast<long>(band) + 12;
+        diagonals.push_back(
+            k % 5 == 4
+                ? (rng.below(2) == 0 ? static_cast<long>(q_len) + reach / 2
+                                     : -static_cast<long>(s_len) - reach / 2)
+                : static_cast<long>(rng.below(121)) - 60);
+      }
+      SCOPED_TRACE("count " + std::to_string(count) + ", band " + std::to_string(band));
+      expect_pair_batch_matches(texts, diagonals, profile, band, GapPenalties{6, 1});
+    }
+  }
+}
+
+TEST(PairBatch, OtherScoresAndGapModels) {
+  common::Rng rng(7);
+  // Mismatches that do not lower the score ({1, 0}, {3, 2}) run per pair.
+  for (const auto& [match, mismatch] : {std::pair{1, -1}, std::pair{2, -3},
+                                        std::pair{5, -4}, std::pair{1, 0},
+                                        std::pair{3, 2}}) {
+    for (const GapPenalties gaps : {GapPenalties{0, 0}, GapPenalties{0, 2},
+                                    GapPenalties{5, 0}, GapPenalties{11, 1}}) {
+      std::vector<TextPair> texts;
+      std::vector<long> diagonals;
+      for (std::size_t k = 0; k < 24; ++k) {
+        texts.push_back(related_dna_pair(100 + rng.below(200), 100 + rng.below(200), rng,
+                                         /*alphabet=*/true));
+        diagonals.push_back(static_cast<long>(rng.below(61)) - 30);
+      }
+      expect_pair_batch_matches(texts, diagonals, ScoringProfile::dna(match, mismatch),
+                                24, gaps);
+    }
+  }
+}
+
+TEST(PairBatch, ClampedBandsNarrowRowsAndEmptyInputsRunPerPair) {
+  common::Rng rng(8);
+  const ScoringProfile profile = ScoringProfile::dna(1, -2);
+  std::vector<TextPair> texts;
+  std::vector<long> diagonals;
+  for (std::size_t k = 0; k < 40; ++k) {
+    switch (k % 4) {
+      case 0:  // band 48 > n + m: the band is clamped
+        texts.push_back(related_dna_pair(5 + rng.below(15), 5 + rng.below(15), rng, false));
+        break;
+      case 1:  // m < 8: a band row under 8 cells
+        texts.push_back(related_dna_pair(60 + rng.below(100), 1 + rng.below(7), rng, false));
+        break;
+      case 2:  // an empty side
+        texts.push_back(k % 8 == 2 ? TextPair{"", "ACGTACGTAC"} : TextPair{"ACGTACGTAC", ""});
+        break;
+      default:  // ordinary batch lanes beside them
+        texts.push_back(related_dna_pair(200 + rng.below(100), 200 + rng.below(100), rng,
+                                         false));
+    }
+    diagonals.push_back(static_cast<long>(rng.below(21)) - 10);
+  }
+  expect_pair_batch_matches(texts, diagonals, profile, 48, GapPenalties{6, 1});
+}
+
+TEST(PairBatch, ScoresNearInt16MaxRerunPerPair) {
+  // With match 127 an identical pair of length L scores 127 * L: L = 257
+  // stays below the rerun limit INT16_MAX - 127, L = 258 reaches it, and
+  // L = 300 saturates, where the per-pair path reruns on scalar.
+  common::Rng rng(32640);
+  const ScoringProfile profile = ScoringProfile::dna(127, -1);
+  std::vector<TextPair> texts;
+  std::vector<long> diagonals;
+  for (const std::size_t len : {257u, 258u, 300u, 120u, 257u, 300u, 90u, 255u, 258u}) {
+    std::string s;
+    for (std::size_t i = 0; i < len; ++i) s.push_back("ACGT"[rng.below(4)]);
+    texts.push_back({s, s});
+    diagonals.push_back(0);
+  }
+  ASSERT_FALSE(detail::needs_scalar_rerun(profile, 127 * 257));
+  ASSERT_TRUE(detail::needs_scalar_rerun(profile, 127 * 258));
+  expect_pair_batch_matches(texts, diagonals, profile, 8, GapPenalties{6, 1});
+}
+
+TEST(PairBatch, NonIdentityProfilesRunPerPair) {
+  common::Rng rng(62);
+  std::vector<TextPair> texts;
+  std::vector<long> diagonals;
+  for (std::size_t k = 0; k < 20; ++k) {
+    const std::string q = random_protein(60 + rng.below(120), rng);
+    texts.push_back({q, q.substr(rng.below(20))});
+    diagonals.push_back(static_cast<long>(rng.below(21)) - 10);
+  }
+  expect_pair_batch_matches(texts, diagonals, ScoringProfile::protein_blosum62(), 12,
+                            GapPenalties{11, 1});
+}
+
+TEST(PairBatch, MismatchedResultSpanThrows) {
+  const ScoringProfile profile = ScoringProfile::dna(1, -2);
+  const PreparedSeq q("ACGTACGTACGT", profile);
+  const AlignmentPair pairs[2] = {{&q, &q, 0}, {&q, &q, 1}};
+  std::vector<LocalAlignment> results(3);
+  EXPECT_THROW(banded_align_batch(pairs, profile, 8, GapPenalties{6, 1}, results),
                common::InvalidArgument);
 }
 

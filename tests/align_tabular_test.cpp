@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 
@@ -66,6 +69,38 @@ TEST(Tabular, ParseRejectsJunkNumbers) {
   EXPECT_THROW(
       parse_tabular_line("q\tp\tninety\t10\t1\t0\t1\t30\t1\t10\t1e-5\t50"),
       common::ParseError);
+}
+
+/// A well-formed line with one numeric column replaced.
+std::string line_with(std::size_t column, const std::string& value) {
+  std::vector<std::string> fields = {"q", "p", "90.0", "10", "1", "0",
+                                     "1", "30", "1", "10", "1e-5", "50.0"};
+  fields[column] = value;
+  std::string line = fields[0];
+  for (std::size_t k = 1; k < fields.size(); ++k) line += "\t" + fields[k];
+  return line;
+}
+
+TEST(Tabular, ParseRejectsNonFiniteOrOutOfRangePident) {
+  EXPECT_NO_THROW(parse_tabular_line(line_with(2, "0")));
+  EXPECT_NO_THROW(parse_tabular_line(line_with(2, "100")));
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "100.001", "-0.5"}) {
+    EXPECT_THROW(parse_tabular_line(line_with(2, bad)), common::ParseError) << bad;
+  }
+}
+
+TEST(Tabular, ParseRejectsNonFiniteOrNegativeEvalue) {
+  EXPECT_NO_THROW(parse_tabular_line(line_with(10, "0")));
+  for (const char* bad : {"nan", "inf", "-inf", "-1e-5"}) {
+    EXPECT_THROW(parse_tabular_line(line_with(10, bad)), common::ParseError) << bad;
+  }
+}
+
+TEST(Tabular, ParseRejectsNonFiniteBitscore) {
+  EXPECT_NO_THROW(parse_tabular_line(line_with(11, "-3.5")));
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    EXPECT_THROW(parse_tabular_line(line_with(11, bad)), common::ParseError) << bad;
+  }
 }
 
 TEST(Tabular, ParseAcceptsExtraColumns) {

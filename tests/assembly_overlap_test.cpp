@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <limits>
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "align/simd.hpp"
 #include "align/sw.hpp"
+#include "bio/alphabet.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -316,6 +323,8 @@ void expect_same_overlaps(const std::vector<Overlap>& lhs,
     EXPECT_EQ(lhs[i].alignment.s_end, rhs[i].alignment.s_end);
     EXPECT_EQ(lhs[i].alignment.matches, rhs[i].alignment.matches);
     EXPECT_EQ(lhs[i].alignment.mismatches, rhs[i].alignment.mismatches);
+    EXPECT_EQ(lhs[i].alignment.gap_opens, rhs[i].alignment.gap_opens);
+    EXPECT_EQ(lhs[i].alignment.gap_residues, rhs[i].alignment.gap_residues);
   }
 }
 
@@ -417,6 +426,213 @@ TEST(FindOverlaps, ScorePruningPreservesResults) {
   EXPECT_GT(pruned_stats.pruned, 0u);
   EXPECT_LT(pruned_stats.tracebacks, full_stats.tracebacks);
   EXPECT_EQ(full_stats.pruned, 0u);
+}
+
+// --- The k-mer front against a string-keyed reference ---------------------
+
+/// The overlap phase as a plain reference: string-keyed k-mer buckets
+/// (with both_strands, the lexicographic min of the k-mer and its reverse
+/// complement), one vote per co-occurring occurrence pair, the most-voted
+/// diagonal (smallest on ties), then one banded_align per candidate at the
+/// overlap band (48) and the same classification and output order.
+std::vector<Overlap> reference_overlaps(const std::vector<bio::SeqRecord>& seqs,
+                                        const OverlapParams& params,
+                                        std::size_t& candidate_pairs) {
+  const std::size_t k = params.kmer;
+  std::vector<std::string> rc;
+  for (const auto& s : seqs) {
+    rc.push_back(params.both_strands ? bio::reverse_complement(s.seq) : "");
+  }
+  struct Occ {
+    std::size_t seq, pos;
+    bool on_reverse;
+  };
+  std::map<std::string, std::vector<Occ>> buckets;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    const std::string& s = seqs[i].seq;
+    for (std::size_t pos = 0; pos + k <= s.size(); ++pos) {
+      std::string kmer = s.substr(pos, k);
+      bool on_reverse = false;
+      if (params.both_strands) {
+        std::string rk = rc[i].substr(s.size() - k - pos, k);
+        if (rk < kmer) {
+          kmer = rk;
+          on_reverse = true;
+        }
+      }
+      buckets[kmer].push_back({i, pos, on_reverse});
+    }
+  }
+  std::map<std::tuple<std::size_t, std::size_t, bool>, std::map<long, std::size_t>> votes;
+  for (const auto& [kmer, occs] : buckets) {
+    if (occs.size() < 2 || occs.size() > params.max_kmer_occurrences) continue;
+    for (std::size_t x = 0; x < occs.size(); ++x) {
+      for (std::size_t y = x + 1; y < occs.size(); ++y) {
+        Occ oa = occs[x];
+        Occ ob = occs[y];
+        if (oa.seq == ob.seq) continue;
+        if (oa.seq > ob.seq) std::swap(oa, ob);
+        const bool flipped = oa.on_reverse != ob.on_reverse;
+        const long pb = flipped ? static_cast<long>(seqs[ob.seq].seq.size() - k - ob.pos)
+                                : static_cast<long>(ob.pos);
+        ++votes[{oa.seq, ob.seq, flipped}][static_cast<long>(oa.pos) - pb];
+      }
+    }
+  }
+
+  const align::ScoringProfile profile = align::ScoringProfile::dna(params.match, params.mismatch);
+  std::vector<Overlap> out;
+  candidate_pairs = 0;
+  for (const auto& [pair, by_diagonal] : votes) {
+    const auto& [a, b, flipped] = pair;
+    std::size_t shared = 0;
+    long best = 0;
+    std::size_t best_votes = 0;
+    for (const auto& [diagonal, count] : by_diagonal) {
+      shared += count;
+      if (count > best_votes) {
+        best = diagonal;
+        best_votes = count;
+      }
+    }
+    if (shared < params.min_shared_kmers) continue;
+    ++candidate_pairs;
+    const std::string& sb = flipped ? rc[b] : seqs[b].seq;
+    const align::LocalAlignment aln =
+        align::banded_align(seqs[a].seq, sb, profile, best, 48, params.gaps);
+    OverlapKind kind;
+    long shift = 0;
+    if (classify_overlap(aln, seqs[a].seq.size(), sb.size(), params, kind, shift)) {
+      out.push_back(Overlap{a, b, kind, shift, flipped, aln});
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const Overlap& x, const Overlap& y) {
+    if (x.alignment.score != y.alignment.score) return x.alignment.score > y.alignment.score;
+    if (x.a != y.a) return x.a < y.a;
+    if (x.b != y.b) return x.b < y.b;
+    return x.flipped < y.flipped;
+  });
+  return out;
+}
+
+/// find_overlaps, serial and on a pool, must equal the reference, down to
+/// the DP cells: a band's cell count moves with its diagonal, so equal
+/// counters also pin every candidate's voted diagonal.
+void expect_matches_reference(const std::vector<bio::SeqRecord>& seqs,
+                              OverlapParams params) {
+  params.score_prune = false;  // the reference tracebacks every candidate
+  std::size_t reference_pairs = 0;
+  align::reset_dp_counters();
+  const auto expected = reference_overlaps(seqs, params, reference_pairs);
+  const align::DpCounters reference_work = align::dp_counters();
+  OverlapStats stats;
+  align::reset_dp_counters();
+  expect_same_overlaps(find_overlaps(seqs, params, nullptr, &stats), expected);
+  const align::DpCounters work = align::dp_counters();
+  EXPECT_EQ(stats.candidate_pairs, reference_pairs);
+  EXPECT_EQ(work.cells, reference_work.cells);
+  EXPECT_EQ(work.tracebacks, reference_work.tracebacks);
+  common::ThreadPool pool(3);
+  expect_same_overlaps(find_overlaps(seqs, params, &pool), expected);
+}
+
+/// Fragments of a few genes, `odd` of them carrying characters outside
+/// upper-case ACGT: N, lower-case bases and, when `other` is set,
+/// characters the DNA alphabet does not know. Every fourth fragment is a
+/// lower-case copy of another, and with `reverse` every third is
+/// reverse-complemented.
+std::vector<bio::SeqRecord> mixed_fragments(std::uint64_t seed, bool other, bool reverse) {
+  common::Rng rng(seed);
+  const std::string odd = other ? "NnacgtXR-" : "Nnacgt";
+  std::vector<std::string> genes;
+  for (int g = 0; g < 3; ++g) genes.push_back(random_dna(700 + rng.below(300), rng));
+  std::vector<bio::SeqRecord> seqs;
+  for (int f = 0; f < 24; ++f) {
+    const std::string& gene = genes[rng.below(genes.size())];
+    const std::size_t len = 120 + rng.below(300);
+    std::string s = gene.substr(rng.below(gene.size() - len + 1), len);
+    if (f % 2 == 1) {
+      for (std::size_t i = rng.below(40); i < s.size(); i += 25 + rng.below(60)) {
+        s[i] = odd[rng.below(odd.size())];
+      }
+    }
+    if (f % 4 == 3) {
+      s = seqs.back().seq;
+      std::transform(s.begin(), s.end(), s.begin(),
+                     [](char c) { return static_cast<char>(std::tolower(c)); });
+    }
+    if (reverse && f % 3 == 0) s = bio::reverse_complement(s);
+    seqs.push_back({"f" + std::to_string(f), "", s});
+  }
+  return seqs;
+}
+
+TEST(KmerFront, NonAcgtKmersKeepStringEquality) {
+  for (const std::uint64_t seed : {3u, 5u, 8u}) {
+    SCOPED_TRACE(seed);
+    OverlapParams params;
+    params.min_overlap = 30;
+    params.min_identity = 80.0;
+    expect_matches_reference(mixed_fragments(seed, /*other=*/true, false), params);
+  }
+}
+
+TEST(KmerFront, BothStrandsCanonicalKmers) {
+  for (const std::uint64_t seed : {13u, 21u}) {
+    SCOPED_TRACE(seed);
+    OverlapParams params;
+    params.both_strands = true;
+    params.min_overlap = 30;
+    params.min_identity = 80.0;
+    expect_matches_reference(mixed_fragments(seed, /*other=*/false, true), params);
+  }
+}
+
+TEST(KmerFront, ShortestAndLongestKmers) {
+  for (const std::size_t k : {8u, 9u, 31u, 32u}) {
+    for (const bool both : {false, true}) {
+      SCOPED_TRACE("k " + std::to_string(k) + (both ? " both strands" : ""));
+      OverlapParams params;
+      params.kmer = k;
+      params.min_overlap = std::max<std::size_t>(k, 40);
+      params.both_strands = both;
+      params.min_shared_kmers = 1;
+      expect_matches_reference(mixed_fragments(34 + k, /*other=*/false, both), params);
+    }
+  }
+}
+
+TEST(KmerFront, MaxKmerOccurrencesBoundary) {
+  // A 20-base repeat appears in every fragment, once or twice: its k-mers
+  // form buckets of known sizes on both sides of each cap.
+  common::Rng rng(99);
+  const std::string repeat = random_dna(20, rng);
+  std::vector<bio::SeqRecord> seqs;
+  for (int f = 0; f < 6; ++f) {
+    std::string s = random_dna(60, rng) + repeat + random_dna(80, rng);
+    if (f % 2 == 0) s += repeat + random_dna(30, rng);
+    seqs.push_back({"r" + std::to_string(f), "", s});
+  }
+  for (const std::size_t cap : {2u, 3u, 8u, 9u, 10u, 512u}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    OverlapParams params;
+    params.max_kmer_occurrences = cap;
+    params.min_shared_kmers = 1;
+    params.min_overlap = 16;
+    params.min_identity = 0.0;
+    params.max_end_slop = 200;
+    expect_matches_reference(seqs, params);
+  }
+}
+
+TEST(KmerFront, MinSharedKmersAndParallelGather) {
+  const auto seqs = gene_fragment_set(61);
+  for (const std::size_t shared : {1u, 2u, 40u, 300u}) {
+    SCOPED_TRACE("min_shared_kmers " + std::to_string(shared));
+    OverlapParams params;
+    params.min_shared_kmers = shared;
+    expect_matches_reference(seqs, params);
+  }
 }
 
 TEST(MinAcceptableScore, LowerBoundsEveryAcceptedOverlap) {

@@ -29,6 +29,26 @@ TEST(StorageElement, RejectsBrokenConfigs) {
   EXPECT_THROW(StorageElement se(no_slots), common::InvalidArgument);
 }
 
+TEST(StorageElement, RejectsNonFiniteBandwidths) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kNan, -kNan, kInf, -kInf, -5.0}) {
+    StorageElementConfig in;
+    in.site = "x";
+    in.bandwidth_in_bps = bad;
+    EXPECT_THROW(StorageElement se(in), common::InvalidArgument) << bad;
+    StorageElementConfig out;
+    out.site = "x";
+    out.bandwidth_out_bps = bad;
+    EXPECT_THROW(StorageElement se(out), common::InvalidArgument) << bad;
+  }
+  StorageElementConfig ok;
+  ok.site = "x";
+  ok.bandwidth_in_bps = 1e-3;
+  ok.bandwidth_out_bps = 1e12;
+  EXPECT_NO_THROW(StorageElement se(ok));
+}
+
 TEST(StorageElement, StoreEvictAndByteAccounting) {
   auto se = make();
   EXPECT_FALSE(se.holds("a"));

@@ -90,6 +90,18 @@ TEST(DaxXml, ParserToleratesPrologAndWhitespace) {
   EXPECT_TRUE(wf.has_job("a"));
 }
 
+TEST(DaxXml, ParserRejectsNonFiniteOrNegativeRuntime) {
+  const auto doc = [](const std::string& runtime) {
+    return "<adag name=\"w\"><job id=\"a\" name=\"t\" runtime=\"" + runtime +
+           "\"/></adag>";
+  };
+  EXPECT_DOUBLE_EQ(from_dax_xml(doc("0")).jobs().front().cpu_seconds_hint, 0.0);
+  EXPECT_DOUBLE_EQ(from_dax_xml(doc("12.5")).jobs().front().cpu_seconds_hint, 12.5);
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "-1"}) {
+    EXPECT_THROW(from_dax_xml(doc(bad)), common::ParseError) << bad;
+  }
+}
+
 TEST(DaxXml, DependenciesOnUnknownJobsRejected) {
   const std::string xml =
       "<adag name=\"w\"><job id=\"a\" name=\"t\"/>"
