@@ -15,8 +15,9 @@
 // Usage: scale_dag [--smoke] [--out PATH]
 //   --smoke   n=1e4 only; deterministic guards (closed-form
 //             job/edge counts, event-count envelope, peak-RSS bound, and
-//             patterns-vs-explicit double-run digest identity) — the CI
-//             perf-smoke leg, exits non-zero on violation
+//             digest identity with a second run on an explicit-edge copy
+//             of the workflow) — the CI perf-smoke leg, exits non-zero on
+//             violation
 //   --out     where to write the JSON report (default BENCH_scale.json)
 #include <malloc.h>
 
@@ -27,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -68,15 +70,25 @@ void reset_peak_rss() {
 }
 
 /// The scale spec: the generator's blast2cap3 shape with constant task
-/// costs (the cost model is not what this harness measures) and the 4n
-/// regular edges pattern-compressed unless the caller says otherwise.
-workload::ShapeSpec scale_spec(std::size_t n, bool edge_patterns) {
+/// costs (the cost model is not what this harness measures).
+workload::ShapeSpec scale_spec(std::size_t n) {
   workload::ShapeSpec spec;
   spec.shape = workload::Shape::kBlast2cap3;
   spec.size = n;
-  spec.edge_patterns = edge_patterns;
   spec.cost.cpu = workload::CostDistribution::kConstant;
   return spec;
+}
+
+/// `workflow` with every edge stored explicitly: its adjacency, patterns
+/// included, copied edge by edge through add_dependency.
+wms::ConcreteWorkflow with_explicit_edges(const wms::ConcreteWorkflow& workflow) {
+  wms::ConcreteWorkflow copy(workflow.name(), workflow.site());
+  for (const wms::ConcreteJob& job : workflow.jobs()) copy.add_job(job);
+  for (std::uint32_t i = 0; i < workflow.jobs().size(); ++i) {
+    workflow.for_each_child(i,
+                            [&](std::uint32_t child) { copy.add_dependency(i, child); });
+  }
+  return copy;
 }
 
 /// Completes submitted attempts on the next wait(), one tick later, at
@@ -148,19 +160,21 @@ struct Point {
   std::size_t peak_rss_bytes = 0;
 };
 
-Point run_point(std::size_t n, bool edge_patterns, common::ThreadPool& pool) {
+/// One sweep point on the streamed build; `explicit_edges` runs the engine
+/// on with_explicit_edges of it instead (the copy is not build time).
+Point run_point(std::size_t n, bool explicit_edges, common::ThreadPool& pool) {
   Point point;
   point.n = n;
 
   auto t0 = std::chrono::steady_clock::now();
   workload::StreamedBuildOptions build_options;
   build_options.site = "sandhills";
-  build_options.edge_patterns = edge_patterns;
   build_options.pool = &pool;
-  const wms::ConcreteWorkflow workflow =
-      workload::build_concrete_streamed(scale_spec(n, edge_patterns),
-                                        build_options, &point.build);
+  wms::ConcreteWorkflow built =
+      workload::build_concrete_streamed(scale_spec(n), build_options, &point.build);
   point.build_seconds = seconds_since(t0);
+  const wms::ConcreteWorkflow workflow =
+      explicit_edges ? with_explicit_edges(built) : std::move(built);
   point.jobs = workflow.jobs().size();
   point.edges = workflow.edge_count();
   // Closed forms: n workers + 6 pipeline jobs + 2 stage jobs; 4n regular
@@ -261,7 +275,7 @@ int main(int argc, char** argv) {
   try {
     for (const std::size_t n : sweep) {
       reset_peak_rss();
-      const Point point = run_point(n, /*edge_patterns=*/true, pool);
+      const Point point = run_point(n, /*explicit_edges=*/false, pool);
       std::cout << "n=" << point.n << " jobs=" << point.jobs
                 << " edges=" << point.edges << " build=" << point.build_seconds
                 << "s (model=" << point.build.model_seconds
@@ -301,7 +315,7 @@ int main(int argc, char** argv) {
       }
       // Pattern-compressed and materialized edge storage must drive the
       // engine through byte-identical schedules.
-      const Point explicit_point = run_point(p.n, /*edge_patterns=*/false, pool);
+      const Point explicit_point = run_point(p.n, /*explicit_edges=*/true, pool);
       if (explicit_point.digest != p.digest ||
           explicit_point.jobstate_lines != p.jobstate_lines) {
         std::cerr << "scale_dag --smoke: patterns-vs-explicit digest mismatch ("

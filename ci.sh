@@ -39,8 +39,9 @@ run_suite build-tsan -DPGA_SANITIZE=thread
 # (exactly one READY / SUBMIT / ATTEMPT_FINISHED / SUCCEEDED per job on
 # a clean run, plus the run bracket), a 512 MB peak-RSS memory envelope
 # (catches any reintroduced O(n) blowup: materialized regular edges,
-# per-job report rosters), and a patterns-vs-explicit double run whose
-# lean jobstate digests must match byte-for-byte. A complexity or memory
+# per-job report rosters), and a second run on an explicit-edge copy of
+# the streamed DAG whose lean jobstate digest must match the
+# pattern-stored run's byte-for-byte. A complexity or memory
 # regression fails deterministically without depending on machine speed.
 # BENCH_scale.json in the repo root is the committed full-sweep
 # trajectory baseline (n up to 10^7); regenerate it with

@@ -33,23 +33,25 @@ const SweepPoint& SweepResults::point(const std::string& platform,
 
 namespace {
 
-/// One simulated run of the blast2cap3 workflow on one platform instance.
-struct SingleRun {
-  wms::WorkflowStatistics stats;
-  std::size_t preemptions = 0;
+/// One simulated run and what the platform counted during it.
+struct SimulatedRun {
+  wms::RunReport report;
+  std::size_t preemptions = 0;  ///< OSG evictions; 0 on the other platforms
 };
 
-SingleRun run_once(const ExperimentConfig& config, const std::string& platform,
-                   std::size_t n, std::uint64_t run_seed) {
-  if (platform != "sandhills" && platform != "osg" && platform != "cloud") {
-    throw common::InvalidArgument("unknown platform: " + platform);
-  }
-  const WorkloadModel workload(config.workload);
-  const B2c3WorkflowSpec spec{.n = n};
-  const auto dax = build_blast2cap3_dax(spec, &workload);
-  const auto concrete =
-      plan_for_site(dax, platform == "cloud" ? "osg" : platform, spec);
-
+/// Runs `concrete` on a fresh simulated stack: the platform ("sandhills",
+/// "osg" or "cloud") seeded with `run_seed`, the optional per-node software
+/// cache, the optional modeled staging between `sites`' storage elements
+/// reading `replicas`, then the engine under `policy` with `observers`.
+/// The Fig. 4 sweep and the shape sweep share it, so both build the
+/// stack, and draw its random streams, in one order.
+SimulatedRun run_simulated(const ExperimentConfig& config,
+                           const wms::ConcreteWorkflow& concrete,
+                           const std::string& platform, std::uint64_t run_seed,
+                           const wms::SiteCatalog& sites,
+                           const wms::ReplicaCatalog& replicas,
+                           const std::string& policy,
+                           std::vector<wms::EngineObserver*> observers) {
   sim::EventQueue queue;
   // Simulated attempts schedule a handful of events each; pre-sizing the
   // heap keeps large-n sweeps from reallocating it mid-run.
@@ -85,14 +87,12 @@ SingleRun run_once(const ExperimentConfig& config, const std::string& platform,
   std::unique_ptr<data::TransferManager> transfers;
   std::unique_ptr<data::StagingService> staging;
   wms::ExecutionService* service = &sim_service;
-  const wms::ReplicaCatalog replicas = paper_replica_catalog(spec);
   if (config.data.model_staging) {
     data::TransferConfig transfer_config = config.data.transfers;
     // Each repetition draws its own failure stream, like the platforms.
     transfer_config.seed ^= run_seed;
     transfers = std::make_unique<data::TransferManager>(queue, transfer_config);
-    data::add_site_elements(*transfers, workload::generator_site_catalog(),
-                            config.data.transfer_slots);
+    data::add_site_elements(*transfers, sites, config.data.transfer_slots);
     data::StagingConfig staging_cfg;
     staging_cfg.execution_site = concrete.site();
     staging = std::make_unique<data::StagingService>(queue, sim_service, *transfers,
@@ -102,17 +102,36 @@ SingleRun run_once(const ExperimentConfig& config, const std::string& platform,
 
   wms::EngineOptions options{.retries = config.engine_retries, .rescue_path = {}};
   options.max_jobs_in_flight = config.max_jobs_in_flight;
-  options.policy = wms::make_policy(config.scheduling_policy);
+  options.policy = wms::make_policy(policy);
+  options.observers = std::move(observers);
   wms::DagmanEngine engine(std::move(options));
-  const auto report = engine.run(concrete, *service);
-  if (!report.success) {
+  SimulatedRun run;
+  run.report = engine.run(concrete, *service);
+  if (osg_ptr != nullptr) run.preemptions = osg_ptr->preemptions();
+  return run;
+}
+
+/// One simulated run of the blast2cap3 workflow on one platform instance.
+SimulatedRun run_once(const ExperimentConfig& config, const std::string& platform,
+                      std::size_t n, std::uint64_t run_seed) {
+  if (platform != "sandhills" && platform != "osg" && platform != "cloud") {
+    throw common::InvalidArgument("unknown platform: " + platform);
+  }
+  const WorkloadModel workload(config.workload);
+  const B2c3WorkflowSpec spec{.n = n};
+  const auto dax = build_blast2cap3_dax(spec, &workload);
+  const auto concrete =
+      plan_for_site(dax, platform == "cloud" ? "osg" : platform, spec);
+
+  SimulatedRun run = run_simulated(config, concrete, platform, run_seed,
+                                   workload::generator_site_catalog(),
+                                   paper_replica_catalog(spec),
+                                   config.scheduling_policy, {});
+  if (!run.report.success) {
     throw common::WorkflowError("simulated run failed on " + platform + " n=" +
                                 std::to_string(n));
   }
-  SingleRun result;
-  result.stats = wms::WorkflowStatistics::from_run(report);
-  if (osg_ptr != nullptr) result.preemptions = osg_ptr->preemptions();
-  return result;
+  return run;
 }
 
 }  // namespace
@@ -129,13 +148,12 @@ SweepPoint run_sim_point(const ExperimentConfig& config, const std::string& plat
     const std::uint64_t run_seed =
         (config.seed + rep * 0x9e3779b9ULL) ^
         (std::hash<std::string>{}(platform) * 31 + n);
-    SingleRun run = run_once(config, platform, n, run_seed);
+    const SimulatedRun run = run_once(config, platform, n, run_seed);
+    auto stats = wms::WorkflowStatistics::from_run(run.report);
+    point.walls.push_back(stats.wall_seconds());
     if (rep == 0) {
-      point.stats = std::move(run.stats);
+      point.stats = std::move(stats);
       point.preemptions = run.preemptions;
-      point.walls.push_back(point.stats.wall_seconds());
-    } else {
-      point.walls.push_back(run.stats.wall_seconds());
     }
   }
   return point;
@@ -206,48 +224,11 @@ ShapeRun run_shape_point(const ExperimentConfig& config,
       (config.seed + spec.seed * 0x9e3779b9ULL) ^
       (std::hash<std::string>{}(platform) * 31 + spec.size);
 
-  sim::EventQueue queue;
-  queue.reserve(concrete.jobs().size() * 4);
-  std::unique_ptr<sim::ExecutionPlatform> sim_platform;
-  if (platform == "sandhills") {
-    auto cfg = config.sandhills;
-    cfg.seed = run_seed;
-    sim_platform = std::make_unique<sim::CampusClusterPlatform>(queue, cfg);
-  } else {
-    auto cfg = config.osg;
-    cfg.seed = run_seed;
-    sim_platform = std::make_unique<sim::OsgPlatform>(queue, cfg);
-  }
-
-  std::unique_ptr<data::SoftwareCache> cache;
-  if (config.data.cache_installs) {
-    cache = std::make_unique<data::SoftwareCache>(config.data.cache);
-    sim_platform->set_install_model(cache.get());
-  }
-
-  wms::SimService sim_service(queue, *sim_platform);
-  std::unique_ptr<data::TransferManager> transfers;
-  std::unique_ptr<data::StagingService> staging;
-  wms::ExecutionService* service = &sim_service;
-  if (config.data.model_staging) {
-    data::TransferConfig transfer_config = config.data.transfers;
-    transfer_config.seed ^= run_seed;
-    transfers = std::make_unique<data::TransferManager>(queue, transfer_config);
-    data::add_site_elements(*transfers, sites, config.data.transfer_slots);
-    data::StagingConfig staging_cfg;
-    staging_cfg.execution_site = concrete.site();
-    staging = std::make_unique<data::StagingService>(queue, sim_service, *transfers,
-                                                     replicas, staging_cfg);
-    service = staging.get();
-  }
-
   CountingObserver counting;
-  wms::EngineOptions options{.retries = config.engine_retries, .rescue_path = {}};
-  options.max_jobs_in_flight = config.max_jobs_in_flight;
-  options.policy = wms::make_policy(policy);
-  options.observers.push_back(&counting);
-  wms::DagmanEngine engine(std::move(options));
-  const auto report = engine.run(concrete, *service);
+  const wms::RunReport report =
+      run_simulated(config, concrete, platform, run_seed, sites, replicas, policy,
+                    {&counting})
+          .report;
   if (!report.success) {
     throw common::WorkflowError("shape run failed: " + workload::spec_name(spec) +
                                 " on " + platform + " under " + policy);

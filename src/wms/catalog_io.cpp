@@ -1,5 +1,6 @@
 #include "wms/catalog_io.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -198,7 +199,9 @@ SiteCatalog parse_site_xml(const std::string& xml_text) {
     if (child.name != "site") continue;
     SiteEntry site;
     site.name = child.attr("handle");
-    site.slots = static_cast<std::size_t>(common::parse_long(child.attr("slots")));
+    const long slots = common::parse_long(child.attr("slots"));
+    if (slots < 0) throw ParseError("site slots must be >= 0: " + child.attr("slots"));
+    site.slots = static_cast<std::size_t>(slots);
     const std::string& pre = child.attr("preinstalled");
     if (pre != "true" && pre != "false") {
       throw ParseError("preinstalled must be true/false, got " + pre);
@@ -206,6 +209,12 @@ SiteCatalog parse_site_xml(const std::string& xml_text) {
     site.software_preinstalled = pre == "true";
     site.scratch_dir = child.attr("scratch");
     site.stage_bandwidth_bps = common::parse_double(child.attr("bandwidth"));
+    // stage_job_seconds prices a NaN, infinite or negative bandwidth as no
+    // staging cost at all; 0 is legal and means "unknown".
+    if (!std::isfinite(site.stage_bandwidth_bps) || site.stage_bandwidth_bps < 0) {
+      throw ParseError("site bandwidth must be finite and >= 0: " +
+                       child.attr("bandwidth"));
+    }
     catalog.add(std::move(site));
   }
   return catalog;

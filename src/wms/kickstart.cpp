@@ -1,9 +1,11 @@
 #include "wms/kickstart.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
@@ -40,8 +42,11 @@ InvocationRecord from_invocation_xml(const std::string& xml_text) {
     throw ParseError("kickstart record root must be <invocation>");
   }
   InvocationRecord record;
-  record.attempt_number =
-      static_cast<std::size_t>(common::parse_long(root.attr("attempt")));
+  const long attempt = common::parse_long(root.attr("attempt"));
+  if (attempt < 0) {
+    throw ParseError("kickstart attempt must be >= 0: " + root.attr("attempt"));
+  }
+  record.attempt_number = static_cast<std::size_t>(attempt);
   record.attempt.job_id = root.attr("job");
   record.attempt.transformation = root.attr("transformation");
   record.attempt.node = root.attr("host");
@@ -51,11 +56,21 @@ InvocationRecord from_invocation_xml(const std::string& xml_text) {
 
   const xml::Element* timing = root.child("timing");
   if (timing == nullptr) throw ParseError("invocation record missing <timing>");
-  record.attempt.submit_time = common::parse_double(timing->attr("submit"));
-  record.attempt.end_time = common::parse_double(timing->attr("end"));
-  record.attempt.wait_seconds = common::parse_double(timing->attr("wait"));
-  record.attempt.install_seconds = common::parse_double(timing->attr("install"));
-  record.attempt.exec_seconds = common::parse_double(timing->attr("exec"));
+  // Times and durations feed pegasus-statistics sums and means, where one
+  // NaN or infinity poisons every figure; none of them can be negative.
+  const auto seconds = [&](const char* name) {
+    const double value = common::parse_double(timing->attr(name));
+    if (!std::isfinite(value) || value < 0) {
+      throw ParseError(std::string("kickstart timing ") + name +
+                       " must be finite and >= 0: " + timing->attr(name));
+    }
+    return value;
+  };
+  record.attempt.submit_time = seconds("submit");
+  record.attempt.end_time = seconds("end");
+  record.attempt.wait_seconds = seconds("wait");
+  record.attempt.install_seconds = seconds("install");
+  record.attempt.exec_seconds = seconds("exec");
   return record;
 }
 

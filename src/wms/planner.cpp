@@ -212,39 +212,14 @@ std::string_view ConcreteWorkflow::abstract_id_of(std::uint32_t index) const {
 std::vector<std::string> ConcreteWorkflow::constituents_of(
     std::uint32_t index) const {
   (void)job_at(index);  // bounds check
-  if (const auto it = constituents_.find(index); it != constituents_.end()) {
-    return it->second;
-  }
-  const auto it = cluster_ranges_.find(index);
-  if (it == cluster_ranges_.end()) return {};
-  const ClusterRange& range = it->second;
-  // Zero-padded to the width of the largest peer tag, like workload::tag.
-  std::size_t width = 1;
-  for (std::size_t v = range.total > 0 ? range.total - 1 : 0; v >= 10; v /= 10) {
-    ++width;
-  }
-  std::vector<std::string> out;
-  out.reserve(range.count);
-  for (std::size_t i = 0; i < range.count; ++i) {
-    std::string digits = std::to_string(range.begin + i);
-    std::string member = range.prefix;
-    member.reserve(member.size() + width);
-    member.append(width > digits.size() ? width - digits.size() : 0, '0');
-    member += digits;
-    out.push_back(std::move(member));
-  }
-  return out;
+  const auto it = constituents_.find(index);
+  return it == constituents_.end() ? std::vector<std::string>{} : it->second;
 }
 
 void ConcreteWorkflow::set_constituents(std::uint32_t index,
                                         std::vector<std::string> members) {
   (void)job_at(index);  // bounds check
   constituents_[index] = std::move(members);
-}
-
-void ConcreteWorkflow::set_cluster_range(std::uint32_t index, ClusterRange range) {
-  (void)job_at(index);  // bounds check
-  cluster_ranges_[index] = std::move(range);
 }
 
 void ConcreteWorkflow::reserve(std::size_t job_count, std::size_t id_bytes) {

@@ -58,19 +58,6 @@ struct ConcreteJob {
   bool needs_software_setup = false;
 };
 
-/// Lazy constituents of one clustered job: members `prefix + tag(begin+i,
-/// total)` for i in [0, count) with the generator's zero-padded tag width
-/// (digits of total-1). Lets a streamed build describe a k-member cluster
-/// in O(1) instead of storing k id strings.
-struct ClusterRange {
-  std::string prefix;
-  std::size_t begin = 0;
-  std::size_t count = 0;
-  std::size_t total = 0;
-
-  friend bool operator==(const ClusterRange&, const ClusterRange&) = default;
-};
-
 /// A planned workflow bound to a site.
 ///
 /// Its dependencies live in one of two stores. A workflow that is built —
@@ -185,11 +172,9 @@ class ConcreteWorkflow {
   /// clustered jobs.
   [[nodiscard]] std::string_view abstract_id_of(std::uint32_t index) const;
   /// The abstract job ids folded into a clustered job (empty for
-  /// non-clustered jobs). Materializes lazily from a ClusterRange when the
-  /// cluster was described arithmetically.
+  /// non-clustered jobs).
   [[nodiscard]] std::vector<std::string> constituents_of(std::uint32_t index) const;
   void set_constituents(std::uint32_t index, std::vector<std::string> members);
-  void set_cluster_range(std::uint32_t index, ClusterRange range);
 
   /// Pre-sizes the interner and job storage (scale benches build
   /// million-job workflows; one allocation instead of log2(n) regrows).
@@ -206,9 +191,8 @@ class ConcreteWorkflow {
   WorkflowGraph graph_;
   std::shared_ptr<const FrozenGraph> frozen_;  ///< when set, replaces graph_
   bool bulk_open_ = false;
-  /// Clustering side tables: only clustered jobs have entries.
+  /// Clustering side table: only clustered jobs have entries.
   std::unordered_map<std::uint32_t, std::vector<std::string>> constituents_;
-  std::unordered_map<std::uint32_t, ClusterRange> cluster_ranges_;
 };
 
 /// Planner knobs.

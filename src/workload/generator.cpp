@@ -36,19 +36,16 @@ std::vector<Shape> all_shapes() {
           Shape::kMontage, Shape::kNgsPipeline, Shape::kBlast2cap3};
 }
 
-namespace {
-
-using common::mix64;
-
-/// Zero-padded index so id sort order == build order at any size (job ids
-/// order release and adjacency iteration; unpadded "10" < "2" would make
-/// orderings size-dependent).
 std::string tag(std::size_t i, std::size_t count) {
   std::string digits = std::to_string(i);
   const std::size_t width = std::to_string(count > 0 ? count - 1 : 0).size();
   if (digits.size() < width) digits.insert(0, width - digits.size(), '0');
   return digits;
 }
+
+namespace {
+
+using common::mix64;
 
 /// Leaves under the fan's gateways: sum of (1 + i*step).
 std::size_t fan_leaves(std::size_t n, std::size_t step) {
@@ -153,14 +150,11 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
   // sizes the interner's arena, overshoot is harmless.
   wf.reserve(counts.jobs, counts.jobs * 24);
   Builder b{wf, model};
-  // Patterns reference dst handles, so they are recorded after every job
-  // of the family exists (jobs add in the same order either way — the
-  // cost-model ranks, and hence every hint, are unchanged by the knob).
-  const bool patterns = spec.edge_patterns;
+  // Patterns reference dst handles, so each is recorded after every job of
+  // its family exists.
 
   switch (spec.shape) {
     case Shape::kChain: {
-      std::uint32_t previous = 0;
       for (std::size_t i = 0; i < n; ++i) {
         std::vector<FileUse> uses;
         if (i == 0) {
@@ -173,12 +167,9 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
         } else {
           uses.push_back({"chain_" + tag(i, n) + ".dat", LinkType::kOutput});
         }
-        const std::uint32_t step = b.add("step_" + tag(i, n), "chain_step",
-                                         std::move(uses));
-        if (!patterns && i > 0) wf.add_dependency(previous, step);
-        previous = step;
+        b.add("step_" + tag(i, n), "chain_step", std::move(uses));
       }
-      if (patterns && n > 1) {
+      if (n > 1) {
         wf.add_edge_pattern({.src_begin = 0,
                              .dst_begin = 1,
                              .count = static_cast<std::uint32_t>(n - 1),
@@ -195,19 +186,18 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
                 {{"fan_input.dat", LinkType::kInput},
                  {"fanned.dat", LinkType::kOutput}});
       std::vector<FileUse> sink_uses;
-      std::vector<std::uint32_t> sink_parents;
+      std::vector<std::uint32_t> leaves;
       for (std::size_t i = 0; i < n; ++i) {
         const std::string gateway_out = "gate_" + tag(i, n) + ".dat";
         const std::uint32_t gateway = b.add(
             (step == 0 ? "worker_" : "gateway_") + tag(i, n),
             step == 0 ? "fan_worker" : "fan_gateway",
             {{"fanned.dat", LinkType::kInput}, {gateway_out, LinkType::kOutput}});
-        if (!(patterns && step == 0)) wf.add_dependency(source, gateway);
         if (step == 0) {
           sink_uses.push_back({gateway_out, LinkType::kInput});
-          sink_parents.push_back(gateway);
           continue;
         }
+        wf.add_dependency(source, gateway);
         const std::size_t arity = 1 + i * step;
         for (std::size_t j = 0; j < arity; ++j) {
           const std::string leaf_out =
@@ -218,12 +208,12 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
                      {leaf_out, LinkType::kOutput}});
           wf.add_dependency(gateway, leaf);
           sink_uses.push_back({leaf_out, LinkType::kInput});
-          sink_parents.push_back(leaf);
+          leaves.push_back(leaf);
         }
       }
       sink_uses.push_back({"fan_result.dat", LinkType::kOutput});
       const std::uint32_t sink = b.add("sink", "fan_sink", std::move(sink_uses));
-      if (patterns && step == 0) {
+      if (step == 0) {
         // source -> workers 1..n, workers -> sink; the fan-heavy variant
         // (step > 0) keeps explicit edges — its leaf arities are irregular.
         const auto count = static_cast<std::uint32_t>(n);
@@ -238,9 +228,7 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
                              .src_stride = 1,
                              .dst_stride = 0});
       } else {
-        for (const std::uint32_t parent : sink_parents) {
-          wf.add_dependency(parent, sink);
-        }
+        for (const std::uint32_t leaf : leaves) wf.add_dependency(leaf, sink);
       }
       break;
     }
@@ -249,8 +237,7 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
       const std::size_t stages = spec.diamond_stages;
       // Two patterns per stage; past the pattern cap (very deep diamonds)
       // the explicit path takes over transparently.
-      const bool stage_patterns =
-          patterns && 2 * stages <= wms::WorkflowGraph::kMaxPatterns;
+      const bool stage_patterns = 2 * stages <= wms::WorkflowGraph::kMaxPatterns;
       const std::uint32_t source =
           b.add("source", "diamond_source",
                 {{"diamond_input.dat", LinkType::kInput},
@@ -421,22 +408,16 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
       wf.add_dependency(alignments, split);
       std::vector<FileUse> merge_uses;
       std::vector<FileUse> unjoined_uses{{"transcripts_dict.txt", LinkType::kInput}};
-      std::vector<std::uint32_t> workers;
+      const std::uint32_t first_worker = split + 1;  // workers follow split
       for (std::size_t i = 0; i < n; ++i) {
         const std::string s = tag(i, n);
-        const std::uint32_t worker = b.add(
-            "run_cap3_" + s, "run_cap3",
-            {{"transcripts_dict.txt", LinkType::kInput},
-             {"protein_" + s + ".txt", LinkType::kInput},
-             {"joined_" + s + ".fasta", LinkType::kOutput},
-             {"members_" + s + ".txt", LinkType::kOutput}});
-        if (!patterns) {
-          wf.add_dependency(transcripts, worker);
-          wf.add_dependency(split, worker);
-        }
+        b.add("run_cap3_" + s, "run_cap3",
+              {{"transcripts_dict.txt", LinkType::kInput},
+               {"protein_" + s + ".txt", LinkType::kInput},
+               {"joined_" + s + ".fasta", LinkType::kOutput},
+               {"members_" + s + ".txt", LinkType::kOutput}});
         merge_uses.push_back({"joined_" + s + ".fasta", LinkType::kInput});
         unjoined_uses.push_back({"members_" + s + ".txt", LinkType::kInput});
-        workers.push_back(worker);
       }
       merge_uses.push_back({"joined.fasta", LinkType::kOutput});
       const std::uint32_t merge =
@@ -445,37 +426,29 @@ wms::AbstractWorkflow build_workflow(const ShapeSpec& spec) {
       const std::uint32_t unjoined =
           b.add("find_unjoined", "find_unjoined", std::move(unjoined_uses));
       wf.add_dependency(transcripts, unjoined);
-      if (patterns) {
-        // The 4n regular edges as 4 patterns: {split, transcripts} fan out
-        // to the workers, the workers fan in to {merge, unjoined}.
-        const std::uint32_t first_worker = workers.front();
-        const auto count = static_cast<std::uint32_t>(n);
-        wf.add_edge_pattern({.src_begin = split,
-                             .dst_begin = first_worker,
-                             .count = count,
-                             .src_stride = 0,
-                             .dst_stride = 1});
-        wf.add_edge_pattern({.src_begin = transcripts,
-                             .dst_begin = first_worker,
-                             .count = count,
-                             .src_stride = 0,
-                             .dst_stride = 1});
-        wf.add_edge_pattern({.src_begin = first_worker,
-                             .dst_begin = merge,
-                             .count = count,
-                             .src_stride = 1,
-                             .dst_stride = 0});
-        wf.add_edge_pattern({.src_begin = first_worker,
-                             .dst_begin = unjoined,
-                             .count = count,
-                             .src_stride = 1,
-                             .dst_stride = 0});
-      } else {
-        for (const std::uint32_t worker : workers) {
-          wf.add_dependency(worker, merge);
-          wf.add_dependency(worker, unjoined);
-        }
-      }
+      // The 4n regular edges as 4 patterns: {split, transcripts} fan out
+      // to the workers, the workers fan in to {merge, unjoined}.
+      const auto count = static_cast<std::uint32_t>(n);
+      wf.add_edge_pattern({.src_begin = split,
+                           .dst_begin = first_worker,
+                           .count = count,
+                           .src_stride = 0,
+                           .dst_stride = 1});
+      wf.add_edge_pattern({.src_begin = transcripts,
+                           .dst_begin = first_worker,
+                           .count = count,
+                           .src_stride = 0,
+                           .dst_stride = 1});
+      wf.add_edge_pattern({.src_begin = first_worker,
+                           .dst_begin = merge,
+                           .count = count,
+                           .src_stride = 1,
+                           .dst_stride = 0});
+      wf.add_edge_pattern({.src_begin = first_worker,
+                           .dst_begin = unjoined,
+                           .count = count,
+                           .src_stride = 1,
+                           .dst_stride = 0});
       const std::uint32_t final_merge =
           b.add("final_merge", "final_merge",
                 {{"joined.fasta", LinkType::kInput},

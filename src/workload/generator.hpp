@@ -63,14 +63,13 @@ struct ShapeSpec {
   /// differing only in seed share topology but not costs.
   std::uint64_t seed = 42;
   CostModelParams cost{};
-  /// Emit the regular fan-out/fan-in families as EdgePattern records
-  /// (O(1) storage per family) instead of materialized edge lists. The
-  /// adjacency every consumer observes is identical either way (the ids
-  /// are zero-padded, so arithmetic handle runs are name-monotonic);
-  /// chain, fan (step 0), diamond (<= 32 stages) and blast2cap3 compress,
-  /// montage/ngs and fan-heavy keep explicit edges.
-  bool edge_patterns = false;
 };
+
+/// Zero-padded index: `i` with as many digits as `count - 1`, so id sort
+/// order == build order at any size (job ids order release and adjacency
+/// iteration; unpadded "10" < "2" would make orderings size-dependent, and
+/// EdgePatterns need name-monotonic handle runs).
+[[nodiscard]] std::string tag(std::size_t i, std::size_t count);
 
 /// Closed-form structure of build_workflow(spec)'s result.
 struct ShapeCounts {
@@ -92,8 +91,11 @@ struct ShapeCounts {
 [[nodiscard]] CostModel cost_model_for(const ShapeSpec& spec);
 
 /// Builds the abstract workflow: topology via the handle fast path, file
-/// uses for planner staging, CPU hints from the cost model. Validated and
-/// acyclic by construction.
+/// uses for planner staging, CPU hints from the cost model. The regular
+/// fan-out/fan-in families are stored as EdgePatterns (O(1) storage per
+/// family): chain, fan (step 0), diamond (up to kMaxPatterns / 2 stages)
+/// and blast2cap3; montage, ngs, fan-heavy and deeper diamonds keep
+/// explicit edges. Validated and acyclic by construction.
 [[nodiscard]] wms::AbstractWorkflow build_workflow(const ShapeSpec& spec);
 
 /// The paper's two sites (campus cluster with preinstalled software at

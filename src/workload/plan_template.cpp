@@ -17,17 +17,12 @@ PlanKey PlanKey::of(const ShapeSpec& spec, std::string site,
 PlanTemplate::PlanTemplate(const ShapeSpec& spec, const std::string& site,
                            std::size_t cluster_size, std::optional<Instance>* first)
     : key_(PlanKey::of(spec, site, cluster_size)) {
-  // Patterns keep the recorded plan's regular families O(1); the frozen
-  // adjacency and every consumer's view are the same either way (the
-  // PatternedDag tests pin it).
-  ShapeSpec topology = spec;
-  topology.edge_patterns = true;
-  const wms::AbstractWorkflow abstract = build_workflow(topology);
+  const wms::AbstractWorkflow abstract = build_workflow(spec);
   const wms::SiteCatalog sites = generator_site_catalog();
   planner_.target_site = site;
   planner_.cluster_factor = cluster_size;
-  planner_.expected_output_bytes = expected_output_bytes(topology);
-  wms::ReplicaCatalog replicas = generator_replica_catalog(abstract, topology);
+  planner_.expected_output_bytes = expected_output_bytes(spec);
+  wms::ReplicaCatalog replicas = generator_replica_catalog(abstract, spec);
   wms::ConcreteWorkflow planned =
       wms::plan(abstract, sites, generator_transformation_catalog(abstract),
                 replicas, planner_);
@@ -74,7 +69,7 @@ PlanTemplate::PlanTemplate(const ShapeSpec& spec, const std::string& site,
   rank_begin_.push_back(static_cast<std::uint32_t>(ranks_.size()));
   graph_ = planned.freeze();
   inputs_ = abstract.workflow_inputs();
-  output_rank_ = closed_form_counts(topology).inputs;
+  output_rank_ = closed_form_counts(spec).inputs;
   if (first != nullptr) {
     first->emplace(Instance{std::move(planned), std::move(replicas)});
   }

@@ -110,7 +110,9 @@ TEST(LocalRun, DifferentNSameResult) {
     ASSERT_TRUE(result.report.success) << n;
     std::multiset<std::string> seqs;
     for (const auto& r : bio::read_fasta_file(result.output)) seqs.insert(r.seq);
-    if (!previous.empty()) EXPECT_EQ(seqs, previous) << "n=" << n;
+    if (!previous.empty()) {
+      EXPECT_EQ(seqs, previous) << "n=" << n;
+    }
     previous = std::move(seqs);
   }
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
@@ -122,6 +123,35 @@ TEST(SiteCatalogIo, ParseErrors) {
                common::ParseError);
   EXPECT_THROW(parse_site_xml("<sitecatalog><site handle=\"x\"/></sitecatalog>"),
                common::ParseError);
+}
+
+/// A one-site catalog whose `field` attribute reads `value`.
+std::string site_xml_with(const std::string& field, const std::string& value) {
+  std::string slots = "4";
+  std::string bandwidth = "1";
+  (field == "slots" ? slots : bandwidth) = value;
+  return "<sitecatalog><site handle=\"x\" slots=\"" + slots +
+         "\" preinstalled=\"true\" scratch=\"/s\" bandwidth=\"" + bandwidth +
+         "\"/></sitecatalog>";
+}
+
+TEST(SiteCatalogIo, ParseRejectsNonFiniteOrNegativeBandwidth) {
+  for (const char* bad : {"nan", "inf", "-inf", "-1", "-0.5"}) {
+    EXPECT_THROW(parse_site_xml(site_xml_with("bandwidth", bad)), common::ParseError)
+        << bad;
+  }
+  const auto bandwidth = [](const char* value) {
+    return parse_site_xml(site_xml_with("bandwidth", value)).site("x").stage_bandwidth_bps;
+  };
+  // 0 stays legal: an unknown bandwidth prices no transfer term.
+  EXPECT_EQ(bandwidth("0"), 0.0);
+  EXPECT_EQ(bandwidth("2.5e6"), 2.5e6);
+}
+
+TEST(SiteCatalogIo, ParseRejectsNegativeSlots) {
+  EXPECT_THROW(parse_site_xml(site_xml_with("slots", "-1")), common::ParseError);
+  EXPECT_EQ(parse_site_xml(site_xml_with("slots", "0")).site("x").slots, 0u);
+  EXPECT_EQ(parse_site_xml(site_xml_with("slots", "64")).site("x").slots, 64u);
 }
 
 TEST(CatalogIo, FileRoundTripAndPlanFromFiles) {

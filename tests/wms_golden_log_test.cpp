@@ -253,12 +253,37 @@ RunReport run_concrete(const ConcreteWorkflow& concrete, bool lean = false,
   return engine.run(concrete, service);
 }
 
-workload::ShapeSpec b2c3_spec(std::size_t n, bool patterns) {
+workload::ShapeSpec b2c3_spec(std::size_t n) {
   workload::ShapeSpec spec;
   spec.shape = workload::Shape::kBlast2cap3;
   spec.size = n;
-  spec.edge_patterns = patterns;
   return spec;
+}
+
+/// `workflow` with every edge stored explicitly: its adjacency, patterns
+/// included, copied edge by edge through add_dependency — the reference
+/// the generator's pattern-stored families are checked against.
+AbstractWorkflow with_explicit_edges(const AbstractWorkflow& workflow) {
+  AbstractWorkflow copy(workflow.name());
+  for (const AbstractJob& job : workflow.jobs()) copy.add_job(job);
+  for (std::uint32_t i = 0; i < workflow.jobs().size(); ++i) {
+    workflow.for_each_child(i,
+                            [&](std::uint32_t child) { copy.add_dependency(i, child); });
+  }
+  return copy;
+}
+
+/// plan_shape(spec, site), planned from with_explicit_edges of the
+/// generated abstract workflow.
+ConcreteWorkflow plan_with_explicit_edges(const workload::ShapeSpec& spec,
+                                          const std::string& site) {
+  const AbstractWorkflow abstract = with_explicit_edges(workload::build_workflow(spec));
+  PlannerOptions options;
+  options.target_site = site;
+  options.expected_output_bytes = workload::expected_output_bytes(spec);
+  return plan(abstract, workload::generator_site_catalog(),
+              workload::generator_transformation_catalog(abstract),
+              workload::generator_replica_catalog(abstract, spec), options);
 }
 
 /// Field-level equality of two concrete workflows: jobs in order, every
@@ -290,12 +315,11 @@ void expect_same_concrete(const ConcreteWorkflow& a, const ConcreteWorkflow& b) 
 }
 
 TEST(PatternedDag, PlannedWorkflowIsBytewiseIndependentOfEdgeStorage) {
-  // Patterns on vs off through the whole generator -> planner -> engine ->
+  // Pattern-stored vs explicit copies through the generator -> planner ->
   // emitters chain: identical structure, identical bytes.
   for (const std::size_t n : {100u, 300u}) {
-    const auto compressed = workload::plan_shape(b2c3_spec(n, true), "sandhills");
-    const auto materialized =
-        workload::plan_shape(b2c3_spec(n, false), "sandhills");
+    const auto compressed = workload::plan_shape(b2c3_spec(n), "sandhills");
+    const auto materialized = plan_with_explicit_edges(b2c3_spec(n), "sandhills");
     ASSERT_EQ(compressed.edge_count(), 4 * n + 7);
     EXPECT_EQ(compressed.edge_count() - compressed.graph().explicit_edge_count(),
               4 * n);
@@ -303,8 +327,10 @@ TEST(PatternedDag, PlannedWorkflowIsBytewiseIndependentOfEdgeStorage) {
     expect_same_concrete(compressed, materialized);
     EXPECT_EQ(to_dot(compressed), to_dot(materialized));
 
-    const auto abstract_on = workload::build_workflow(b2c3_spec(n, true));
-    const auto abstract_off = workload::build_workflow(b2c3_spec(n, false));
+    const auto abstract_on = workload::build_workflow(b2c3_spec(n));
+    const auto abstract_off = with_explicit_edges(abstract_on);
+    EXPECT_EQ(abstract_on.edge_count(), abstract_off.edge_count());
+    EXPECT_EQ(abstract_off.graph().pattern_edge_count(), 0u);
     EXPECT_EQ(to_dax_xml(abstract_on), to_dax_xml(abstract_off));
     EXPECT_EQ(to_dot(abstract_on), to_dot(abstract_off));
   }
@@ -313,9 +339,8 @@ TEST(PatternedDag, PlannedWorkflowIsBytewiseIndependentOfEdgeStorage) {
 TEST(PatternedDag, EngineLogsAreByteIdenticalAcrossEdgeStorageOnBothSites) {
   for (const std::string site : {"sandhills", "osg"}) {
     for (const std::size_t n : {100u, 300u}) {
-      const auto on = run_concrete(workload::plan_shape(b2c3_spec(n, true), site));
-      const auto off =
-          run_concrete(workload::plan_shape(b2c3_spec(n, false), site));
+      const auto on = run_concrete(workload::plan_shape(b2c3_spec(n), site));
+      const auto off = run_concrete(plan_with_explicit_edges(b2c3_spec(n), site));
       ASSERT_TRUE(on.success) << site << " n=" << n;
       EXPECT_EQ(on.jobstate_log, off.jobstate_log) << site << " n=" << n;
     }
@@ -325,12 +350,13 @@ TEST(PatternedDag, EngineLogsAreByteIdenticalAcrossEdgeStorageOnBothSites) {
 TEST(PatternedDag, StreamedBuildMatchesPlannerPath) {
   common::ThreadPool pool(4);
   for (const std::string site : {"sandhills", "osg"}) {
-    for (const std::size_t n : {1u, 2u, 100u, 257u}) {
-      const auto spec = b2c3_spec(n, true);
+    // One past the fill chunk runs the multi-chunk parallel fill.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{100},
+                                std::size_t{257}, workload::kStreamedFillChunk + 1}) {
+      const auto spec = b2c3_spec(n);
       workload::StreamedBuildOptions options;
       options.site = site;
       options.pool = &pool;
-      options.chunk = 64;  // force multi-chunk parallel fill at small n
       workload::StreamedBuildStats stats;
       const auto streamed =
           workload::build_concrete_streamed(spec, options, &stats);
@@ -362,7 +388,7 @@ void expect_same_replicas(const ReplicaCatalog& a, const ReplicaCatalog& b) {
 
 TEST(PatternedDag, PlanTemplateReplayMatchesPlannerPath) {
   // One recorded plan per topology, replayed for requests that differ in
-  // seed and edge storage: every shape (fan-heavy included), both sites,
+  // seed: every shape (fan-heavy included), both sites,
   // clustered or not — field for field what plan_shape returns, with the
   // replica catalog generator_replica_catalog builds.
   std::vector<workload::ShapeSpec> topologies;
@@ -393,21 +419,16 @@ TEST(PatternedDag, PlanTemplateReplayMatchesPlannerPath) {
                                  workload::build_workflow(topology), topology));
         std::vector<std::vector<double>> hints;  // per seed
         for (const std::uint64_t seed : {7u, 8u}) {
-          for (const bool patterns : {false, true}) {
-            workload::ShapeSpec spec = topology;
-            spec.seed = seed;
-            spec.edge_patterns = patterns;
-            const auto replayed = plan.instantiate(spec);
-            expect_same_concrete(replayed.workflow, workload::plan_shape(spec, site, k));
-            expect_same_replicas(replayed.replicas,
-                                 workload::generator_replica_catalog(
-                                     workload::build_workflow(spec), spec));
-            if (!patterns) {
-              hints.emplace_back();
-              for (const ConcreteJob& job : replayed.workflow.jobs()) {
-                hints.back().push_back(job.cpu_seconds_hint);
-              }
-            }
+          workload::ShapeSpec spec = topology;
+          spec.seed = seed;
+          const auto replayed = plan.instantiate(spec);
+          expect_same_concrete(replayed.workflow, workload::plan_shape(spec, site, k));
+          expect_same_replicas(replayed.replicas,
+                               workload::generator_replica_catalog(
+                                   workload::build_workflow(spec), spec));
+          hints.emplace_back();
+          for (const ConcreteJob& job : replayed.workflow.jobs()) {
+            hints.back().push_back(job.cpu_seconds_hint);
           }
         }
         // Same template, different seed: same DAG, different prices.
@@ -419,17 +440,17 @@ TEST(PatternedDag, PlanTemplateReplayMatchesPlannerPath) {
 }
 
 TEST(PatternedDag, PlanTemplateRejectsAnotherTopology) {
-  workload::ShapeSpec spec = b2c3_spec(16, false);
+  workload::ShapeSpec spec = b2c3_spec(16);
   const workload::PlanTemplate plan(spec, "osg", 1);
   spec.size = 17;
   EXPECT_THROW((void)plan.instantiate(spec), common::InvalidArgument);
-  spec = b2c3_spec(16, false);
+  spec = b2c3_spec(16);
   spec.shape = workload::Shape::kFan;
   EXPECT_THROW((void)plan.instantiate(spec), common::InvalidArgument);
 }
 
 TEST(PatternedDag, PlanTemplateReplaysShareOneFrozenGraph) {
-  const workload::ShapeSpec spec = b2c3_spec(16, false);
+  const workload::ShapeSpec spec = b2c3_spec(16);
   std::optional<workload::PlanTemplate::Instance> first;
   const workload::PlanTemplate plan(spec, "osg", 1, &first);
   ASSERT_NE(plan.graph(), nullptr);
@@ -449,7 +470,7 @@ TEST(PatternedDag, PlanTemplateReplaysShareOneFrozenGraph) {
 }
 
 TEST(PatternedDag, ReplayedPlanRejectsNewEdges) {
-  const workload::ShapeSpec spec = b2c3_spec(16, true);
+  const workload::ShapeSpec spec = b2c3_spec(16);
   const workload::PlanTemplate plan(spec, "sandhills", 1);
   auto replayed = plan.instantiate(spec);
   ConcreteWorkflow& workflow = replayed.workflow;
@@ -506,27 +527,16 @@ TEST(PatternedDag, EngineOnReplayedPlanMatchesPlanShape) {
   }
 }
 
-TEST(PatternedDag, StreamedExplicitModeAlsoMatchesPlannerPath) {
-  workload::StreamedBuildOptions options;
-  options.site = "osg";
-  options.edge_patterns = false;
-  const auto streamed =
-      workload::build_concrete_streamed(b2c3_spec(64, false), options);
-  const auto planned = workload::plan_shape(b2c3_spec(64, false), "osg");
-  expect_same_concrete(streamed, planned);
-  EXPECT_EQ(streamed.graph().pattern_edge_count(), 0u);
-}
-
 TEST(PatternedDag, ClusteredStreamMatchesPlannerClustering) {
   // Streamed clustering must replicate plan()'s grouping exactly: ids,
-  // order, summed hints, constituents (via lazy ClusterRange), edges.
+  // order, summed hints, constituents, edges.
   // n % k == 1 leaves a lone trailing worker; n % k == 0 is exact.
   for (const std::string site : {"sandhills", "osg"}) {
     for (const auto [n, k] : {std::pair<std::size_t, std::size_t>{100, 10},
                               {101, 10},
                               {7, 3},
                               {5, 8}}) {
-      const auto spec = b2c3_spec(n, false);
+      const auto spec = b2c3_spec(n);
       workload::StreamedBuildOptions options;
       options.site = site;
       options.cluster_size = k;
@@ -555,7 +565,7 @@ TEST(PatternedDag, ClusteredStreamMatchesPlannerClustering) {
 
 TEST(PatternedDag, LeanReportStreamsTheSameDigestAndCounters) {
   for (const std::string site : {"sandhills", "osg"}) {
-    const auto concrete = workload::plan_shape(b2c3_spec(100, true), site);
+    const auto concrete = workload::plan_shape(b2c3_spec(100), site);
     const auto full = run_concrete(concrete, /*lean=*/false);
     const auto lean = run_concrete(concrete, /*lean=*/true);
     ASSERT_TRUE(full.success);

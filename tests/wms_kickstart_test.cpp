@@ -57,6 +57,36 @@ TEST(Kickstart, RejectsForeignXml) {
   EXPECT_THROW(from_invocation_xml("not xml"), common::ParseError);
 }
 
+/// A successful record whose <timing> `field` reads `value` and whose
+/// attempt number reads `attempt`.
+std::string invocation_with(const std::string& field, const std::string& value,
+                            const std::string& attempt = "1") {
+  std::string timing;
+  for (const char* name : {"submit", "end", "wait", "install", "exec"}) {
+    timing += std::string(" ") + name + "=\"" + (field == name ? value : "1.000") + "\"";
+  }
+  return "<invocation job=\"a\" transformation=\"t\" attempt=\"" + attempt +
+         "\" host=\"h\" status=\"success\"><timing" + timing +
+         "/></invocation>";
+}
+
+TEST(Kickstart, RejectsNonFiniteOrNegativeTimes) {
+  for (const char* field : {"submit", "end", "wait", "install", "exec"}) {
+    for (const char* bad : {"nan", "inf", "-inf", "-0.5"}) {
+      EXPECT_THROW(from_invocation_xml(invocation_with(field, bad)), common::ParseError)
+          << field << "=" << bad;
+    }
+    // Zero is a legal time and a legal duration.
+    EXPECT_NO_THROW(from_invocation_xml(invocation_with(field, "0"))) << field;
+  }
+}
+
+TEST(Kickstart, RejectsNegativeAttempt) {
+  EXPECT_THROW(from_invocation_xml(invocation_with("", "", "-1")), common::ParseError);
+  EXPECT_EQ(from_invocation_xml(invocation_with("", "", "0")).attempt_number, 0u);
+  EXPECT_EQ(from_invocation_xml(invocation_with("", "", "3")).attempt_number, 3u);
+}
+
 TEST(Kickstart, DirectoryRoundTrip) {
   RunReport report;
   JobRun run_a;
