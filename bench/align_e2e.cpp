@@ -20,7 +20,6 @@
 //
 // Usage: align_e2e [--smoke] [--out PATH] [--workers N]
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -43,16 +42,13 @@
 #include "bio/alphabet.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "peak_rss.hpp"
 
 namespace {
 
 using namespace pga;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Cores this process may actually run on (the affinity mask, not the
 /// machine's nominal core count) — the honest denominator for any
@@ -66,21 +62,6 @@ unsigned host_cores() {
   }
 #endif
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
 }
 
 std::string random_protein(std::size_t n, common::Rng& rng) {
@@ -166,11 +147,11 @@ struct KernelResult {
 template <typename F>
 double cells_per_sec_once(F&& run, double min_seconds) {
   align::reset_dp_counters();
-  const auto start = Clock::now();
+  const common::Stopwatch watch;
   double elapsed = 0;
   do {
     run();
-    elapsed = seconds_since(start);
+    elapsed = watch.seconds();
   } while (elapsed < min_seconds);
   return static_cast<double>(align::dp_counters().cells) / elapsed;
 }
@@ -231,14 +212,14 @@ OverlapResult bench_overlaps(std::size_t workers) {
   OverlapResult r;
   r.sequences = seqs.size();
 
-  auto start = Clock::now();
+  common::Stopwatch watch;
   const auto serial = assembly::find_overlaps(seqs, {}, nullptr, &r.stats);
-  r.serial_seconds = seconds_since(start);
+  r.serial_seconds = watch.seconds();
 
   common::ThreadPool pool(workers);
-  start = Clock::now();
+  watch.reset();
   const auto parallel = assembly::find_overlaps(seqs, {}, &pool);
-  r.parallel_seconds = seconds_since(start);
+  r.parallel_seconds = watch.seconds();
 
   r.identical = serialize_overlaps(serial) == serialize_overlaps(parallel);
   r.pairs_per_sec_serial =
@@ -294,14 +275,14 @@ E2eResult bench_e2e(std::size_t workers) {
 
   E2eResult r;
   r.transcripts = txm.transcripts.size();
-  auto start = Clock::now();
+  common::Stopwatch watch;
   const std::string serial = run_pipeline(txm, nullptr);
-  r.serial_seconds = seconds_since(start);
+  r.serial_seconds = watch.seconds();
 
   common::ThreadPool pool(workers);
-  start = Clock::now();
+  watch.reset();
   const std::string parallel = run_pipeline(txm, &pool);
-  r.parallel_seconds = seconds_since(start);
+  r.parallel_seconds = watch.seconds();
 
   r.identical = serial == parallel;
   r.speedup = r.serial_seconds / r.parallel_seconds;
@@ -735,7 +716,7 @@ int main(int argc, char** argv) {
       overlap.speedup, overlap.identical ? "true" : "false", e2e.transcripts,
       e2e.serial_seconds, e2e.parallel_seconds, e2e.speedup,
       e2e.identical ? "true" : "false",
-      static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
+      static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
   out << buf;
   std::printf("wrote %s\n", out_path.c_str());
 

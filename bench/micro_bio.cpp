@@ -1,10 +1,9 @@
 // Microbenchmarks for the bioinformatics substrate: FASTA parsing,
-// transcriptome generation, translation and sequence statistics.
+// transcriptome generation and read simulation.
 #include <benchmark/benchmark.h>
 
 #include "bio/fasta.hpp"
 #include "bio/fastq.hpp"
-#include "bio/seq_stats.hpp"
 #include "bio/transcriptome.hpp"
 
 namespace {
@@ -40,26 +39,6 @@ void BM_FastaRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_FastaRoundTrip)->Arg(10)->Arg(50);
-
-void BM_SequenceSetStats(benchmark::State& state) {
-  const auto txm = sample_txm(50);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bio::sequence_set_stats(txm.transcripts));
-  }
-}
-BENCHMARK(BM_SequenceSetStats);
-
-void BM_KmerUniqueness(benchmark::State& state) {
-  const auto txm = sample_txm(20);
-  std::string all;
-  for (const auto& t : txm.transcripts) all += t.seq;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bio::kmer_uniqueness(all, 21));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(all.size()));
-}
-BENCHMARK(BM_KmerUniqueness);
 
 void BM_SimulateReads(benchmark::State& state) {
   const auto txm = sample_txm(20);

@@ -22,7 +22,6 @@
 #include <malloc.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stopwatch.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "wms/engine.hpp"
@@ -39,25 +39,11 @@
 #include "wms/planner.hpp"
 #include "workload/generator.hpp"
 #include "workload/streamed.hpp"
+#include "peak_rss.hpp"
 
 namespace {
 
 using namespace pga;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6)) * 1024;
-  }
-  return 0;
-}
 
 /// Makes the next point's VmHWM reading its own: returns freed arenas to
 /// the OS and resets the kernel's high-water mark. Both are best-effort —
@@ -166,13 +152,13 @@ Point run_point(std::size_t n, bool explicit_edges, common::ThreadPool& pool) {
   Point point;
   point.n = n;
 
-  auto t0 = std::chrono::steady_clock::now();
+  common::Stopwatch watch;
   workload::StreamedBuildOptions build_options;
   build_options.site = "sandhills";
   build_options.pool = &pool;
   wms::ConcreteWorkflow built =
       workload::build_concrete_streamed(scale_spec(n), build_options, &point.build);
-  point.build_seconds = seconds_since(t0);
+  point.build_seconds = watch.seconds();
   const wms::ConcreteWorkflow workflow =
       explicit_edges ? with_explicit_edges(built) : std::move(built);
   point.jobs = workflow.jobs().size();
@@ -189,9 +175,9 @@ Point run_point(std::size_t n, bool explicit_edges, common::ThreadPool& pool) {
   options.lean_report = true;  // O(1) report state: digest, not a roster
   options.observers.push_back(&counter);
   wms::DagmanEngine engine(std::move(options));
-  t0 = std::chrono::steady_clock::now();
+  watch.reset();
   const wms::RunReport report = engine.run(workflow, service);
-  point.engine_seconds = seconds_since(t0);
+  point.engine_seconds = watch.seconds();
   point.events = counter.events;
   point.digest = report.jobstate_digest;
   point.jobstate_lines = report.jobstate_lines;
@@ -200,7 +186,7 @@ Point run_point(std::size_t n, bool explicit_edges, common::ThreadPool& pool) {
   }
   point.jobs_per_sec = static_cast<double>(point.jobs) / point.engine_seconds;
   point.events_per_sec = static_cast<double>(point.events) / point.engine_seconds;
-  point.peak_rss_bytes = peak_rss_bytes();
+  point.peak_rss_bytes = bench::peak_rss_bytes();
 
   return point;
 }

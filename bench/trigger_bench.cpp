@@ -25,17 +25,16 @@
 //             perf leg; exits non-zero on violation. No walltime checks.
 //   --out     where to write the JSON report (default BENCH_trigger.json)
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stopwatch.hpp"
 #include "common/strings.hpp"
 #include "data/locality.hpp"
 #include "data/staging_service.hpp"
@@ -48,30 +47,11 @@
 #include "wms/engine.hpp"
 #include "wms/exec_service.hpp"
 #include "workload/generator.hpp"
+#include "peak_rss.hpp"
 
 namespace {
 
 using namespace pga;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
-}
 
 // ------------------------------------------------------------- catalog arm
 
@@ -131,13 +111,13 @@ CatalogPoint run_catalog_arm(std::size_t count, std::size_t lookup_passes) {
   point.replicas = count;
 
   LegacyCatalog legacy;
-  auto t0 = std::chrono::steady_clock::now();
+  common::Stopwatch watch;
   for (std::size_t i = 0; i < count; ++i) {
     legacy.add(lfns[i], replica_for(lfns[i], i));
   }
-  point.legacy_add_ops = static_cast<double>(count) / seconds_since(t0);
+  point.legacy_add_ops = static_cast<double>(count) / watch.seconds();
 
-  t0 = std::chrono::steady_clock::now();
+  watch.reset();
   for (std::size_t pass = 0; pass < lookup_passes; ++pass) {
     for (const std::size_t p : probes) {
       const auto* replicas = legacy.find(lfns[p]);
@@ -145,17 +125,17 @@ CatalogPoint run_catalog_arm(std::size_t count, std::size_t lookup_passes) {
     }
   }
   point.legacy_lookup_ops =
-      static_cast<double>(count * lookup_passes) / seconds_since(t0);
+      static_cast<double>(count * lookup_passes) / watch.seconds();
 
   wms::ReplicaCatalog sharded;
   sharded.reserve(count);
-  t0 = std::chrono::steady_clock::now();
+  watch.reset();
   for (std::size_t i = 0; i < count; ++i) {
     sharded.add(lfns[i], replica_for(lfns[i], i));
   }
-  point.sharded_add_ops = static_cast<double>(count) / seconds_since(t0);
+  point.sharded_add_ops = static_cast<double>(count) / watch.seconds();
 
-  t0 = std::chrono::steady_clock::now();
+  watch.reset();
   for (std::size_t pass = 0; pass < lookup_passes; ++pass) {
     for (const std::size_t p : probes) {
       const auto* replicas = sharded.find(lfns[p]);
@@ -163,7 +143,7 @@ CatalogPoint run_catalog_arm(std::size_t count, std::size_t lookup_passes) {
     }
   }
   point.sharded_lookup_ops =
-      static_cast<double>(count * lookup_passes) / seconds_since(t0);
+      static_cast<double>(count * lookup_passes) / watch.seconds();
 
   point.lookup_speedup = point.sharded_lookup_ops / point.legacy_lookup_ops;
   if (point.checksum_legacy != point.checksum_sharded) {
@@ -270,9 +250,9 @@ PipelinePoint run_pipeline_arm(std::size_t follow_ons) {
   seed.spec.size = 6;
   seed.spec.seed = 7;
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const common::Stopwatch watch;
   const waas::FleetResult result = controller.run({seed}, &trigger);
-  const double wall = seconds_since(t0);
+  const double wall = watch.seconds();
 
   PipelinePoint point;
   point.follow_ons = follow_ons;
@@ -427,7 +407,7 @@ void write_json(const std::string& path, bool smoke, const CatalogPoint& cat,
   out << "  },\n";
   out << "  \"peak_rss_mb\": "
       << common::format_fixed(
-             static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0), 1)
+             static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0), 1)
       << "\n";
   out << "}\n";
 }

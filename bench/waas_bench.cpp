@@ -18,44 +18,23 @@
 //             count sits inside a deterministic envelope. CI perf leg;
 //             exits non-zero on violation. No walltime assertions.
 //   --out     where to write the JSON report (default BENCH_waas.json)
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stopwatch.hpp"
 #include "common/strings.hpp"
 #include "sim/event_queue.hpp"
 #include "waas/fleet.hpp"
 #include "workload/generator.hpp"
+#include "peak_rss.hpp"
 
 namespace {
 
 using namespace pga;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-/// Process-wide high-water mark: run points smallest-first.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
-}
 
 constexpr std::size_t kTenants = 4;
 const std::vector<double> kWeights{4.0, 2.0, 1.0, 1.0};
@@ -123,9 +102,9 @@ Point run_point(std::size_t count, std::size_t workers) {
   sim::EventQueue queue;
   waas::FleetController controller(queue, make_options(count));
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const common::Stopwatch watch;
   const waas::FleetResult result = controller.run(requests);
-  const double wall = seconds_since(t0);
+  const double wall = watch.seconds();
 
   if (result.workflows_completed != count) {
     throw common::Error("waas_bench: lost workflows at W=" + std::to_string(count));
@@ -144,7 +123,7 @@ Point run_point(std::size_t count, std::size_t workers) {
   point.wall_seconds = wall;
   point.workflows_per_sec = static_cast<double>(count) / wall;
   point.jobs_per_sec = static_cast<double>(point.jobs_total) / wall;
-  point.peak_rss_bytes = peak_rss_bytes();
+  point.peak_rss_bytes = bench::peak_rss_bytes();
   point.digest = result.digest;
   point.tenants = result.tenants;
   return point;

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   options.target_site = platform;
   options.explicit_setup_jobs = explicit_setup;
   const auto concrete = wms::plan(dax, workload::generator_site_catalog(),
-                                  core::paper_transformation_catalog(),
+                                  workload::generator_transformation_catalog(dax),
                                   core::paper_replica_catalog(spec), options);
 
   const std::string output = emit_dot ? wms::to_dot(concrete) : wms::to_dax_xml(dax);

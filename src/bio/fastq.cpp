@@ -46,6 +46,11 @@ std::optional<FastqRecord> FastqReader::next() {
   if (seq.size() != qual.size()) {
     throw ParseError("FASTQ: sequence/quality length mismatch in record " + rec.id);
   }
+  // Phred+33 spans '!' (Q0) to '~' (Q93); anything else would decode to a
+  // negative or out-of-scale score in phred().
+  if (std::any_of(qual.begin(), qual.end(), [](char c) { return c < '!' || c > '~'; })) {
+    throw ParseError("FASTQ: quality outside Phred+33 ('!'..'~') in record " + rec.id);
+  }
   rec.seq = std::move(seq);
   rec.qual = std::move(qual);
   return rec;

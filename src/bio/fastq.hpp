@@ -26,7 +26,8 @@ struct FastqRecord {
 };
 
 /// Streaming 4-line FASTQ reader. Throws ParseError on malformed records
-/// (missing '@'/'+', quality/sequence length mismatch).
+/// (missing '@'/'+', quality/sequence length mismatch, a quality character
+/// outside Phred+33 '!'..'~').
 class FastqReader {
  public:
   explicit FastqReader(std::istream& in);

@@ -1,7 +1,6 @@
 #include "bio/transcriptome.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "bio/alphabet.hpp"
 #include "bio/codon.hpp"
@@ -12,13 +11,11 @@ namespace pga::bio {
 
 namespace {
 
-std::string zero_padded(std::string_view prefix, std::size_t value, int width = 4) {
-  std::ostringstream os;
-  os << prefix;
-  std::string digits = std::to_string(value);
-  while (digits.size() < static_cast<std::size_t>(width)) digits.insert(0, "0");
-  os << digits;
-  return os.str();
+std::string zero_padded(std::string_view prefix, std::size_t value, std::size_t width = 4) {
+  const std::string digits = std::to_string(value);
+  std::string out(prefix);
+  if (digits.size() < width) out.append(width - digits.size(), '0');
+  return out += digits;
 }
 
 std::string random_dna(std::size_t length, common::Rng& rng) {

@@ -1,6 +1,8 @@
-// Error types shared by every pga module.
+// Error types shared by every pga module, and the finite, non-negative
+// check that config constructors run on their numeric knobs.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -47,5 +49,15 @@ class SimulationError : public Error {
   explicit SimulationError(const std::string& what)
       : Error("simulation error: " + what) {}
 };
+
+/// Throws InvalidArgument("<where>: <field> must be finite and >= 0")
+/// unless `value` is both. Config constructors check their costs,
+/// latencies and skews with it: a bare `value < 0` lets a NaN through.
+inline void require_non_negative(const char* where, const char* field, double value) {
+  if (!std::isfinite(value) || value < 0) {
+    throw InvalidArgument(std::string(where) + ": " + field +
+                          " must be finite and >= 0");
+  }
+}
 
 }  // namespace pga::common

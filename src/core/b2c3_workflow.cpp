@@ -118,22 +118,6 @@ AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
   return wf;
 }
 
-wms::TransformationCatalog paper_transformation_catalog() {
-  wms::TransformationCatalog tc;
-  const char* transformations[] = {"create_list", "split_alignments", "run_cap3",
-                                   "merge_joined", "find_unjoined", "final_merge"};
-  // The OSG bundle is the whole Python/Biopython/CAP3 stack each modified
-  // task downloads (§IV.B); ~350 MB is what the 180–600 s install window
-  // implies at the paper-era stage bandwidths.
-  const std::uint64_t osg_bundle_bytes = 350ull * 1024 * 1024;
-  for (const char* tf : transformations) {
-    tc.add(tf, "sandhills", {std::string("/util/opt/") + tf, /*installed=*/true});
-    tc.add(tf, "osg", {std::string("http://stash/b2c3/") + tf + ".tar.gz",
-                       /*installed=*/false, osg_bundle_bytes});
-  }
-  return tc;
-}
-
 wms::ReplicaCatalog paper_replica_catalog(const B2c3WorkflowSpec& spec) {
   wms::ReplicaCatalog rc;
   // §V.A: transcripts.fasta is 404 MB, alignments.out is 155 MB.
@@ -152,8 +136,8 @@ wms::ConcreteWorkflow plan_for_site(const wms::AbstractWorkflow& dax,
   options.target_site = site;
   options.cluster_factor = cluster_factor;
   return wms::plan(dax, workload::generator_site_catalog(),
-                   paper_transformation_catalog(), paper_replica_catalog(spec),
-                   options);
+                   workload::generator_transformation_catalog(dax),
+                   paper_replica_catalog(spec), options);
 }
 
 }  // namespace pga::core

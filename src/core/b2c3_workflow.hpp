@@ -39,10 +39,6 @@ struct B2c3WorkflowSpec {
 wms::AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
                                            const WorkloadModel* workload = nullptr);
 
-/// Registers every blast2cap3 transformation for both sites (installed on
-/// sandhills, stageable on osg).
-wms::TransformationCatalog paper_transformation_catalog();
-
 /// Registers the two input files at the "local" submit host.
 wms::ReplicaCatalog paper_replica_catalog(const B2c3WorkflowSpec& spec = {});
 

@@ -13,12 +13,28 @@ WorkloadModel::WorkloadModel(const WorkloadParams& params) : params_(params) {
   if (params.proteins == 0 || params.transcripts < params.proteins) {
     throw common::InvalidArgument("workload: need transcripts >= proteins >= 1");
   }
-  if (params.cost_beta < 1.0) {
-    throw common::InvalidArgument("workload: cost_beta must be >= 1");
+  if (!(std::isfinite(params.cost_beta) && params.cost_beta >= 1.0)) {
+    throw common::InvalidArgument("workload: cost_beta must be finite and >= 1");
   }
-  if (params.serial_cap3_seconds <= 0) {
+  constexpr const char* kWhere = "workload";
+  common::require_non_negative(kWhere, "zipf_s", params.zipf_s);
+  common::require_non_negative(kWhere, "serial_cap3_seconds", params.serial_cap3_seconds);
+  if (params.serial_cap3_seconds == 0) {
     throw common::InvalidArgument("workload: serial_cap3_seconds must be > 0");
   }
+  common::require_non_negative(kWhere, "create_list_seconds", params.create_list_seconds);
+  common::require_non_negative(kWhere, "split_base_seconds", params.split_base_seconds);
+  common::require_non_negative(kWhere, "split_per_chunk_seconds",
+                               params.split_per_chunk_seconds);
+  common::require_non_negative(kWhere, "run_cap3_fixed_seconds",
+                               params.run_cap3_fixed_seconds);
+  common::require_non_negative(kWhere, "merge_joined_seconds",
+                               params.merge_joined_seconds);
+  common::require_non_negative(kWhere, "find_unjoined_seconds",
+                               params.find_unjoined_seconds);
+  common::require_non_negative(kWhere, "final_merge_seconds", params.final_merge_seconds);
+  common::require_non_negative(kWhere, "merge_per_chunk_seconds",
+                               params.merge_per_chunk_seconds);
 
   // Zipf-shaped sizes with mild multiplicative noise, then scaled to the
   // transcript total. Every cluster keeps at least 1 transcript.

@@ -42,6 +42,9 @@ struct WorkloadParams {
 /// Deterministic cluster-size + cost model.
 class WorkloadModel {
  public:
+  /// Throws InvalidArgument unless transcripts >= proteins >= 1, cost_beta
+  /// is finite and >= 1, serial_cap3_seconds is finite and > 0, and
+  /// zipf_s and every per-step seconds knob are finite and >= 0.
   explicit WorkloadModel(const WorkloadParams& params = {});
 
   [[nodiscard]] const WorkloadParams& params() const { return params_; }

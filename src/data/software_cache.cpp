@@ -7,9 +7,7 @@
 namespace pga::data {
 
 SoftwareCache::SoftwareCache(SoftwareCacheConfig config) : config_(config) {
-  if (config_.hit_seconds < 0) {
-    throw common::InvalidArgument("SoftwareCache: hit_seconds must be >= 0");
-  }
+  common::require_non_negative("SoftwareCache", "hit_seconds", config_.hit_seconds);
 }
 
 void SoftwareCache::touch(NodeCache& node, const std::string& package) {

@@ -1,7 +1,7 @@
 // StagingService — an ExecutionService decorator (same shape as
 // wms::FaultyService) that intercepts the planner's stage-in/stage-out
 // jobs and realizes them as modeled transfers on the TransferManager
-// instead of flat-cost simulated jobs. Compute/setup/cleanup jobs pass
+// instead of flat-cost simulated jobs. Compute and setup jobs pass
 // through to the wrapped service untouched.
 //
 // Stage-in: every LFN in the job's args is transferred from its selected

@@ -62,7 +62,6 @@ class StorageElement {
   /// Attaches the event stream (nullptr detaches). The bus is borrowed
   /// and must outlive the element.
   void set_event_sink(StorageEventBus* bus) { events_ = bus; }
-  [[nodiscard]] StorageEventBus* event_sink() const { return events_; }
 
   [[nodiscard]] std::uint64_t used_bytes() const { return used_; }
   /// Free space; unbounded elements report uint64 max.

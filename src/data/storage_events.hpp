@@ -68,7 +68,6 @@ class StorageEventBus {
   /// Stamps `event.time` from the attached clock (if any) and fans out.
   void emit(StorageEvent event);
 
-  void set_clock(const sim::EventQueue* clock) { clock_ = clock; }
   [[nodiscard]] std::size_t observer_count() const { return observers_.size(); }
 
  private:

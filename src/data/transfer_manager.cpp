@@ -11,15 +11,13 @@ using common::InvalidArgument;
 
 TransferManager::TransferManager(sim::EventQueue& queue, TransferConfig config)
     : queue_(queue), config_(config), rng_(config.seed) {
-  if (config_.latency_seconds < 0) {
-    throw InvalidArgument("TransferManager: latency must be >= 0");
-  }
-  if (config_.failure_probability < 0 || config_.failure_probability >= 1.0) {
+  common::require_non_negative("TransferManager", "latency_seconds",
+                               config_.latency_seconds);
+  if (!(config_.failure_probability >= 0 && config_.failure_probability < 1.0)) {
     throw InvalidArgument("TransferManager: failure_probability must be in [0,1)");
   }
-  if (config_.retry_backoff_seconds < 0) {
-    throw InvalidArgument("TransferManager: retry backoff must be >= 0");
-  }
+  common::require_non_negative("TransferManager", "retry_backoff_seconds",
+                               config_.retry_backoff_seconds);
 }
 
 void TransferManager::add_element(StorageElementConfig config) {

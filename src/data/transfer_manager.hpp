@@ -56,6 +56,8 @@ using TransferCallback = std::function<void(const TransferResult&)>;
 class TransferManager {
  public:
   /// `queue` is the experiment's clock; it must outlive the manager.
+  /// Throws InvalidArgument unless latency and retry backoff are finite
+  /// and >= 0 and failure_probability is in [0, 1).
   TransferManager(sim::EventQueue& queue, TransferConfig config = {});
 
   /// Registers a site's storage element. Re-adding a site replaces its
@@ -72,7 +74,6 @@ class TransferManager {
   /// every element registered or auto-created afterwards (nullptr
   /// detaches). The bus is borrowed and must outlive the manager.
   void set_event_bus(StorageEventBus* bus);
-  [[nodiscard]] StorageEventBus* event_bus() const { return event_bus_; }
   /// Throws InvalidArgument for unregistered sites.
   [[nodiscard]] StorageElement& element(const std::string& site);
   [[nodiscard]] const StorageElement& element(const std::string& site) const;

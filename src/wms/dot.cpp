@@ -45,8 +45,7 @@ std::string to_dot(const ConcreteWorkflow& workflow) {
     switch (job.kind) {
       case JobKind::kStageIn:
       case JobKind::kStageOut: shape = "parallelogram"; break;
-      case JobKind::kSetup:
-      case JobKind::kCleanup: shape = "box"; break;
+      case JobKind::kSetup: shape = "box"; break;
       case JobKind::kCompute:
       case JobKind::kClustered: shape = "ellipse"; break;
     }

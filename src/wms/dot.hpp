@@ -14,7 +14,7 @@ namespace pga::wms {
 std::string to_dot(const AbstractWorkflow& workflow);
 
 /// Renders a concrete workflow. Auxiliary jobs are shaped by kind
-/// (transfers as parallelograms, setup/cleanup as boxes) and tasks that
+/// (transfers as parallelograms, setup jobs as boxes) and tasks that
 /// carry a download/install step are drawn red — exactly the Fig. 3
 /// convention.
 std::string to_dot(const ConcreteWorkflow& workflow);

@@ -49,7 +49,7 @@ namespace pga::wms {
 struct EngineOptions {
   int retries = 3;  ///< additional attempts after the first failure
   /// When set, a rescue file is written here if the run fails.
-  std::optional<std::filesystem::path> rescue_path;
+  std::optional<std::filesystem::path> rescue_path = std::nullopt;
   /// When set, the engine publishes job-state transitions here; poll it
   /// from another thread for pegasus-status-style monitoring. Must outlive
   /// the run.
@@ -254,8 +254,7 @@ class EngineInstance {
   [[nodiscard]] std::size_t jobs_in_flight() const { return fsm_.submitted_count(); }
   /// Jobs released and waiting for a submission slot.
   [[nodiscard]] std::size_t ready_count() const { return fsm_.ready().size(); }
-  /// Jobs finished successfully (including rescued ones).
-  [[nodiscard]] std::size_t done_jobs() const { return fsm_.done_count(); }
+  /// Jobs in the workflow.
   [[nodiscard]] std::size_t total_jobs() const { return fsm_.size(); }
 
  private:

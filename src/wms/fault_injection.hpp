@@ -93,7 +93,6 @@ class FaultPlan {
     return chaos_;
   }
   [[nodiscard]] bool empty() const { return directives_.empty() && !chaos_; }
-  [[nodiscard]] std::size_t directive_count() const { return directives_.size(); }
 
  private:
   std::vector<FaultDirective> directives_;

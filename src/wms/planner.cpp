@@ -236,10 +236,9 @@ std::size_t ConcreteWorkflow::count(JobKind kind) const {
   return n;
 }
 
-double stage_job_seconds(double base_seconds, std::uint64_t bytes,
-                         const SiteEntry& site) {
+double stage_job_seconds(std::uint64_t bytes, const SiteEntry& site) {
   // Zero bytes price exactly like no bandwidth term: base + 0.0 == base.
-  return base_seconds +
+  return kStageJobSeconds +
          (bytes > 0 && site.stage_bandwidth_bps > 0
               ? static_cast<double>(bytes) / site.stage_bandwidth_bps
               : 0.0);
@@ -387,105 +386,62 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
   }
 
   // 4. Stage-in for external inputs.
-  if (options.add_stage_jobs) {
-    const auto inputs = abstract.workflow_inputs();
-    if (!inputs.empty()) {
-      for (const auto& lfn : inputs) {
-        if (!replicas.has(lfn)) {
-          throw WorkflowError("workflow input " + lfn + " has no replica");
-        }
-      }
-      ConcreteJob stage_in;
-      stage_in.id = "stage_in_0";
-      stage_in.transformation = "pegasus::transfer";
-      stage_in.kind = JobKind::kStageIn;
-      stage_in.args = inputs;
-      for (const auto& lfn : inputs) {
-        const auto replica = replicas.best_for_site(lfn, site.name);
-        if (replica.has_value()) stage_in.staged_bytes += replica->size_bytes;
-      }
-      stage_in.cpu_seconds_hint =
-          stage_job_seconds(options.stage_in_seconds, stage_in.staged_bytes, site);
-      concrete.add_job(std::move(stage_in));
-      // Parents every consumer of an external input.
-      const std::set<std::string> input_set(inputs.begin(), inputs.end());
-      std::set<std::string> consumers;
-      for (const auto& a : abstract.jobs()) {
-        for (const auto& lfn : a.inputs()) {
-          if (input_set.count(lfn)) consumers.insert(concrete_id(a.id));
-        }
-      }
-      for (const auto& consumer : consumers) {
-        concrete.add_dependency("stage_in_0", consumer);
+  const auto inputs = abstract.workflow_inputs();
+  if (!inputs.empty()) {
+    for (const auto& lfn : inputs) {
+      if (!replicas.has(lfn)) {
+        throw WorkflowError("workflow input " + lfn + " has no replica");
       }
     }
-
-    // 5. Stage-out for final outputs.
-    const auto outputs = abstract.workflow_outputs();
-    if (!outputs.empty()) {
-      ConcreteJob stage_out;
-      stage_out.id = "stage_out_0";
-      stage_out.transformation = "pegasus::transfer";
-      stage_out.kind = JobKind::kStageOut;
-      stage_out.args = outputs;
-      stage_out.staged_bytes = options.expected_output_bytes;
-      stage_out.cpu_seconds_hint = stage_job_seconds(
-          options.stage_out_seconds, options.expected_output_bytes, site);
-      concrete.add_job(std::move(stage_out));
-      const std::set<std::string> output_set(outputs.begin(), outputs.end());
-      std::set<std::string> producers;
-      for (const auto& a : abstract.jobs()) {
-        for (const auto& lfn : a.outputs()) {
-          if (output_set.count(lfn)) producers.insert(concrete_id(a.id));
-        }
+    ConcreteJob stage_in;
+    stage_in.id = "stage_in_0";
+    stage_in.transformation = "pegasus::transfer";
+    stage_in.kind = JobKind::kStageIn;
+    stage_in.args = inputs;
+    for (const auto& lfn : inputs) {
+      const auto replica = replicas.best_for_site(lfn, site.name);
+      if (replica.has_value()) stage_in.staged_bytes += replica->size_bytes;
+    }
+    stage_in.cpu_seconds_hint = stage_job_seconds(stage_in.staged_bytes, site);
+    concrete.add_job(std::move(stage_in));
+    // Parents every consumer of an external input.
+    const std::set<std::string> input_set(inputs.begin(), inputs.end());
+    std::set<std::string> consumers;
+    for (const auto& a : abstract.jobs()) {
+      for (const auto& lfn : a.inputs()) {
+        if (input_set.count(lfn)) consumers.insert(concrete_id(a.id));
       }
-      for (const auto& producer : producers) {
-        concrete.add_dependency(producer, "stage_out_0");
-      }
+    }
+    for (const auto& consumer : consumers) {
+      concrete.add_dependency("stage_in_0", consumer);
     }
   }
 
-  // 6. Optional in-place cleanup jobs: for each abstract job whose outputs
-  // are all intermediate (consumed by other jobs, not workflow outputs),
-  // delete those files once every consumer has finished.
-  if (options.add_cleanup_jobs) {
-    const auto outputs = abstract.workflow_outputs();
-    const std::set<std::string> final_outputs(outputs.begin(), outputs.end());
-    for (const auto& producer : abstract.jobs()) {
-      // Files this job produces that are NOT final outputs.
-      std::vector<std::string> intermediates;
-      for (const auto& lfn : producer.outputs()) {
-        if (!final_outputs.count(lfn)) intermediates.push_back(lfn);
+  // 5. Stage-out for final outputs.
+  const auto outputs = abstract.workflow_outputs();
+  if (!outputs.empty()) {
+    ConcreteJob stage_out;
+    stage_out.id = "stage_out_0";
+    stage_out.transformation = "pegasus::transfer";
+    stage_out.kind = JobKind::kStageOut;
+    stage_out.args = outputs;
+    stage_out.staged_bytes = options.expected_output_bytes;
+    stage_out.cpu_seconds_hint =
+        stage_job_seconds(options.expected_output_bytes, site);
+    concrete.add_job(std::move(stage_out));
+    const std::set<std::string> output_set(outputs.begin(), outputs.end());
+    std::set<std::string> producers;
+    for (const auto& a : abstract.jobs()) {
+      for (const auto& lfn : a.outputs()) {
+        if (output_set.count(lfn)) producers.insert(concrete_id(a.id));
       }
-      if (intermediates.empty()) continue;
-      // All consumers of those files.
-      const std::set<std::string> intermediate_set(intermediates.begin(),
-                                                   intermediates.end());
-      std::set<std::string> consumers;
-      for (const auto& consumer : abstract.jobs()) {
-        for (const auto& lfn : consumer.inputs()) {
-          if (intermediate_set.count(lfn)) consumers.insert(concrete_id(consumer.id));
-        }
-      }
-      if (consumers.empty()) continue;  // nothing reads them; keep the files
-
-      ConcreteJob cleanup;
-      cleanup.id = "cleanup_" + producer.id;
-      cleanup.transformation = "pegasus::cleanup";
-      cleanup.kind = JobKind::kCleanup;
-      cleanup.args = intermediates;
-      cleanup.cpu_seconds_hint = options.cleanup_seconds;
-      const std::string cleanup_id = cleanup.id;
-      concrete.add_job(std::move(cleanup));
-      for (const auto& consumer : consumers) {
-        // The producer may have been clustered together with a consumer;
-        // avoid self-edges.
-        if (consumer != cleanup_id) concrete.add_dependency(consumer, cleanup_id);
-      }
+    }
+    for (const auto& producer : producers) {
+      concrete.add_dependency(producer, "stage_out_0");
     }
   }
 
-  // 7. Optional explicit setup nodes (Fig. 3 drawn as separate steps).
+  // 6. Optional explicit setup nodes (Fig. 3 drawn as separate steps).
   if (options.explicit_setup_jobs) {
     std::vector<std::string> flagged;
     for (const auto& job : concrete.jobs()) {
@@ -499,7 +455,7 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
       setup.id = "setup_" + id;
       setup.transformation = "install_software_stack";
       setup.kind = JobKind::kSetup;
-      setup.cpu_seconds_hint = options.setup_seconds;
+      setup.cpu_seconds_hint = kSetupJobSeconds;
       concrete.add_job(std::move(setup));
       concrete.add_dependency("setup_" + id, id);
       // The install cost is now carried by the explicit setup node.

@@ -25,7 +25,7 @@
 namespace pga::wms {
 
 /// Role of a concrete job.
-enum class JobKind { kCompute, kStageIn, kStageOut, kSetup, kClustered, kCleanup };
+enum class JobKind { kCompute, kStageIn, kStageOut, kSetup, kClustered };
 
 /// One schedulable job of the concrete workflow. Kept lean (~128 B): the
 /// execution site lives once on ConcreteWorkflow::site() (the planner binds
@@ -195,40 +195,33 @@ class ConcreteWorkflow {
   std::unordered_map<std::uint32_t, std::vector<std::string>> constituents_;
 };
 
+/// Cost hint of each stage_in/stage_out transfer job before its bytes are
+/// priced in (see stage_job_seconds).
+inline constexpr double kStageJobSeconds = 60;
+/// Cost hint of each explicit software-setup job.
+inline constexpr double kSetupJobSeconds = 300;
+
 /// Planner knobs.
 struct PlannerOptions {
   std::string target_site;
-  bool add_stage_jobs = true;      ///< insert stage_in/stage_out transfer jobs
   bool explicit_setup_jobs = false;  ///< emit setup jobs as separate DAG nodes
                                      ///< instead of per-task flags
   std::size_t cluster_factor = 1;  ///< >1: horizontally cluster compute jobs of
                                    ///< the same transformation with identical
                                    ///< parent sets, cluster_factor per group
-  /// Base cost hints for transfer jobs; when replica sizes are known the
-  /// planner adds bytes / site.stage_bandwidth_bps on top.
-  double stage_in_seconds = 60;
-  double stage_out_seconds = 60;
   /// Expected total bytes of the final outputs (outputs have no replica
   /// entries at plan time, so they cannot be priced from the catalog).
-  /// When nonzero the stage-out job is priced like stage-in: base +
-  /// bytes / site.stage_bandwidth_bps, and carries the bytes in
-  /// staged_bytes. 0 keeps the flat stage_out_seconds hint.
+  /// When nonzero the stage-out job is priced like stage-in and carries
+  /// the bytes in staged_bytes. 0 keeps the flat kStageJobSeconds hint.
   std::uint64_t expected_output_bytes = 0;
-  double setup_seconds = 300;      ///< cost hint for explicit setup jobs
-  /// Pegasus-style in-place data cleanup: for every job producing
-  /// intermediate files, insert a cleanup job that removes them once all
-  /// consumers finish. Bounds the scratch footprint of large workflows.
-  bool add_cleanup_jobs = false;
-  double cleanup_seconds = 5;      ///< cost hint per cleanup job
 };
 
 /// Cost hint of a transfer job moving `bytes` into or out of `site`:
-/// `base_seconds` plus bytes / site.stage_bandwidth_bps, or the flat base
-/// when the bytes or the bandwidth are unknown (0). plan() prices its
+/// kStageJobSeconds plus bytes / site.stage_bandwidth_bps, or the flat
+/// base when the bytes or the bandwidth are unknown (0). plan() prices its
 /// stage_in/stage_out jobs with it, and so does every builder that
 /// reproduces plan()'s output without running it.
-[[nodiscard]] double stage_job_seconds(double base_seconds, std::uint64_t bytes,
-                                       const SiteEntry& site);
+[[nodiscard]] double stage_job_seconds(std::uint64_t bytes, const SiteEntry& site);
 
 /// Plans `abstract` onto `options.target_site`. Throws WorkflowError when a
 /// transformation is not in the catalog for the site, or an external input

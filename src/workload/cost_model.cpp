@@ -44,18 +44,25 @@ void apply_order(std::vector<double>& values, CostOrder order, common::Rng& rng)
 
 }  // namespace
 
-CostModel::CostModel(const CostModelParams& params, std::size_t task_count,
-                     std::size_t file_count)
+CostModel::CostModel(const CostModelParams& params, std::size_t tasks,
+                     std::size_t files)
     : params_(params) {
-  if (params.cpu_mean_seconds <= 0 || params.io_mean_bytes == 0) {
+  constexpr const char* kWhere = "cost model";
+  common::require_non_negative(kWhere, "cpu_mean_seconds", params.cpu_mean_seconds);
+  common::require_non_negative(kWhere, "cpu_min_seconds", params.cpu_min_seconds);
+  common::require_non_negative(kWhere, "cpu_max_seconds", params.cpu_max_seconds);
+  common::require_non_negative(kWhere, "cpu_zipf_s", params.cpu_zipf_s);
+  common::require_non_negative(kWhere, "cpu_noise_sigma", params.cpu_noise_sigma);
+  common::require_non_negative(kWhere, "io_zipf_s", params.io_zipf_s);
+  if (params.cpu_mean_seconds == 0 || params.io_mean_bytes == 0) {
     throw common::InvalidArgument("cost model: means must be positive");
   }
   if (params.cpu_min_seconds > params.cpu_max_seconds ||
       params.io_min_bytes > params.io_max_bytes) {
     throw common::InvalidArgument("cost model: min bound exceeds max bound");
   }
-  if (params.cpu_beta < 1.0) {
-    throw common::InvalidArgument("cost model: cpu_beta must be >= 1");
+  if (!(std::isfinite(params.cpu_beta) && params.cpu_beta >= 1.0)) {
+    throw common::InvalidArgument("cost model: cpu_beta must be finite and >= 1");
   }
 
   // Independent streams: task costs never shift when the file count
@@ -63,7 +70,7 @@ CostModel::CostModel(const CostModelParams& params, std::size_t task_count,
   common::Rng cpu_rng(params.seed);
   common::Rng io_rng(params.seed ^ 0xf11ebeefc0dec0deULL);
 
-  task_seconds_.resize(task_count);
+  task_seconds_.resize(tasks);
   switch (params.cpu) {
     case CostDistribution::kConstant:
       std::fill(task_seconds_.begin(), task_seconds_.end(),
@@ -79,15 +86,15 @@ CostModel::CostModel(const CostModelParams& params, std::size_t task_count,
       // cost_k = alpha * w_k^beta with alpha calibrated so the total hits
       // mean * count — the WorkloadModel calibration with an explicit
       // target instead of the paper's serial_cap3_seconds.
-      const auto weights = zipf_weights(cpu_rng, task_count, params.cpu_zipf_s,
+      const auto weights = zipf_weights(cpu_rng, tasks, params.cpu_zipf_s,
                                         params.cpu_noise_sigma);
       double unscaled = 0;
       for (const double w : weights) unscaled += std::pow(w, params.cpu_beta);
       const double alpha =
           unscaled > 0
-              ? params.cpu_mean_seconds * static_cast<double>(task_count) / unscaled
+              ? params.cpu_mean_seconds * static_cast<double>(tasks) / unscaled
               : 0.0;
-      for (std::size_t k = 0; k < task_count; ++k) {
+      for (std::size_t k = 0; k < tasks; ++k) {
         task_seconds_[k] = alpha * std::pow(weights[k], params.cpu_beta);
       }
       apply_order(task_seconds_, params.cpu_order, cpu_rng);
@@ -96,7 +103,7 @@ CostModel::CostModel(const CostModelParams& params, std::size_t task_count,
   }
   for (const double cost : task_seconds_) total_seconds_ += cost;
 
-  file_bytes_.resize(file_count);
+  file_bytes_.resize(files);
   switch (params.io) {
     case CostDistribution::kConstant:
       std::fill(file_bytes_.begin(), file_bytes_.end(), params.io_mean_bytes);
@@ -112,14 +119,14 @@ CostModel::CostModel(const CostModelParams& params, std::size_t task_count,
       // Noiseless rank law calibrated to the mean: a few big references,
       // a long tail of small per-chunk files.
       double unscaled = 0;
-      for (std::size_t k = 0; k < file_count; ++k) {
+      for (std::size_t k = 0; k < files; ++k) {
         unscaled += std::pow(static_cast<double>(k + 1), -params.io_zipf_s);
       }
       const double alpha =
           unscaled > 0 ? static_cast<double>(params.io_mean_bytes) *
-                             static_cast<double>(file_count) / unscaled
+                             static_cast<double>(files) / unscaled
                        : 0.0;
-      for (std::size_t k = 0; k < file_count; ++k) {
+      for (std::size_t k = 0; k < files; ++k) {
         file_bytes_[k] = static_cast<std::uint64_t>(std::max(
             1.0, alpha * std::pow(static_cast<double>(k + 1), -params.io_zipf_s)));
       }

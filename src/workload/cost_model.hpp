@@ -8,7 +8,7 @@
 // kZipf redistributes work over tasks without changing the aggregate, so a
 // policy-ablation delta is a scheduling effect, never a workload-size one.
 //
-// Everything is deterministic in (params, task_count, file_count): the CPU
+// Everything is deterministic in (params, tasks, files): the CPU
 // and IO streams are seeded independently, so changing the file count never
 // shifts task costs and vice versa.
 #pragma once
@@ -59,10 +59,10 @@ struct CostModelParams {
 /// Deterministic per-rank cost lookup, drawn once at construction.
 class CostModel {
  public:
-  /// Throws InvalidArgument on non-positive means, inverted uniform
-  /// bounds, or cpu_beta < 1 (matching WorkloadModel's contract).
-  CostModel(const CostModelParams& params, std::size_t task_count,
-            std::size_t file_count);
+  /// Throws InvalidArgument on a non-finite or negative cpu_* knob or
+  /// io_zipf_s, non-positive means, inverted uniform bounds, or
+  /// cpu_beta < 1 (matching WorkloadModel's contract).
+  CostModel(const CostModelParams& params, std::size_t tasks, std::size_t files);
 
   [[nodiscard]] const CostModelParams& params() const { return params_; }
 
@@ -71,7 +71,6 @@ class CostModel {
   /// Bytes of the file at `rank` (inputs first, then outputs).
   [[nodiscard]] std::uint64_t file_bytes(std::size_t rank) const;
 
-  [[nodiscard]] std::size_t task_count() const { return task_seconds_.size(); }
   [[nodiscard]] std::size_t file_count() const { return file_bytes_.size(); }
   [[nodiscard]] double total_task_seconds() const { return total_seconds_; }
   [[nodiscard]] std::uint64_t total_file_bytes() const { return total_bytes_; }

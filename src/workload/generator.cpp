@@ -478,6 +478,9 @@ wms::SiteCatalog generator_site_catalog() {
 wms::TransformationCatalog generator_transformation_catalog(
     const wms::AbstractWorkflow& workflow) {
   wms::TransformationCatalog tc;
+  // The OSG bundle is the whole Python/Biopython/CAP3 stack each modified
+  // blast2cap3 task downloads (§IV.B); ~350 MB is what the 180–600 s
+  // install window implies at the paper-era stage bandwidths.
   const std::uint64_t osg_bundle_bytes = 350ull * 1024 * 1024;
   std::vector<std::string> seen;
   for (const auto& job : workflow.jobs()) {

@@ -106,6 +106,7 @@ struct ShapeCounts {
 
 /// Every transformation of `workflow` on both sites: installed on
 /// sandhills, a stageable ~350 MB bundle on osg (the Fig. 3 overhead).
+/// core::plan_for_site and examples/dax_generator plan blast2cap3 with it.
 [[nodiscard]] wms::TransformationCatalog generator_transformation_catalog(
     const wms::AbstractWorkflow& workflow);
 

@@ -19,13 +19,14 @@ PlanTemplate::PlanTemplate(const ShapeSpec& spec, const std::string& site,
     : key_(PlanKey::of(spec, site, cluster_size)) {
   const wms::AbstractWorkflow abstract = build_workflow(spec);
   const wms::SiteCatalog sites = generator_site_catalog();
-  planner_.target_site = site;
-  planner_.cluster_factor = cluster_size;
-  planner_.expected_output_bytes = expected_output_bytes(spec);
+  wms::PlannerOptions options;
+  options.target_site = site;
+  options.cluster_factor = cluster_size;
+  options.expected_output_bytes = expected_output_bytes(spec);
   wms::ReplicaCatalog replicas = generator_replica_catalog(abstract, spec);
   wms::ConcreteWorkflow planned =
       wms::plan(abstract, sites, generator_transformation_catalog(abstract),
-                replicas, planner_);
+                replicas, options);
   site_ = sites.site(site);
 
   // Keep the structure, drop the prices: compute and clustered jobs get
@@ -62,7 +63,7 @@ PlanTemplate::PlanTemplate(const ShapeSpec& spec, const std::string& site,
         job.staged_bytes = 0;
         break;
       default:
-        break;  // setup/cleanup hints are flat planner options, not costs
+        break;  // setup hints are the flat kSetupJobSeconds, not costs
     }
     id_bytes_ += job.id.size();
   }
@@ -115,13 +116,11 @@ PlanTemplate::Instance PlanTemplate::instantiate(const ShapeSpec& spec) const {
   }
   if (stage_in_ != kNone) {
     jobs[stage_in_].staged_bytes = in_bytes;
-    jobs[stage_in_].cpu_seconds_hint =
-        wms::stage_job_seconds(planner_.stage_in_seconds, in_bytes, site_);
+    jobs[stage_in_].cpu_seconds_hint = wms::stage_job_seconds(in_bytes, site_);
   }
   if (stage_out_ != kNone) {
     jobs[stage_out_].staged_bytes = out_bytes;
-    jobs[stage_out_].cpu_seconds_hint =
-        wms::stage_job_seconds(planner_.stage_out_seconds, out_bytes, site_);
+    jobs[stage_out_].cpu_seconds_hint = wms::stage_job_seconds(out_bytes, site_);
   }
   workflow.finish_bulk();
   for (const auto& [index, members] : constituents_) {

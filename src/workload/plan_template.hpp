@@ -92,7 +92,6 @@ class PlanTemplate {
 
   PlanKey key_;
   wms::SiteEntry site_;
-  wms::PlannerOptions planner_;  ///< the options recorded with (base hints)
   std::vector<wms::ConcreteJob> jobs_;  ///< plan() order, zero-priced
   std::size_t id_bytes_ = 0;            ///< total id length (interner reserve)
   /// Job i's cost ranks are ranks_[rank_begin_[i] .. rank_begin_[i + 1]):

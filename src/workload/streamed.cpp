@@ -70,7 +70,6 @@ wms::ConcreteWorkflow build_concrete_streamed(const ShapeSpec& spec,
   // alignments.out=0, transcripts.fasta=1, assembly.fasta=2.
   const std::uint64_t in_bytes = model.file_bytes(0) + model.file_bytes(1);
   const std::uint64_t out_bytes = model.file_bytes(2);
-  const wms::PlannerOptions defaults;
 
   const auto fill_compute = [&](wms::ConcreteJob& job, std::string id,
                                 const char* transformation, std::size_t rank) {
@@ -112,7 +111,7 @@ wms::ConcreteWorkflow build_concrete_streamed(const ShapeSpec& spec,
   stage_in.args = {"alignments.out", "transcripts.fasta"};
   stage_in.staged_bytes = in_bytes;
   stage_in.cpu_seconds_hint =
-      wms::stage_job_seconds(defaults.stage_in_seconds, in_bytes, site);
+      wms::stage_job_seconds(in_bytes, site);
   wms::ConcreteJob& stage_out = arr[n + 7];
   stage_out.id = "stage_out_0";
   stage_out.transformation = "pegasus::transfer";
@@ -120,7 +119,7 @@ wms::ConcreteWorkflow build_concrete_streamed(const ShapeSpec& spec,
   stage_out.args = {"assembly.fasta"};
   stage_out.staged_bytes = out_bytes;
   stage_out.cpu_seconds_hint =
-      wms::stage_job_seconds(defaults.stage_out_seconds, out_bytes, site);
+      wms::stage_job_seconds(out_bytes, site);
   out.fill_seconds = lap(mark);
 
   concrete.finish_bulk();

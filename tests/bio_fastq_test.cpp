@@ -47,6 +47,12 @@ TEST(FastqReader, RejectsLengthMismatch) {
   EXPECT_THROW(parse("@r1\nACGT\n+\nII\n"), common::ParseError);
 }
 
+TEST(FastqReader, RejectsQualityOutsidePhred33) {
+  EXPECT_THROW(parse("@r1\nACGT\n+\nII I\n"), common::ParseError);
+  EXPECT_THROW(parse("@r1\nACGT\n+\nII\x7fI\n"), common::ParseError);
+  EXPECT_EQ(parse("@r1\nACGT\n+\n!!~~\n").at(0).phred(3), 93);
+}
+
 TEST(FastqReader, RejectsTruncation) {
   EXPECT_THROW(parse("@r1\nACGT\n"), common::ParseError);
 }

@@ -148,7 +148,7 @@ TEST(Transcriptome, FusionPredicate) {
   }
   ASSERT_FALSE(different.empty());
   EXPECT_TRUE(txm.is_fusion(txm.transcripts[0].id, different));
-  EXPECT_THROW(txm.is_fusion("nope", txm.transcripts[0].id),
+  EXPECT_THROW((void)txm.is_fusion("nope", txm.transcripts[0].id),
                common::InvalidArgument);
 }
 
@@ -157,7 +157,7 @@ TEST(Transcriptome, FamilyOfTranscript) {
   const auto& t = txm.transcripts.front();
   const auto& family = txm.family_of_transcript(t.id);
   EXPECT_EQ(family, txm.gene_family.at(txm.transcript_gene.at(t.id)));
-  EXPECT_THROW(txm.family_of_transcript("missing"), common::InvalidArgument);
+  EXPECT_THROW((void)txm.family_of_transcript("missing"), common::InvalidArgument);
 }
 
 TEST(Transcriptome, RepeatGenesExist) {

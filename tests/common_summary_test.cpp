@@ -14,9 +14,9 @@ TEST(Summary, EmptyBehaviour) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_THROW(s.min(), InvalidArgument);
-  EXPECT_THROW(s.max(), InvalidArgument);
-  EXPECT_THROW(s.percentile(50), InvalidArgument);
+  EXPECT_THROW((void)s.min(), InvalidArgument);
+  EXPECT_THROW((void)s.max(), InvalidArgument);
+  EXPECT_THROW((void)s.percentile(50), InvalidArgument);
 }
 
 TEST(Summary, BasicMoments) {
@@ -52,8 +52,8 @@ TEST(Summary, PercentileInterpolates) {
 TEST(Summary, PercentileRangeChecked) {
   Summary s;
   s.add(1.0);
-  EXPECT_THROW(s.percentile(-1), InvalidArgument);
-  EXPECT_THROW(s.percentile(101), InvalidArgument);
+  EXPECT_THROW((void)s.percentile(-1), InvalidArgument);
+  EXPECT_THROW((void)s.percentile(101), InvalidArgument);
 }
 
 TEST(Summary, AddAfterSortedQueryStillCorrect) {

@@ -29,11 +29,11 @@ TEST(Experiment, SweepCoversAllPoints) {
   EXPECT_EQ(results.points.size(), 8u);  // 2 platforms x 4 n values
   for (const auto& platform : {"sandhills", "osg"}) {
     for (const std::size_t n : {10ul, 100ul, 300ul, 500ul}) {
-      EXPECT_NO_THROW(results.point(platform, n));
+      EXPECT_NO_THROW((void)results.point(platform, n));
       EXPECT_GT(results.wall(platform, n), 0.0);
     }
   }
-  EXPECT_THROW(results.point("sandhills", 42), common::InvalidArgument);
+  EXPECT_THROW((void)results.point("sandhills", 42), common::InvalidArgument);
 }
 
 TEST(Experiment, ParallelReductionExceeds95Percent) {

@@ -91,7 +91,7 @@ TEST(PaperCatalogs, SitesMatchPaperDescription) {
 }
 
 TEST(PaperCatalogs, TransformationsResolvableOnBothSites) {
-  const auto tc = paper_transformation_catalog();
+  const auto tc = workload::generator_transformation_catalog(build_blast2cap3_dax({}));
   for (const auto* tf : {"create_list", "split_alignments", "run_cap3",
                          "merge_joined", "find_unjoined", "final_merge"}) {
     EXPECT_TRUE(tc.available(tf, "sandhills")) << tf;

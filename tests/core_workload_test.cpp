@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -118,6 +119,24 @@ TEST(Workload, Validation) {
   EXPECT_THROW(WorkloadModel{p}, common::InvalidArgument);
   const WorkloadModel model;
   EXPECT_THROW(model.chunk_costs(0), common::InvalidArgument);
+}
+
+TEST(Workload, NonFiniteOrNegativeKnobsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double WorkloadParams::*field :
+       {&WorkloadParams::zipf_s, &WorkloadParams::cost_beta,
+        &WorkloadParams::serial_cap3_seconds, &WorkloadParams::create_list_seconds,
+        &WorkloadParams::split_base_seconds, &WorkloadParams::split_per_chunk_seconds,
+        &WorkloadParams::run_cap3_fixed_seconds, &WorkloadParams::merge_joined_seconds,
+        &WorkloadParams::find_unjoined_seconds, &WorkloadParams::final_merge_seconds,
+        &WorkloadParams::merge_per_chunk_seconds}) {
+    for (const double bad : {nan, inf, -1.0}) {
+      WorkloadParams p;
+      p.*field = bad;
+      EXPECT_THROW(WorkloadModel{p}, common::InvalidArgument) << bad;
+    }
+  }
 }
 
 }  // namespace

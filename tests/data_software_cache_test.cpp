@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace pga::data {
@@ -118,6 +120,15 @@ TEST(SoftwareCache, RejectsNegativeHitSeconds) {
   SoftwareCacheConfig config;
   config.hit_seconds = -1;
   EXPECT_THROW(SoftwareCache cache(config), common::InvalidArgument);
+}
+
+TEST(SoftwareCache, RejectsNonFiniteHitSeconds) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SoftwareCacheConfig config;
+    config.hit_seconds = bad;
+    EXPECT_THROW(SoftwareCache cache(config), common::InvalidArgument) << bad;
+  }
 }
 
 }  // namespace

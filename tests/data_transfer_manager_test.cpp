@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,23 @@ TEST(TransferManager, RejectsBrokenConfigs) {
   backoff.retry_backoff_seconds = -1;
   EXPECT_THROW(TransferManager(queue, backoff), common::InvalidArgument);
   TransferManager ok(queue);
-  EXPECT_THROW(ok.element("nowhere"), common::InvalidArgument);
+  EXPECT_THROW((void)ok.element("nowhere"), common::InvalidArgument);
   EXPECT_THROW(ok.transfer("f", 1, "a", "b", nullptr), common::InvalidArgument);
+}
+
+TEST(TransferManager, RejectsNonFiniteConfigs) {
+  sim::EventQueue queue;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double TransferConfig::*field :
+       {&TransferConfig::latency_seconds, &TransferConfig::failure_probability,
+        &TransferConfig::retry_backoff_seconds}) {
+    for (const double bad : {nan, inf}) {
+      TransferConfig config;
+      config.*field = bad;
+      EXPECT_THROW(TransferManager(queue, config), common::InvalidArgument) << bad;
+    }
+  }
 }
 
 TEST(TransferManager, ReplicaSelectionPolicy) {

@@ -89,8 +89,12 @@ TEST(FleetSoak, DaysOfSimulatedTimeWithTenantChurn) {
   std::size_t per_tenant[3] = {0, 0, 0};
   for (const auto& outcome : result.outcomes) {
     ++per_tenant[outcome.tenant];
-    if (outcome.tenant == 1) EXPECT_GE(outcome.finished_seconds, kDay);
-    if (outcome.tenant == 2) EXPECT_LE(outcome.arrival_seconds, 2 * kDay);
+    if (outcome.tenant == 1) {
+      EXPECT_GE(outcome.finished_seconds, kDay);
+    }
+    if (outcome.tenant == 2) {
+      EXPECT_LE(outcome.arrival_seconds, 2 * kDay);
+    }
   }
   for (std::size_t t = 0; t < 3; ++t) {
     EXPECT_GT(per_tenant[t], 0u) << "tenant " << t;

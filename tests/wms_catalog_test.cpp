@@ -137,7 +137,7 @@ TEST(SiteCatalog, AddAndQuery) {
   EXPECT_EQ(sc.site("sandhills").slots, 64u);
   EXPECT_TRUE(sc.site("sandhills").software_preinstalled);
   EXPECT_FALSE(sc.site("osg").software_preinstalled);
-  EXPECT_THROW(sc.site("xsede"), common::InvalidArgument);
+  EXPECT_THROW((void)sc.site("xsede"), common::InvalidArgument);
   EXPECT_EQ(sc.names(), (std::vector<std::string>{"osg", "sandhills"}));
   EXPECT_THROW(sc.add({"", 1, true, ""}), common::InvalidArgument);
 }

@@ -269,7 +269,9 @@ TEST_P(ChaosSeed, SurvivesTheOsgBackendToo) {
   }
   EXPECT_EQ(report.total_attempts, attempts);
   EXPECT_EQ(report.total_retries, attempts - launched);
-  if (!report.success) EXPECT_GT(report.jobs_failed, 0u);
+  if (!report.success) {
+    EXPECT_GT(report.jobs_failed, 0u);
+  }
 }
 
 // ---------------------------------------------- generated-shape chaos sweep

@@ -126,7 +126,7 @@ TEST(Dax, JobAccessors) {
   EXPECT_TRUE(wf.has_job("split"));
   EXPECT_FALSE(wf.has_job("nope"));
   EXPECT_EQ(wf.job("split").transformation, "split_alignments");
-  EXPECT_THROW(wf.job("nope"), common::InvalidArgument);
+  EXPECT_THROW((void)wf.job("nope"), common::InvalidArgument);
   EXPECT_THROW(wf.parents("nope"), common::InvalidArgument);
   const auto inputs = wf.job("cap3_0").inputs();
   EXPECT_EQ(inputs.size(), 2u);

@@ -391,7 +391,9 @@ TEST(Engine, HungAttemptIsRetriedAfterTimeoutUntilBudgetExhausted) {
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.timed_out_attempts, 3u);  // initial + 2 retries
   for (const auto& run : report.runs) {
-    if (run.id == "b") EXPECT_EQ(run.attempts.size(), 3u);
+    if (run.id == "b") {
+      EXPECT_EQ(run.attempts.size(), 3u);
+    }
   }
 }
 
@@ -408,8 +410,12 @@ TEST(Engine, BackoffIsExponentialAndCapped) {
   // Retries 1..3 cool off min(10 * 2^(k-1), 15): 10 + 15 + 15.
   EXPECT_DOUBLE_EQ(report.total_backoff_seconds, 40.0);
   for (const auto& run : report.runs) {
-    if (run.id == "a") EXPECT_DOUBLE_EQ(run.backoff_seconds, 40.0);
-    if (run.id == "b") EXPECT_DOUBLE_EQ(run.backoff_seconds, 0.0);
+    if (run.id == "a") {
+      EXPECT_DOUBLE_EQ(run.backoff_seconds, 40.0);
+    }
+    if (run.id == "b") {
+      EXPECT_DOUBLE_EQ(run.backoff_seconds, 0.0);
+    }
   }
   std::size_t backoff_lines = 0;
   for (const auto& line : report.jobstate_log) {

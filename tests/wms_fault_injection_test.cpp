@@ -185,8 +185,12 @@ TEST(FaultPlan, CorruptedNodeIsReported) {
   EXPECT_TRUE(report.success);
   EXPECT_EQ(faulty.corrupted_nodes(), 1u);
   for (const auto& run : report.runs) {
-    if (run.id == "a") EXPECT_EQ(run.attempts.at(0).node, "evil-host");
-    if (run.id == "b") EXPECT_EQ(run.attempts.at(0).node, "stub-node");
+    if (run.id == "a") {
+      EXPECT_EQ(run.attempts.at(0).node, "evil-host");
+    }
+    if (run.id == "b") {
+      EXPECT_EQ(run.attempts.at(0).node, "stub-node");
+    }
   }
 }
 

@@ -532,7 +532,7 @@ TEST(PatternedDag, ClusteredStreamMatchesPlannerClustering) {
   // order, summed hints, constituents, edges.
   // n % k == 1 leaves a lone trailing worker; n % k == 0 is exact.
   for (const std::string site : {"sandhills", "osg"}) {
-    for (const auto [n, k] : {std::pair<std::size_t, std::size_t>{100, 10},
+    for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{100, 10},
                               {101, 10},
                               {7, 3},
                               {5, 8}}) {

@@ -119,15 +119,6 @@ TEST(Planner, StageInFeedsConsumersOfExternalInputs) {
   EXPECT_EQ(parents, (std::vector<std::string>{"merge"}));
 }
 
-TEST(Planner, StageJobsCanBeDisabled) {
-  Fixture fx;
-  auto o = opts("sandhills");
-  o.add_stage_jobs = false;
-  const auto concrete = plan(fx.wf, fx.sites, fx.transformations, fx.replicas, o);
-  EXPECT_EQ(concrete.count(JobKind::kStageIn), 0u);
-  EXPECT_EQ(concrete.count(JobKind::kStageOut), 0u);
-}
-
 TEST(Planner, MissingReplicaRejected) {
   Fixture fx;
   ReplicaCatalog empty;
@@ -204,48 +195,6 @@ TEST(Planner, TopologicalOrderValidOnPlan) {
   }
 }
 
-TEST(Planner, CleanupJobsRemoveIntermediatesAfterConsumers) {
-  Fixture fx;
-  auto o = opts("sandhills");
-  o.add_cleanup_jobs = true;
-  const auto concrete = plan(fx.wf, fx.sites, fx.transformations, fx.replicas, o);
-  // split's protein_i.txt outputs and each cap3's joined_i.fasta are
-  // intermediate; merge produces only the final output.
-  EXPECT_EQ(concrete.count(JobKind::kCleanup), 5u);
-  // cleanup_split runs after every consumer of the protein chunks.
-  const auto parents = concrete.parents("cleanup_split");
-  EXPECT_EQ(parents, (std::vector<std::string>{"run_cap3_0", "run_cap3_1",
-                                               "run_cap3_2", "run_cap3_3"}));
-  // cleanup for a cap3 job waits on merge (the only consumer).
-  EXPECT_EQ(concrete.parents("cleanup_run_cap3_0"),
-            (std::vector<std::string>{"merge"}));
-  // No cleanup node for the final output's producer.
-  EXPECT_FALSE(concrete.has_job("cleanup_merge"));
-  // Plan stays a DAG.
-  EXPECT_EQ(concrete.topological_order().size(), concrete.jobs().size());
-}
-
-TEST(Planner, CleanupOffByDefault) {
-  Fixture fx;
-  const auto concrete =
-      plan(fx.wf, fx.sites, fx.transformations, fx.replicas, opts("sandhills"));
-  EXPECT_EQ(concrete.count(JobKind::kCleanup), 0u);
-}
-
-TEST(Planner, CleanupComposesWithClustering) {
-  Fixture fx;
-  auto o = opts("sandhills");
-  o.add_cleanup_jobs = true;
-  o.cluster_factor = 4;  // all cap3 jobs fold into one clustered job
-  const auto concrete = plan(fx.wf, fx.sites, fx.transformations, fx.replicas, o);
-  EXPECT_GT(concrete.count(JobKind::kCleanup), 0u);
-  EXPECT_EQ(concrete.topological_order().size(), concrete.jobs().size());
-  // The split cleanup now depends on the clustered consumer.
-  const auto parents = concrete.parents("cleanup_split");
-  ASSERT_EQ(parents.size(), 1u);
-  EXPECT_TRUE(parents[0].starts_with("cluster_"));
-}
-
 TEST(Planner, StageInCostScalesWithReplicaSizes) {
   Fixture fx;
   // 500 MB input at 10 MB/s -> ~50 s on top of the base cost.
@@ -253,21 +202,20 @@ TEST(Planner, StageInCostScalesWithReplicaSizes) {
   sized.add("alignments.out", {"/data/alignments.out", "local", 500'000'000});
   SiteCatalog slow_sites;
   slow_sites.add({"sandhills", 64, true, "/work", /*stage_bandwidth_bps=*/10e6});
-  auto o = opts("sandhills");
-  const auto concrete = plan(fx.wf, slow_sites, fx.transformations, sized, o);
+  const auto concrete =
+      plan(fx.wf, slow_sites, fx.transformations, sized, opts("sandhills"));
   const auto& stage_in = concrete.job("stage_in_0");
   EXPECT_EQ(stage_in.staged_bytes, 500'000'000u);
-  EXPECT_NEAR(stage_in.cpu_seconds_hint, o.stage_in_seconds + 50.0, 0.5);
+  EXPECT_NEAR(stage_in.cpu_seconds_hint, kStageJobSeconds + 50.0, 0.5);
 }
 
 TEST(Planner, UnknownSizesFallBackToBaseCost) {
   Fixture fx;
-  const auto o = opts("sandhills");
   const auto concrete =
-      plan(fx.wf, fx.sites, fx.transformations, fx.replicas, o);
+      plan(fx.wf, fx.sites, fx.transformations, fx.replicas, opts("sandhills"));
   const auto& stage_in = concrete.job("stage_in_0");
   EXPECT_EQ(stage_in.staged_bytes, 0u);
-  EXPECT_DOUBLE_EQ(stage_in.cpu_seconds_hint, o.stage_in_seconds);
+  EXPECT_DOUBLE_EQ(stage_in.cpu_seconds_hint, kStageJobSeconds);
 }
 
 TEST(Planner, AbstractIdCarriedThrough) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -54,20 +55,20 @@ TEST(ShapeTaxonomy, NamesRoundTripAndUnknownNamesThrow) {
     EXPECT_EQ(parse_shape(shape_name(shape)), shape);
   }
   EXPECT_EQ(all_shapes().size(), 6u);
-  EXPECT_THROW(parse_shape("helix"), common::InvalidArgument);
-  EXPECT_THROW(parse_shape(""), common::InvalidArgument);
+  EXPECT_THROW((void)parse_shape("helix"), common::InvalidArgument);
+  EXPECT_THROW((void)parse_shape(""), common::InvalidArgument);
 }
 
 TEST(ShapeTaxonomy, SizesBelowTheShapeMinimumThrow) {
   ShapeSpec montage;
   montage.shape = Shape::kMontage;
   montage.size = 1;
-  EXPECT_THROW(closed_form_counts(montage), common::InvalidArgument);
+  EXPECT_THROW((void)closed_form_counts(montage), common::InvalidArgument);
   EXPECT_THROW(build_workflow(montage), common::InvalidArgument);
   ShapeSpec diamond;
   diamond.shape = Shape::kDiamond;
   diamond.diamond_stages = 0;
-  EXPECT_THROW(closed_form_counts(diamond), common::InvalidArgument);
+  EXPECT_THROW((void)closed_form_counts(diamond), common::InvalidArgument);
 }
 
 TEST(ShapeProperties, EveryGridPointMatchesItsClosedFormCounts) {
@@ -221,6 +222,22 @@ TEST(CostModel, InvalidParametersAndRanksThrow) {
   const CostModel model(CostModelParams{}, 4, 2);
   EXPECT_THROW((void)model.task_seconds(4), common::InvalidArgument);
   EXPECT_THROW((void)model.file_bytes(2), common::InvalidArgument);
+}
+
+TEST(CostModel, NonFiniteOrNegativeKnobsThrow) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double CostModelParams::*field :
+       {&CostModelParams::cpu_mean_seconds, &CostModelParams::cpu_min_seconds,
+        &CostModelParams::cpu_max_seconds, &CostModelParams::cpu_zipf_s,
+        &CostModelParams::cpu_beta, &CostModelParams::cpu_noise_sigma,
+        &CostModelParams::io_zipf_s}) {
+    for (const double bad : {nan, inf, -1.0}) {
+      CostModelParams params;
+      params.*field = bad;
+      EXPECT_THROW(CostModel(params, 4, 4), common::InvalidArgument) << bad;
+    }
+  }
 }
 
 TEST(CostModel, TaskAndFileStreamsAreIndependent) {
