@@ -21,7 +21,14 @@ run_suite() {
   echo "==> configure ${dir} ($*)"
   cmake -B "${dir}" -S . "$@"
   echo "==> build ${dir}"
-  cmake --build "${dir}" -j "${jobs}"
+  cmake --build "${dir}" -j "${jobs}" 2>&1 | tee "${dir}/build.log"
+  # The default build stays warning-free: any compiler warning in it fails
+  # the leg. (An incremental build shows only the warnings of the files it
+  # recompiles; a fresh checkout compiles them all.)
+  if [[ "${dir}" == build ]] && grep 'warning:' "${dir}/build.log"; then
+    echo "==> FAIL: the default build emitted the compiler warnings above" >&2
+    exit 1
+  fi
   echo "==> ctest ${dir} (-L tier1)"
   # Explicit per-test timeout: a wedged simulation (staging deadlock, hung
   # chaos run) fails the leg instead of stalling CI forever.
@@ -133,7 +140,7 @@ build/bench/trigger_bench --smoke --out build/BENCH_trigger_smoke.json
 echo "==> perf smoke (perfbench/run.py --smoke)"
 python3 perfbench/run.py --smoke
 
-# Size report: lines of C++ in src+bench+tests, the measure ROADMAP item 4
+# Size report: lines of C++ in src+bench+tests, the measure ROADMAP item 8
 # tracks. Printed only, with no assertion, so each change's size shows in
 # the log.
 echo "==> size (C++ lines in src+bench+tests)"

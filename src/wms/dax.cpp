@@ -26,75 +26,49 @@ std::vector<std::string> AbstractJob::outputs() const {
   return out;
 }
 
-AbstractWorkflow::AbstractWorkflow(std::string name) : name_(std::move(name)) {
-  if (name_.empty()) throw InvalidArgument("workflow name must not be empty");
+AbstractWorkflow::AbstractWorkflow(std::string name)
+    : JobDag(std::move(name), CycleCheck::kOn) {
+  if (this->name().empty()) throw InvalidArgument("workflow name must not be empty");
 }
 
 std::uint32_t AbstractWorkflow::add_job(AbstractJob job) {
-  if (job.id.empty()) throw InvalidArgument("job id must not be empty");
   if (job.transformation.empty()) {
     throw InvalidArgument("job " + job.id + " has no transformation");
   }
-  if (ids_.contains(job.id)) throw InvalidArgument("duplicate job id: " + job.id);
-  const std::uint32_t handle = ids_.intern(job.id);  // == jobs_.size(): dense
+  const std::uint32_t handle = add_node(job.id);  // == jobs_.size(): dense
   jobs_.push_back(std::move(job));
-  graph_.add_node();
   return handle;
 }
 
-void AbstractWorkflow::reserve(std::size_t job_count, std::size_t id_bytes) {
-  jobs_.reserve(job_count);
-  ids_.reserve(job_count, id_bytes);
-  graph_.reserve(job_count);
-}
+namespace {
 
-void AbstractWorkflow::add_dependency(const std::string& parent,
-                                      const std::string& child) {
-  const std::uint32_t p = ids_.find(parent);
-  const std::uint32_t c = ids_.find(child);
-  if (p == IdTable::kInvalid) throw InvalidArgument("unknown parent job: " + parent);
-  if (c == IdTable::kInvalid) throw InvalidArgument("unknown child job: " + child);
-  add_dependency(p, c);
-}
-
-void AbstractWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child) {
-  if (parent >= jobs_.size()) {
-    throw InvalidArgument("unknown parent handle: " + std::to_string(parent));
-  }
-  if (child >= jobs_.size()) {
-    throw InvalidArgument("unknown child handle: " + std::to_string(child));
-  }
-  if (parent == child) throw WorkflowError("self-dependency on " + jobs_[parent].id);
-  if (graph_.has_edge(parent, child, ids_)) return;
-  if (graph_.path_exists(child, parent)) {
-    throw WorkflowError("dependency " + jobs_[parent].id + " -> " +
-                        jobs_[child].id + " creates a cycle");
-  }
-  graph_.add_edge(parent, child, ids_);
-}
-
-void AbstractWorkflow::add_edge_pattern(const EdgePattern& pattern) {
-  graph_.add_pattern(pattern, ids_);
-}
-
-void AbstractWorkflow::infer_dependencies_from_files() {
-  // LFNs get their own interner: producer[lfn handle] = producing job.
-  IdTable lfns;
+/// The producing job of every output LFN, by the LFN's handle in `lfns`
+/// (an interner of its own). Throws WorkflowError when two jobs produce
+/// one LFN.
+std::vector<std::uint32_t> producers(const std::vector<AbstractJob>& jobs,
+                                     IdTable& lfns) {
   std::vector<std::uint32_t> producer;
-  for (const auto& job : jobs_) {
-    for (const auto& lfn : job.outputs()) {
+  for (std::uint32_t self = 0; self < jobs.size(); ++self) {
+    for (const auto& lfn : jobs[self].outputs()) {
       const std::uint32_t f = lfns.intern(lfn);
       if (f >= producer.size()) producer.resize(f + 1, IdTable::kInvalid);
       if (producer[f] != IdTable::kInvalid) {
         throw WorkflowError("file " + lfn + " produced by both " +
-                            jobs_[producer[f]].id + " and " + job.id);
+                            jobs[producer[f]].id + " and " + jobs[self].id);
       }
-      producer[f] = ids_.find(job.id);
+      producer[f] = self;
     }
   }
-  for (const auto& job : jobs_) {
-    const std::uint32_t self = ids_.find(job.id);
-    for (const auto& use : job.uses) {
+  return producer;
+}
+
+}  // namespace
+
+void AbstractWorkflow::infer_dependencies_from_files() {
+  IdTable lfns;
+  const std::vector<std::uint32_t> producer = producers(jobs_, lfns);
+  for (std::uint32_t self = 0; self < jobs_.size(); ++self) {
+    for (const auto& use : jobs_[self].uses) {
       if (use.link != LinkType::kInput) continue;
       const std::uint32_t f = lfns.find(use.lfn);
       if (f == IdTable::kInvalid || f >= producer.size()) continue;
@@ -104,66 +78,6 @@ void AbstractWorkflow::infer_dependencies_from_files() {
       }
     }
   }
-}
-
-const AbstractJob& AbstractWorkflow::job(const std::string& id) const {
-  return jobs_[job_index(id)];
-}
-
-bool AbstractWorkflow::has_job(const std::string& id) const {
-  return ids_.contains(id);
-}
-
-std::uint32_t AbstractWorkflow::job_index(const std::string& id) const {
-  const std::uint32_t handle = ids_.find(id);
-  if (handle == IdTable::kInvalid) throw InvalidArgument("unknown job: " + id);
-  return handle;
-}
-
-std::vector<std::uint32_t> AbstractWorkflow::parents_of(
-    std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown job handle: " + std::to_string(index));
-  }
-  return graph_.parents_sorted(index, ids_);
-}
-
-std::vector<std::uint32_t> AbstractWorkflow::children_of(
-    std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown job handle: " + std::to_string(index));
-  }
-  return graph_.children_sorted(index, ids_);
-}
-
-std::vector<std::string> AbstractWorkflow::parents(const std::string& id) const {
-  const std::uint32_t index = job_index(id);
-  std::vector<std::string> out;
-  out.reserve(graph_.parent_count(index));
-  graph_.for_each_parent(index, ids_,
-                         [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
-  return out;
-}
-
-std::vector<std::string> AbstractWorkflow::children(const std::string& id) const {
-  const std::uint32_t index = job_index(id);
-  std::vector<std::string> out;
-  out.reserve(graph_.child_count(index));
-  graph_.for_each_child(index, ids_,
-                        [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
-  return out;
-}
-
-std::vector<std::uint32_t> AbstractWorkflow::topological_order_indices() const {
-  return graph_.topological_order(ids_, "workflow " + name_);
-}
-
-std::vector<std::string> AbstractWorkflow::topological_order() const {
-  const auto indices = topological_order_indices();
-  std::vector<std::string> order;
-  order.reserve(indices.size());
-  for (const std::uint32_t h : indices) order.emplace_back(ids_.name(h));
-  return order;
 }
 
 namespace {
@@ -208,18 +122,7 @@ std::vector<std::string> AbstractWorkflow::workflow_outputs() const {
 
 void AbstractWorkflow::validate() const {
   IdTable lfns;
-  std::vector<std::uint32_t> producer;
-  for (const auto& job : jobs_) {
-    for (const auto& lfn : job.outputs()) {
-      const std::uint32_t f = lfns.intern(lfn);
-      if (f >= producer.size()) producer.resize(f + 1, IdTable::kInvalid);
-      if (producer[f] != IdTable::kInvalid) {
-        throw WorkflowError("file " + lfn + " produced by both " +
-                            jobs_[producer[f]].id + " and " + job.id);
-      }
-      producer[f] = ids_.find(job.id);
-    }
-  }
+  (void)producers(jobs_, lfns);       // throws on an LFN with two producers
   (void)topological_order_indices();  // throws on cycles
 }
 

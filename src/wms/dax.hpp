@@ -4,22 +4,16 @@
 // knows nothing about sites, physical paths, or software setup. The
 // planner (planner.hpp) maps it onto a concrete, executable workflow.
 //
-// Jobs are interned: every id maps to a dense u32 handle (IdTable) and the
-// dependency graph lives in a WorkflowGraph — a sparse explicit adjacency
-// plus O(1)-storage EdgePatterns for regular fan-out/fan-in
-// (edge_pattern.hpp). The string-based parents()/children()/
-// topological_order() remain as thin shims over the handle layout and
-// preserve the original sorted-id ordering exactly, whether an edge is
-// stored explicitly or arithmetically.
+// The job ids, the dependency graph and every graph read come from JobDag
+// (job_dag.hpp), which the concrete workflow shares; this layer adds the
+// abstract job records, their file uses and the DAX-only checks.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "wms/edge_pattern.hpp"
-#include "wms/id_table.hpp"
+#include "wms/job_dag.hpp"
 
 namespace pga::wms {
 
@@ -48,90 +42,28 @@ struct AbstractJob {
   [[nodiscard]] std::vector<std::string> outputs() const;
 };
 
-/// A directed acyclic graph of abstract jobs.
-class AbstractWorkflow {
+/// A directed acyclic graph of abstract jobs. The graph reads, edge
+/// insertion and edge stores are JobDag's; edges added here are cycle
+/// checked.
+class AbstractWorkflow : public JobDag {
  public:
+  /// Throws InvalidArgument on an empty name.
   explicit AbstractWorkflow(std::string name);
 
-  /// Adds a job; throws InvalidArgument on duplicate or empty id. Returns
-  /// the job's dense handle (== position in jobs()).
+  /// Adds a job; throws InvalidArgument on duplicate or empty id or an
+  /// empty transformation. Returns the job's dense handle (== position in
+  /// jobs()).
   std::uint32_t add_job(AbstractJob job);
-
-  /// Pre-sizes the job vector, interner arena and adjacency index for
-  /// `job_count` jobs whose ids total ~`id_bytes` — kills realloc/rehash
-  /// churn in million-job builds.
-  void reserve(std::size_t job_count, std::size_t id_bytes);
-
-  /// Adds an explicit parent -> child edge; both ids must exist; duplicate
-  /// edges are ignored (including edges a pattern already covers). Throws
-  /// WorkflowError if the edge creates a cycle.
-  void add_dependency(const std::string& parent, const std::string& child);
-  /// Handle-based edge insertion — no id lookups, for bulk graph builds.
-  void add_dependency(std::uint32_t parent, std::uint32_t child);
-
-  /// Adds a whole arithmetic family of edges in O(1) storage. All endpoint
-  /// handles must already exist and each strided side must ascend in name
-  /// order (zero-padded ids); see WorkflowGraph::add_pattern for the
-  /// validation rules. No cycle check — validate() catches cycles.
-  void add_edge_pattern(const EdgePattern& pattern);
-  [[nodiscard]] const std::vector<EdgePattern>& edge_patterns() const {
-    return graph_.patterns();
-  }
 
   /// Derives edges from data flow: if job A outputs an LFN that job B
   /// inputs, adds A -> B. Call after all jobs are added (Pegasus does the
   /// same from <uses> declarations).
   void infer_dependencies_from_files();
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::vector<AbstractJob>& jobs() const { return jobs_; }
-  [[nodiscard]] const AbstractJob& job(const std::string& id) const;
-  [[nodiscard]] bool has_job(const std::string& id) const;
-
-  // ----------------------------------------------------- handle interface
-  /// Dense handle of `id` (its position in jobs()); throws InvalidArgument
-  /// for unknown ids.
-  [[nodiscard]] std::uint32_t job_index(const std::string& id) const;
-  /// The job-id interner; handle h names jobs()[h].id.
-  [[nodiscard]] const IdTable& ids() const { return ids_; }
-  /// Parent handles of `index`, sorted by parent id (materialized — use
-  /// for_each_parent/parent_count on hot paths).
-  [[nodiscard]] std::vector<std::uint32_t> parents_of(std::uint32_t index) const;
-  /// Child handles of `index`, sorted by child id.
-  [[nodiscard]] std::vector<std::uint32_t> children_of(std::uint32_t index) const;
-  [[nodiscard]] std::size_t parent_count(std::uint32_t index) const {
-    return graph_.parent_count(index);
+  [[nodiscard]] const AbstractJob& job(const std::string& id) const {
+    return jobs_[job_index(id)];
   }
-  [[nodiscard]] std::size_t child_count(std::uint32_t index) const {
-    return graph_.child_count(index);
-  }
-  /// Visits children/parents of `index` in neighbour-name order without
-  /// materializing a list.
-  template <typename Fn>
-  void for_each_child(std::uint32_t index, Fn&& fn) const {
-    graph_.for_each_child(index, ids_, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-  void for_each_parent(std::uint32_t index, Fn&& fn) const {
-    graph_.for_each_parent(index, ids_, std::forward<Fn>(fn));
-  }
-  /// The underlying pattern-compressed graph (planner bulk copies).
-  [[nodiscard]] const WorkflowGraph& graph() const { return graph_; }
-  /// Kahn topological order over handles; same sequence as
-  /// topological_order() maps to.
-  [[nodiscard]] std::vector<std::uint32_t> topological_order_indices() const;
-
-  // ------------------------------------------------- string compatibility
-  /// Parents of `id` (sorted).
-  [[nodiscard]] std::vector<std::string> parents(const std::string& id) const;
-  /// Children of `id` (sorted).
-  [[nodiscard]] std::vector<std::string> children(const std::string& id) const;
-  [[nodiscard]] std::size_t edge_count() const { return graph_.edge_count(); }
-
-  /// Kahn topological order; throws WorkflowError if the graph is cyclic
-  /// (cannot normally happen — add_dependency rejects cycles; patterns are
-  /// only checked here).
-  [[nodiscard]] std::vector<std::string> topological_order() const;
 
   /// LFNs consumed by some job but produced by none: the workflow's
   /// external inputs (must come from the replica catalog).
@@ -145,10 +77,7 @@ class AbstractWorkflow {
   void validate() const;
 
  private:
-  std::string name_;
   std::vector<AbstractJob> jobs_;
-  IdTable ids_;  // job id -> handle == index into jobs_
-  WorkflowGraph graph_;
 };
 
 }  // namespace pga::wms

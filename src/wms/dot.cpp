@@ -1,13 +1,14 @@
 #include "wms/dot.hpp"
 
 #include <sstream>
+#include <string_view>
 
 namespace pga::wms {
 
 namespace {
 
 /// DOT identifiers: quote and escape.
-std::string quoted(const std::string& text) {
+std::string quoted(std::string_view text) {
   std::string out = "\"";
   for (const char c : text) {
     if (c == '"' || c == '\\') out.push_back('\\');
@@ -15,6 +16,18 @@ std::string quoted(const std::string& text) {
   }
   out.push_back('"');
   return out;
+}
+
+/// One "parent -> child" line per edge (parents in job order, each one's
+/// children in id order), then the graph's closing brace.
+void write_edges(std::ostream& os, const JobDag& dag) {
+  for (std::uint32_t parent = 0; parent < dag.ids().size(); ++parent) {
+    const std::string from = quoted(dag.ids().name(parent));
+    dag.for_each_child(parent, [&](std::uint32_t child) {
+      os << "  " << from << " -> " << quoted(dag.ids().name(child)) << ";\n";
+    });
+  }
+  os << "}\n";
 }
 
 }  // namespace
@@ -27,12 +40,7 @@ std::string to_dot(const AbstractWorkflow& workflow) {
     os << "  " << quoted(job.id) << " [label="
        << quoted(job.id + "\\n(" + job.transformation + ")") << "];\n";
   }
-  for (const auto& job : workflow.jobs()) {
-    for (const auto& child : workflow.children(job.id)) {
-      os << "  " << quoted(job.id) << " -> " << quoted(child) << ";\n";
-    }
-  }
-  os << "}\n";
+  write_edges(os, workflow);
   return os.str();
 }
 
@@ -56,12 +64,7 @@ std::string to_dot(const ConcreteWorkflow& workflow) {
     if (job.needs_software_setup) os << ", color=red, fontcolor=red";
     os << "];\n";
   }
-  for (const auto& job : workflow.jobs()) {
-    for (const auto& child : workflow.children(job.id)) {
-      os << "  " << quoted(job.id) << " -> " << quoted(child) << ";\n";
-    }
-  }
-  os << "}\n";
+  write_edges(os, workflow);
   return os.str();
 }
 

@@ -178,22 +178,6 @@ std::size_t WorkflowGraph::parent_count(std::uint32_t node) const {
   return count;
 }
 
-std::vector<std::uint32_t> WorkflowGraph::children_sorted(
-    std::uint32_t node, const IdTable& ids) const {
-  std::vector<std::uint32_t> out;
-  out.reserve(child_count(node));
-  for_each_child(node, ids, [&](std::uint32_t child) { out.push_back(child); });
-  return out;
-}
-
-std::vector<std::uint32_t> WorkflowGraph::parents_sorted(
-    std::uint32_t node, const IdTable& ids) const {
-  std::vector<std::uint32_t> out;
-  out.reserve(parent_count(node));
-  for_each_parent(node, ids, [&](std::uint32_t parent) { out.push_back(parent); });
-  return out;
-}
-
 void WorkflowGraph::fill_parent_counts(std::vector<std::uint32_t>& counts) const {
   counts.assign(nodes_, 0);
   for (const auto& [child, list] : parents_) {

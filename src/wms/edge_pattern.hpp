@@ -132,12 +132,6 @@ class WorkflowGraph {
     }
   }
 
-  /// Materialized name-ordered neighbour lists (compat shims).
-  [[nodiscard]] std::vector<std::uint32_t> children_sorted(std::uint32_t node,
-                                                           const IdTable& ids) const;
-  [[nodiscard]] std::vector<std::uint32_t> parents_sorted(std::uint32_t node,
-                                                          const IdTable& ids) const;
-
   /// counts[v] = parent_count(v) for every node, in one bulk sweep —
   /// O(nodes + explicit edges + pattern edges) integer work, no per-node
   /// pattern scans (the engine's predecessor-count seed at scale).

@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/digest.hpp"
@@ -148,9 +149,16 @@ DagmanEngine::DagmanEngine(EngineOptions options) : options_(std::move(options))
 std::set<std::string> DagmanEngine::read_rescue_file(
     const std::filesystem::path& path) {
   std::set<std::string> done;
-  for (const auto& line : common::read_lines(path)) {
-    const auto fields = common::split_ws(line);
+  const std::string text = common::read_file(path);
+  const std::string_view view(text);
+  // Every record ends in '\n', so a final line without one is a write cut
+  // mid-record ("DONE run_cap3_10" cut to "DONE run_cap3_1"): drop it.
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  while ((end = view.find('\n', begin)) != std::string_view::npos) {
+    const auto fields = common::split_ws(view.substr(begin, end - begin));
     if (fields.size() == 2 && fields[0] == "DONE") done.insert(fields[1]);
+    begin = end + 1;
   }
   return done;
 }

@@ -341,7 +341,8 @@ class DagmanEngine {
                                       ExecutionService& service,
                                       int workflow_attempts);
 
-  /// Parses a rescue file into the set of done job ids.
+  /// Parses a rescue file into the set of done job ids. Only lines ending
+  /// in a newline count: a final line without one is a cut write.
   static std::set<std::string> read_rescue_file(const std::filesystem::path& path);
 
  private:

@@ -1,21 +1,13 @@
 // An immutable, shareable snapshot of one workflow's adjacency.
 //
 // A plan template replays the same DAG for every request of a topology
-// (workload/plan_template.hpp). Rebuilding that DAG per request — explicit
-// edges re-inserted into hash-map adjacency, then a Kahn sort and
-// name-merged neighbour iteration in every engine — costs O(E) hash probes
-// per request for a graph that never changes. FrozenGraph does that work
-// once: children and parents in neighbour-name order as CSR arrays, the
-// parent counts and the topological order, all read-only, so any number of
-// replayed ConcreteWorkflows share one instance through a
-// shared_ptr<const FrozenGraph>.
-//
-// Every read is byte-compatible with the WorkflowGraph it was frozen from:
-// the same neighbour order (the name-merged order of for_each_child /
-// for_each_parent), the same parent counts, the same Kahn order.
-// WorkflowGraph stays the build-side store: at 10^7 jobs its O(1) edge
-// patterns beat the O(E) arrays here, so plan() and the streamed builds
-// keep it.
+// (workload/plan_template.hpp). FrozenGraph does the per-DAG work once —
+// children and parents in neighbour-name order as CSR arrays, the parent
+// counts and the topological order — so every replayed workflow shares
+// one read-only instance instead of re-inserting O(E) edges. JobDag
+// (job_dag.hpp) decides whether a workflow reads this store or its own
+// WorkflowGraph; every read is byte-compatible with the WorkflowGraph it
+// was frozen from (same neighbour order, parent counts and Kahn order).
 #pragma once
 
 #include <cstdint>

@@ -13,38 +13,15 @@ using common::InvalidArgument;
 using common::WorkflowError;
 
 ConcreteWorkflow::ConcreteWorkflow(std::string name, std::string site)
-    : name_(std::move(name)), site_(std::move(site)) {}
-
-namespace {
-
-[[noreturn]] void throw_frozen(const std::string& name, const char* what) {
-  throw InvalidArgument(std::string(what) + " on concrete workflow " + name +
-                        ", whose graph is a shared frozen plan");
-}
-
-void check_frozen_fits(const FrozenGraph& graph, std::size_t jobs) {
-  if (graph.node_count() != jobs) {
-    throw InvalidArgument("frozen graph of " + std::to_string(graph.node_count()) +
-                          " nodes cannot serve " + std::to_string(jobs) + " jobs");
-  }
-}
-
-}  // namespace
+    : JobDag(std::move(name), CycleCheck::kOff), site_(std::move(site)) {}
 
 std::uint32_t ConcreteWorkflow::add_job(ConcreteJob job) {
   if (bulk_open_) {
     throw InvalidArgument("add_job during an open bulk build");
   }
-  if (frozen_) throw_frozen(name_, "add_job");
-  if (job.id.empty()) throw InvalidArgument("concrete job id must not be empty");
-  if (ids_.contains(job.id)) {
-    throw InvalidArgument("duplicate concrete job: " + job.id);
-  }
-  const std::uint32_t handle = ids_.intern(job.id);  // == jobs_.size(): dense
-  job.index = handle;
+  job.index = add_node(job.id);  // == jobs_.size(): dense
   jobs_.push_back(std::move(job));
-  graph_.add_node();
-  return handle;
+  return jobs_.back().index;
 }
 
 ConcreteJob* ConcreteWorkflow::begin_bulk(std::size_t count) {
@@ -59,88 +36,8 @@ ConcreteJob* ConcreteWorkflow::begin_bulk(std::size_t count) {
 void ConcreteWorkflow::finish_bulk() {
   if (!bulk_open_) throw InvalidArgument("finish_bulk without begin_bulk");
   bulk_open_ = false;
-  for (std::uint32_t i = 0; i < jobs_.size(); ++i) {
-    ConcreteJob& job = jobs_[i];
-    if (job.id.empty()) {
-      throw InvalidArgument("bulk job " + std::to_string(i) + " has no id");
-    }
-    if (ids_.intern(job.id) != i) {
-      throw InvalidArgument("duplicate concrete job: " + job.id);
-    }
-    job.index = i;
-  }
-  if (frozen_) {
-    check_frozen_fits(*frozen_, jobs_.size());
-    return;
-  }
-  graph_.set_node_count(jobs_.size());
-}
-
-void ConcreteWorkflow::share_frozen_graph(std::shared_ptr<const FrozenGraph> graph) {
-  if (graph == nullptr) throw InvalidArgument("share_frozen_graph: null graph");
-  if (graph_.edge_count() > 0) {
-    throw InvalidArgument("share_frozen_graph: concrete workflow " + name_ +
-                          " already stores edges");
-  }
-  if (!bulk_open_ && !jobs_.empty()) check_frozen_fits(*graph, jobs_.size());
-  frozen_ = std::move(graph);
-}
-
-std::shared_ptr<const FrozenGraph> ConcreteWorkflow::freeze() const {
-  if (frozen_) return frozen_;
-  return std::make_shared<const FrozenGraph>(graph_, ids_,
-                                             "concrete workflow " + name_);
-}
-
-const WorkflowGraph& ConcreteWorkflow::graph() const {
-  if (frozen_) throw_frozen(name_, "graph()");
-  return graph_;
-}
-
-void ConcreteWorkflow::add_dependency(const std::string& parent,
-                                      const std::string& child) {
-  const std::uint32_t p = ids_.find(parent);
-  const std::uint32_t c = ids_.find(child);
-  if (p == IdTable::kInvalid) throw InvalidArgument("unknown parent: " + parent);
-  if (c == IdTable::kInvalid) throw InvalidArgument("unknown child: " + child);
-  add_dependency(p, c);
-}
-
-void ConcreteWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child) {
-  if (frozen_) throw_frozen(name_, "add_dependency");
-  if (parent >= jobs_.size()) {
-    throw InvalidArgument("unknown parent handle: " + std::to_string(parent));
-  }
-  if (child >= jobs_.size()) {
-    throw InvalidArgument("unknown child handle: " + std::to_string(child));
-  }
-  if (parent == child) throw WorkflowError("self-dependency on " + jobs_[parent].id);
-  graph_.add_edge(parent, child, ids_);
-}
-
-void ConcreteWorkflow::add_edge_pattern(const EdgePattern& pattern) {
-  if (frozen_) throw_frozen(name_, "add_edge_pattern");
-  graph_.add_pattern(pattern, ids_);
-}
-
-const ConcreteJob& ConcreteWorkflow::job(const std::string& id) const {
-  return jobs_[job_index(id)];
-}
-
-ConcreteJob& ConcreteWorkflow::mutable_job(const std::string& id) {
-  return jobs_[job_index(id)];
-}
-
-bool ConcreteWorkflow::has_job(const std::string& id) const {
-  return ids_.contains(id);
-}
-
-std::uint32_t ConcreteWorkflow::job_index(const std::string& id) const {
-  const std::uint32_t handle = ids_.find(id);
-  if (handle == IdTable::kInvalid) {
-    throw InvalidArgument("unknown concrete job: " + id);
-  }
-  return handle;
+  for (ConcreteJob& job : jobs_) job.index = intern_node(job.id);
+  close_nodes();
 }
 
 const ConcreteJob& ConcreteWorkflow::job_at(std::uint32_t index) const {
@@ -148,59 +45,6 @@ const ConcreteJob& ConcreteWorkflow::job_at(std::uint32_t index) const {
     throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
   }
   return jobs_[index];
-}
-
-std::vector<std::uint32_t> ConcreteWorkflow::parents_of(
-    std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
-  }
-  if (frozen_) {
-    const auto parents = frozen_->parents(index);
-    return {parents.begin(), parents.end()};
-  }
-  return graph_.parents_sorted(index, ids_);
-}
-
-std::vector<std::uint32_t> ConcreteWorkflow::children_of(
-    std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
-  }
-  if (frozen_) {
-    const auto children = frozen_->children(index);
-    return {children.begin(), children.end()};
-  }
-  return graph_.children_sorted(index, ids_);
-}
-
-std::vector<std::string> ConcreteWorkflow::parents(const std::string& id) const {
-  const std::uint32_t index = job_index(id);
-  std::vector<std::string> out;
-  out.reserve(parent_count(index));
-  for_each_parent(index, [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
-  return out;
-}
-
-std::vector<std::string> ConcreteWorkflow::children(const std::string& id) const {
-  const std::uint32_t index = job_index(id);
-  std::vector<std::string> out;
-  out.reserve(child_count(index));
-  for_each_child(index, [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
-  return out;
-}
-
-std::vector<std::uint32_t> ConcreteWorkflow::topological_order_indices() const {
-  if (frozen_) return frozen_->topological_order();
-  return graph_.topological_order(ids_, "concrete workflow " + name_);
-}
-
-std::vector<std::string> ConcreteWorkflow::topological_order() const {
-  const auto indices = topological_order_indices();
-  std::vector<std::string> order;
-  order.reserve(indices.size());
-  for (const std::uint32_t h : indices) order.emplace_back(ids_.name(h));
-  return order;
 }
 
 std::string_view ConcreteWorkflow::abstract_id_of(std::uint32_t index) const {
@@ -222,12 +66,6 @@ void ConcreteWorkflow::set_constituents(std::uint32_t index,
   constituents_[index] = std::move(members);
 }
 
-void ConcreteWorkflow::reserve(std::size_t job_count, std::size_t id_bytes) {
-  jobs_.reserve(job_count);
-  ids_.reserve(job_count, id_bytes);
-  if (!frozen_) graph_.reserve(job_count);
-}
-
 std::size_t ConcreteWorkflow::count(JobKind kind) const {
   std::size_t n = 0;
   for (const auto& job : jobs_) {
@@ -242,6 +80,18 @@ double stage_job_seconds(std::uint64_t bytes, const SiteEntry& site) {
          (bytes > 0 && site.stage_bandwidth_bps > 0
               ? static_cast<double>(bytes) / site.stage_bandwidth_bps
               : 0.0);
+}
+
+ConcreteJob stage_job(JobKind kind, std::vector<std::string> lfns,
+                      std::uint64_t bytes, const SiteEntry& site) {
+  ConcreteJob job;
+  job.id = kind == JobKind::kStageIn ? "stage_in_0" : "stage_out_0";
+  job.transformation = "pegasus::transfer";
+  job.kind = kind;
+  job.args = std::move(lfns);
+  job.staged_bytes = bytes;
+  job.cpu_seconds_hint = stage_job_seconds(bytes, site);
+  return job;
 }
 
 ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites,
@@ -280,6 +130,19 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
   const auto setup_for = [&](const std::string& transformation) -> const SetupInfo& {
     return setup_by_transformation.find(transformation)->second;
   };
+  /// The plain compute job realizing `a` 1:1, under its own id.
+  const auto add_compute = [&](const AbstractJob& a) {
+    const SetupInfo& setup = setup_for(a.transformation);
+    ConcreteJob job;
+    job.id = a.id;
+    job.transformation = a.transformation;
+    job.kind = JobKind::kCompute;
+    job.args = a.args;
+    job.cpu_seconds_hint = a.cpu_seconds_hint;
+    job.needs_software_setup = setup.needs;
+    job.software_bytes = setup.bytes;
+    concrete.add_job(std::move(job));
+  };
 
   // 2. Horizontal clustering: group compute jobs with the same
   // transformation and identical parent sets, then pack cluster_factor
@@ -305,18 +168,8 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
             std::min(members.size(), start + options.cluster_factor);
         if (end - start == 1) {
           // Lone member: stays an ordinary compute job.
-          const AbstractJob& a = abstract.job(members[start]);
-          const SetupInfo& setup = setup_for(a.transformation);
-          ConcreteJob job;
-          job.id = a.id;
-          job.transformation = a.transformation;
-          job.kind = JobKind::kCompute;
-          job.args = a.args;
-          job.cpu_seconds_hint = a.cpu_seconds_hint;
-          job.needs_software_setup = setup.needs;
-          job.software_bytes = setup.bytes;
-          to_concrete[a.id] = job.id;
-          concrete.add_job(std::move(job));
+          add_compute(abstract.job(members[start]));
+          to_concrete[members[start]] = members[start];
           continue;
         }
         ConcreteJob clustered;
@@ -345,18 +198,7 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
       }
     }
   } else {
-    for (const auto& a : abstract.jobs()) {
-      const SetupInfo& setup = setup_for(a.transformation);
-      ConcreteJob job;
-      job.id = a.id;
-      job.transformation = a.transformation;
-      job.kind = JobKind::kCompute;
-      job.args = a.args;
-      job.cpu_seconds_hint = a.cpu_seconds_hint;
-      job.needs_software_setup = setup.needs;
-      job.software_bytes = setup.bytes;
-      concrete.add_job(std::move(job));
-    }
+    for (const auto& a : abstract.jobs()) add_compute(a);
   }
   /// Abstract id -> concrete id (identity when clustering is off: plain
   /// compute jobs map 1:1 and keep their ids).
@@ -380,7 +222,7 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
         [&](std::uint32_t parent, std::uint32_t child) {
           concrete.add_dependency(parent, child);
         });
-    for (const EdgePattern& pattern : abstract.edge_patterns()) {
+    for (const EdgePattern& pattern : abstract.graph().patterns()) {
       concrete.add_edge_pattern(pattern);
     }
   }
@@ -393,17 +235,12 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
         throw WorkflowError("workflow input " + lfn + " has no replica");
       }
     }
-    ConcreteJob stage_in;
-    stage_in.id = "stage_in_0";
-    stage_in.transformation = "pegasus::transfer";
-    stage_in.kind = JobKind::kStageIn;
-    stage_in.args = inputs;
+    std::uint64_t in_bytes = 0;
     for (const auto& lfn : inputs) {
       const auto replica = replicas.best_for_site(lfn, site.name);
-      if (replica.has_value()) stage_in.staged_bytes += replica->size_bytes;
+      if (replica.has_value()) in_bytes += replica->size_bytes;
     }
-    stage_in.cpu_seconds_hint = stage_job_seconds(stage_in.staged_bytes, site);
-    concrete.add_job(std::move(stage_in));
+    concrete.add_job(stage_job(JobKind::kStageIn, inputs, in_bytes, site));
     // Parents every consumer of an external input.
     const std::set<std::string> input_set(inputs.begin(), inputs.end());
     std::set<std::string> consumers;
@@ -420,15 +257,8 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
   // 5. Stage-out for final outputs.
   const auto outputs = abstract.workflow_outputs();
   if (!outputs.empty()) {
-    ConcreteJob stage_out;
-    stage_out.id = "stage_out_0";
-    stage_out.transformation = "pegasus::transfer";
-    stage_out.kind = JobKind::kStageOut;
-    stage_out.args = outputs;
-    stage_out.staged_bytes = options.expected_output_bytes;
-    stage_out.cpu_seconds_hint =
-        stage_job_seconds(options.expected_output_bytes, site);
-    concrete.add_job(std::move(stage_out));
+    concrete.add_job(stage_job(JobKind::kStageOut, outputs,
+                               options.expected_output_bytes, site));
     const std::set<std::string> output_set(outputs.begin(), outputs.end());
     std::set<std::string> producers;
     for (const auto& a : abstract.jobs()) {

@@ -104,22 +104,10 @@ wms::ConcreteWorkflow build_concrete_streamed(const ShapeSpec& spec,
   fill_compute(arr[n + 3], "merge_joined", "merge_joined", n + 3);
   fill_compute(arr[n + 4], "find_unjoined", "find_unjoined", n + 4);
   fill_compute(arr[n + 5], "final_merge", "final_merge", n + 5);
-  wms::ConcreteJob& stage_in = arr[n + 6];
-  stage_in.id = "stage_in_0";
-  stage_in.transformation = "pegasus::transfer";
-  stage_in.kind = wms::JobKind::kStageIn;
-  stage_in.args = {"alignments.out", "transcripts.fasta"};
-  stage_in.staged_bytes = in_bytes;
-  stage_in.cpu_seconds_hint =
-      wms::stage_job_seconds(in_bytes, site);
-  wms::ConcreteJob& stage_out = arr[n + 7];
-  stage_out.id = "stage_out_0";
-  stage_out.transformation = "pegasus::transfer";
-  stage_out.kind = wms::JobKind::kStageOut;
-  stage_out.args = {"assembly.fasta"};
-  stage_out.staged_bytes = out_bytes;
-  stage_out.cpu_seconds_hint =
-      wms::stage_job_seconds(out_bytes, site);
+  arr[n + 6] = wms::stage_job(wms::JobKind::kStageIn,
+                              {"alignments.out", "transcripts.fasta"}, in_bytes, site);
+  arr[n + 7] =
+      wms::stage_job(wms::JobKind::kStageOut, {"assembly.fasta"}, out_bytes, site);
   out.fill_seconds = lap(mark);
 
   concrete.finish_bulk();

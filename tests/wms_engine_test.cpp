@@ -580,6 +580,18 @@ TEST(Engine, ReadRescueFileHandlesCrlfAndDuplicates) {
             (std::set<std::string>{"a", "b"}));
 }
 
+TEST(Engine, ReadRescueFileDropsACutFinalRecord) {
+  common::ScratchDir dir("engine-rescue-cut");
+  const auto rescue = dir.file("rescue.dag");
+  // The write stopped inside the last record, "DONE run_cap3_10": without
+  // its newline the line names another job and must not count as done.
+  common::write_file(rescue, "# rescue DAG for blast2cap3\nDONE split\nDONE run_cap3_1");
+  EXPECT_EQ(DagmanEngine::read_rescue_file(rescue), (std::set<std::string>{"split"}));
+  // A cut at a line boundary only loses records.
+  common::write_file(rescue, "DONE split\n");
+  EXPECT_EQ(DagmanEngine::read_rescue_file(rescue), (std::set<std::string>{"split"}));
+}
+
 TEST(Engine, RescueRunIgnoresUnknownDoneIds) {
   // Ids from a stale rescue file (e.g. a replanned workflow) parse fine and
   // are ignored by the engine rather than crashing the run.

@@ -286,6 +286,44 @@ ConcreteWorkflow plan_with_explicit_edges(const workload::ShapeSpec& spec,
               workload::generator_replica_catalog(abstract, spec), options);
 }
 
+/// Every JobDag graph read, compared on two workflows: per-job counts,
+/// visit orders and id shims, the bulk parent counts and the edge count.
+/// Comparing two stores (shared frozen vs owned, patterned vs explicit)
+/// checks both branches of each read.
+void expect_same_reads(const JobDag& a, const JobDag& b) {
+  ASSERT_EQ(a.ids().size(), b.ids().size());
+  EXPECT_EQ(a.edge_count(), b.edge_count());
+  std::vector<std::uint32_t> counts_a;
+  std::vector<std::uint32_t> counts_b;
+  a.fill_parent_counts(counts_a);
+  b.fill_parent_counts(counts_b);
+  ASSERT_EQ(counts_a.size(), a.ids().size());
+  EXPECT_EQ(counts_a, counts_b);
+  const auto visit = [](const JobDag& dag, std::uint32_t i, bool children) {
+    std::vector<std::uint32_t> seen;
+    const auto push = [&seen](std::uint32_t h) { seen.push_back(h); };
+    if (children) {
+      dag.for_each_child(i, push);
+    } else {
+      dag.for_each_parent(i, push);
+    }
+    return seen;
+  };
+  for (std::uint32_t i = 0; i < a.ids().size(); ++i) {
+    const std::string id(a.ids().name(i));
+    EXPECT_EQ(a.parent_count(i), b.parent_count(i)) << id;
+    EXPECT_EQ(a.child_count(i), b.child_count(i)) << id;
+    EXPECT_EQ(counts_a[i], a.parent_count(i)) << id;
+    EXPECT_EQ(visit(a, i, true), visit(b, i, true)) << id;
+    EXPECT_EQ(visit(a, i, false), visit(b, i, false)) << id;
+    EXPECT_EQ(visit(a, i, true), a.children_of(i)) << id;
+    EXPECT_EQ(visit(a, i, false), a.parents_of(i)) << id;
+    EXPECT_EQ(a.children(id), b.children(id)) << id;
+    EXPECT_EQ(a.parents(id), b.parents(id)) << id;
+  }
+  EXPECT_EQ(a.topological_order_indices(), b.topological_order_indices());
+}
+
 /// Field-level equality of two concrete workflows: jobs in order, every
 /// adjacency list, cluster metadata — the planner-vs-streamed contract.
 void expect_same_concrete(const ConcreteWorkflow& a, const ConcreteWorkflow& b) {
@@ -312,6 +350,7 @@ void expect_same_concrete(const ConcreteWorkflow& a, const ConcreteWorkflow& b) 
     EXPECT_EQ(a.abstract_id_of(i), b.abstract_id_of(i)) << x.id;
   }
   EXPECT_EQ(a.topological_order(), b.topological_order());
+  expect_same_reads(a, b);
 }
 
 TEST(PatternedDag, PlannedWorkflowIsBytewiseIndependentOfEdgeStorage) {
@@ -331,6 +370,7 @@ TEST(PatternedDag, PlannedWorkflowIsBytewiseIndependentOfEdgeStorage) {
     const auto abstract_off = with_explicit_edges(abstract_on);
     EXPECT_EQ(abstract_on.edge_count(), abstract_off.edge_count());
     EXPECT_EQ(abstract_off.graph().pattern_edge_count(), 0u);
+    expect_same_reads(abstract_on, abstract_off);
     EXPECT_EQ(to_dax_xml(abstract_on), to_dax_xml(abstract_off));
     EXPECT_EQ(to_dot(abstract_on), to_dot(abstract_off));
   }
