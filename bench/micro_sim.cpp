@@ -12,6 +12,36 @@ namespace {
 
 using namespace pga;
 
+/// Counts successful results; with `resubmit` set it also retries each
+/// failed attempt (the scheduler's role) until it succeeds.
+class CountingSink final : public sim::CompletionSink {
+ public:
+  CountingSink(sim::ExecutionPlatform& platform, bool resubmit = false)
+      : platform_(platform), id_(platform.add_sink(*this)), resubmit_(resubmit) {}
+  ~CountingSink() { platform_.remove_sink(id_); }
+  CountingSink(const CountingSink&) = delete;
+  CountingSink& operator=(const CountingSink&) = delete;
+
+  void submit(const sim::SimJob& job) { platform_.submit(id_, job); }
+  void on_attempt(const sim::AttemptResult& result) override {
+    if (result.success) {
+      ++done;
+    } else if (resubmit_) {
+      submit({.job = result.job,
+              .transformation = "t",
+              .cpu_seconds = 1'500,
+              .needs_software_setup = true});
+    }
+  }
+
+  std::size_t done = 0;
+
+ private:
+  sim::ExecutionPlatform& platform_;
+  sim::SinkId id_;
+  bool resubmit_;
+};
+
 void BM_EventQueueThroughput(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -54,13 +84,14 @@ void BM_CampusClusterJobs(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue queue;
     sim::CampusClusterPlatform platform(queue, {});
-    std::size_t done = 0;
+    CountingSink sink(platform);
     for (std::size_t i = 0; i < jobs; ++i) {
-      platform.submit({"j" + std::to_string(i), "t", 1'000, false},
-                      [&done](const sim::AttemptResult&) { ++done; });
+      sink.submit({.job = static_cast<std::uint32_t>(i),
+                   .transformation = "t",
+                   .cpu_seconds = 1'000});
     }
     queue.run();
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(sink.done);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));
@@ -72,22 +103,19 @@ BENCHMARK(BM_CampusClusterJobs)->Range(64, 4'096);
 // the queue peaks at one completion event per job.
 void BM_CampusClusterBurst(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::SimJob> batch;
-  for (std::size_t i = 0; i < jobs; ++i) {
-    batch.push_back({"w" + std::to_string(i / 48) + "/run_cap3_" + std::to_string(i % 48),
-                     "run_cap3", 1'000, false});
-  }
   sim::CampusClusterConfig config;
   config.allocated_slots = jobs;
   for (auto _ : state) {
     sim::EventQueue queue;
     sim::CampusClusterPlatform platform(queue, config);
-    std::size_t done = 0;
-    for (const auto& job : batch) {
-      platform.submit(job, [&done](const sim::AttemptResult&) { ++done; });
+    CountingSink sink(platform);
+    for (std::size_t i = 0; i < jobs; ++i) {
+      sink.submit({.job = static_cast<std::uint32_t>(i),
+                   .transformation = "run_cap3",
+                   .cpu_seconds = 1'000});
     }
     queue.run();
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(sink.done);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));
@@ -101,17 +129,15 @@ void BM_OsgJobsWithPreemption(benchmark::State& state) {
     sim::OsgConfig config;
     config.preempt_mean = 2'000;
     sim::OsgPlatform platform(queue, config);
-    std::size_t done = 0;
-    // Retry failed attempts until success (scheduler's role).
-    std::function<void(const std::string&)> submit = [&](const std::string& id) {
-      platform.submit({id, "t", 1'500, true}, [&, id](const sim::AttemptResult& r) {
-        if (r.success) ++done;
-        else submit(id);
-      });
-    };
-    for (std::size_t i = 0; i < jobs; ++i) submit("j" + std::to_string(i));
+    CountingSink sink(platform, /*resubmit=*/true);
+    for (std::size_t i = 0; i < jobs; ++i) {
+      sink.submit({.job = static_cast<std::uint32_t>(i),
+                   .transformation = "t",
+                   .cpu_seconds = 1'500,
+                   .needs_software_setup = true});
+    }
     queue.run();
-    benchmark::DoNotOptimize(done);
+    benchmark::DoNotOptimize(sink.done);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));

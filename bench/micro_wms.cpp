@@ -132,16 +132,15 @@ wms::ConcreteWorkflow wide_dag(std::size_t width) {
 class InstantService final : public wms::ExecutionService {
  public:
   void submit(const wms::ConcreteJob& job) override {
-    pending_.emplace_back(job.id, now_);
+    pending_.emplace_back(job.index, now_);
   }
   std::vector<wms::TaskAttempt> wait() override {
     now_ += 1.0;
     std::vector<wms::TaskAttempt> out;
     out.reserve(pending_.size());
-    for (auto& [id, submitted] : pending_) {
+    for (const auto& [handle, submitted] : pending_) {
       wms::TaskAttempt attempt;
-      attempt.job_id = std::move(id);
-      attempt.transformation = "work";
+      attempt.job = handle;
       attempt.success = true;
       attempt.node = "bench";
       attempt.submit_time = submitted;
@@ -156,7 +155,7 @@ class InstantService final : public wms::ExecutionService {
 
  private:
   double now_ = 0;
-  std::vector<std::pair<std::string, double>> pending_;
+  std::vector<std::pair<std::uint32_t, double>> pending_;  ///< handle, submit time
 };
 
 void BM_WideDagPolicy(benchmark::State& state, const std::string& policy) {

@@ -79,14 +79,11 @@ wms::ConcreteWorkflow with_explicit_edges(const wms::ConcreteWorkflow& workflow)
 
 /// Completes submitted attempts on the next wait(), one tick later, at
 /// most kBatch per round. Pending entries are {handle, submit time} — 16
-/// bytes — and ids come back from the workflow's interner at completion,
-/// so the service's resident state never carries job-id strings.
+/// bytes — and completions echo the handle, so neither the service nor
+/// its attempts carry job-id strings.
 class InstantService final : public wms::ExecutionService {
  public:
   static constexpr std::size_t kBatch = 65'536;
-
-  explicit InstantService(const wms::ConcreteWorkflow& workflow)
-      : workflow_(workflow) {}
 
   void submit(const wms::ConcreteJob& job) override {
     pending_.push_back({job.index, now_});
@@ -100,9 +97,7 @@ class InstantService final : public wms::ExecutionService {
       const Pending p = pending_.front();
       pending_.pop_front();
       wms::TaskAttempt attempt;
-      attempt.job_id = std::string(workflow_.ids().name(p.index));
-      attempt.job = p.index;  // handle echo: engine matches without hashing
-      attempt.transformation = "work";
+      attempt.job = p.index;
       attempt.success = true;
       attempt.node = "bench";
       attempt.submit_time = p.submitted;
@@ -119,7 +114,6 @@ class InstantService final : public wms::ExecutionService {
     std::uint32_t index;
     double submitted;
   };
-  const wms::ConcreteWorkflow& workflow_;
   double now_ = 0;
   std::deque<Pending> pending_;
 };
@@ -169,7 +163,7 @@ Point run_point(std::size_t n, bool explicit_edges, common::ThreadPool& pool) {
     throw common::Error("scale_dag: closed-form mismatch at n=" + std::to_string(n));
   }
 
-  InstantService service(workflow);
+  InstantService service;
   CountingObserver counter;
   wms::EngineOptions options;
   options.lean_report = true;  // O(1) report state: digest, not a roster

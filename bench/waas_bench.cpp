@@ -14,13 +14,21 @@
 //   --smoke   W=200 small workflows, dual run: asserts every workflow
 //             completes with the closed-form job count, the two runs are
 //             byte-identical (fleet digest, event count and engine steps),
-//             and the event
-//             count sits inside a deterministic envelope. CI perf leg;
-//             exits non-zero on violation. No walltime assertions.
+//             and the event count sits inside a deterministic envelope;
+//             then a W=100 burst of fleet-sized workflows (128 workers)
+//             must make at most kAllocationsPerJobCeiling heap allocations
+//             per simulated job. CI perf leg; exits non-zero on violation.
+//             No walltime assertions.
 //   --out     where to write the JSON report (default BENCH_waas.json)
+//
+// This binary replaces the global operator new with a counting one, so
+// every report carries the fleet run's heap allocations per simulated job.
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -34,7 +42,34 @@
 
 namespace {
 
+/// operator new calls so far, in this process.
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+
+namespace {
+
 using namespace pga;
+
+/// The smoke's allocation probe: a burst of fleet-sized workflows (the
+/// sweep's W=100 point), so the per-workflow set-up is spread over enough
+/// jobs that the count reads the per-attempt path.
+constexpr std::size_t kProbeW = 100;
+constexpr std::size_t kProbeWorkers = 128;
+/// Ceiling on the probe's heap allocations per simulated job: the 1.33
+/// measured once simulated attempts stopped carrying strings, plus 25%.
+/// Attempts that carried their job's strings made 2.38; a per-attempt
+/// allocation brought back onto the platform-to-engine path adds about
+/// one per job and trips it.
+constexpr double kAllocationsPerJobCeiling = 1.67;
 
 constexpr std::size_t kTenants = 4;
 const std::vector<double> kWeights{4.0, 2.0, 1.0, 1.0};
@@ -93,6 +128,7 @@ struct Point {
   double workflows_per_sec = 0;
   double jobs_per_sec = 0;
   std::size_t peak_rss_bytes = 0;
+  double allocations_per_job = 0;  ///< operator new calls in run() per job
   std::uint64_t digest = 0;
   std::vector<waas::TenantTotals> tenants;
 };
@@ -102,9 +138,11 @@ Point run_point(std::size_t count, std::size_t workers) {
   sim::EventQueue queue;
   waas::FleetController controller(queue, make_options(count));
 
+  const std::uint64_t allocations_before = g_allocations.load();
   const common::Stopwatch watch;
   const waas::FleetResult result = controller.run(requests);
   const double wall = watch.seconds();
+  const std::uint64_t allocations = g_allocations.load() - allocations_before;
 
   if (result.workflows_completed != count) {
     throw common::Error("waas_bench: lost workflows at W=" + std::to_string(count));
@@ -124,6 +162,8 @@ Point run_point(std::size_t count, std::size_t workers) {
   point.workflows_per_sec = static_cast<double>(count) / wall;
   point.jobs_per_sec = static_cast<double>(point.jobs_total) / wall;
   point.peak_rss_bytes = bench::peak_rss_bytes();
+  point.allocations_per_job =
+      static_cast<double>(allocations) / static_cast<double>(point.jobs_total);
   point.digest = result.digest;
   point.tenants = result.tenants;
   return point;
@@ -165,6 +205,8 @@ void write_json(const std::string& path, const std::vector<Point>& points,
         << common::format_fixed(
                static_cast<double>(p.peak_rss_bytes) / (1024.0 * 1024.0), 1)
         << ",\n";
+    out << "      \"allocations_per_job\": "
+        << common::format_fixed(p.allocations_per_job, 3) << ",\n";
     out << "      \"digest\": \"" << std::hex << p.digest << std::dec << "\",\n";
     out << "      \"tenants\": [\n";
     for (std::size_t t = 0; t < p.tenants.size(); ++t) {
@@ -244,10 +286,23 @@ int main(int argc, char** argv) {
                   << " outside envelope [" << floor << ", " << ceiling << "]\n";
         return 1;
       }
+      const Point probe = run_point(kProbeW, kProbeWorkers);
+      if (probe.allocations_per_job > kAllocationsPerJobCeiling) {
+        std::cerr << "waas_bench --smoke: "
+                  << common::format_fixed(probe.allocations_per_job, 3)
+                  << " heap allocations per job at W=" << kProbeW
+                  << ", above the ceiling of "
+                  << common::format_fixed(kAllocationsPerJobCeiling, 2) << "\n";
+        return 1;
+      }
       std::cout << "smoke OK: " << first.jobs_total << " jobs, "
                 << first.events << " events within [" << floor << ", "
-                << ceiling << "], double run byte-identical\n";
+                << ceiling << "], double run byte-identical; "
+                << common::format_fixed(probe.allocations_per_job, 3)
+                << " allocations per job at W=" << kProbeW << " (ceiling "
+                << common::format_fixed(kAllocationsPerJobCeiling, 2) << ")\n";
       points.push_back(first);
+      points.push_back(probe);
     } else {
       for (const std::size_t count : {100, 1'000, 10'000}) {
         const Point point = run_point(count, 128);
@@ -255,6 +310,7 @@ int main(int argc, char** argv) {
                   << " events=" << point.events
                   << " engine_steps=" << point.engine_steps
                   << " peak_in_flight=" << point.peak_in_flight
+                  << " allocs/job=" << common::format_fixed(point.allocations_per_job, 2)
                   << " sim_t=" << common::format_fixed(point.sim_finished_seconds, 0)
                   << "s wall=" << common::format_fixed(point.wall_seconds, 1)
                   << "s jobs/s=" << static_cast<std::size_t>(point.jobs_per_sec)

@@ -88,8 +88,10 @@ build/bench/shape_ablation --smoke --out build/BENCH_shapes_smoke.json
 # WaaS perf smoke: a 200-workflow burst through the multi-tenant fleet
 # controller, both platforms on one clock. Machine-independent guards:
 # every workflow completes with the closed-form job count, two runs are
-# identical (fleet digest, event count and engine steps), and the event
-# count stays in a deterministic envelope. BENCH_waas.json in the repo
+# identical (fleet digest, event count and engine steps), the event
+# count stays in a deterministic envelope, and a W=100 probe burst makes
+# at most a fixed number of heap allocations per simulated job (counted
+# by a replacement operator new in that binary). BENCH_waas.json in the repo
 # root is the committed full sweep (bursts up to 10^4 workflows / ~1.3M
 # jobs); regenerate with `build/bench/waas_bench`.
 echo "==> perf smoke (waas_bench --smoke)"

@@ -2,14 +2,6 @@
 
 namespace pga::common {
 
-std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::uint64_t fnv1a(std::string_view text) { return fnv1a(kFnv1aOffset, text); }
 
 std::uint64_t lines_digest(const std::vector<std::string>& lines) {

@@ -19,7 +19,14 @@ namespace pga::common {
 inline constexpr std::uint64_t kFnv1aOffset = 1469598103934665603ULL;
 
 /// Folds `text` into a running FNV-1a hash and returns the new hash.
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t hash, std::string_view text);
+/// Inline: hot callers fold a line piece by piece.
+[[nodiscard]] inline std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
 
 /// One-shot FNV-1a of `text` from the offset basis.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view text);

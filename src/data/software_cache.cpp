@@ -10,35 +10,36 @@ SoftwareCache::SoftwareCache(SoftwareCacheConfig config) : config_(config) {
   common::require_non_negative("SoftwareCache", "hit_seconds", config_.hit_seconds);
 }
 
-void SoftwareCache::touch(NodeCache& node, const std::string& package) {
-  const auto it = node.entries.find(package);
-  node.lru.erase(it->second.lru_pos);
-  node.lru.push_front(package);
-  it->second.lru_pos = node.lru.begin();
+void SoftwareCache::touch(NodeCache& node, Entries::iterator entry) {
+  node.lru.splice(node.lru.begin(), node.lru, entry->second.lru_pos);
 }
 
-sim::InstallOutcome SoftwareCache::install(const std::string& node,
-                                           const std::string& package,
+sim::InstallOutcome SoftwareCache::install(std::string_view node, std::string_view package,
                                            std::uint64_t /*bytes*/,
                                            double cold_seconds) {
   const auto node_it = nodes_.find(node);
-  if (node_it != nodes_.end() && node_it->second.entries.count(package) != 0) {
-    touch(node_it->second, package);
-    ++stats_.hits;
-    return {std::min(config_.hit_seconds, cold_seconds), true};
+  if (node_it != nodes_.end()) {
+    const auto entry = node_it->second.entries.find(package);
+    if (entry != node_it->second.entries.end()) {
+      touch(node_it->second, entry);
+      ++stats_.hits;
+      return {std::min(config_.hit_seconds, cold_seconds), true};
+    }
   }
   ++stats_.misses;
   return {cold_seconds, false};
 }
 
-void SoftwareCache::commit(const std::string& node, const std::string& package,
+void SoftwareCache::commit(std::string_view node, std::string_view package,
                            std::uint64_t bytes) {
   // A bundle larger than the whole node disk can never be retained.
   if (config_.capacity_bytes > 0 && bytes > config_.capacity_bytes) return;
-  NodeCache& cache = nodes_[node];
+  auto node_it = nodes_.find(node);
+  if (node_it == nodes_.end()) node_it = nodes_.emplace(node, NodeCache{}).first;
+  NodeCache& cache = node_it->second;
   const auto it = cache.entries.find(package);
   if (it != cache.entries.end()) {
-    touch(cache, package);
+    touch(cache, it);
     return;
   }
   // Make room, coldest-first.
@@ -51,18 +52,18 @@ void SoftwareCache::commit(const std::string& node, const std::string& package,
     cache.entries.erase(victim_it);
     ++stats_.evictions;
   }
-  cache.lru.push_front(package);
-  cache.entries[package] = {cache.lru.begin(), bytes};
+  cache.lru.emplace_front(package);
+  cache.entries.emplace(package, Entry{cache.lru.begin(), bytes});
   cache.used += bytes;
   stats_.bytes_cached += bytes;
 }
 
-bool SoftwareCache::cached(const std::string& node, const std::string& package) const {
+bool SoftwareCache::cached(std::string_view node, std::string_view package) const {
   const auto it = nodes_.find(node);
-  return it != nodes_.end() && it->second.entries.count(package) != 0;
+  return it != nodes_.end() && it->second.entries.contains(package);
 }
 
-std::uint64_t SoftwareCache::node_bytes(const std::string& node) const {
+std::uint64_t SoftwareCache::node_bytes(std::string_view node) const {
   const auto it = nodes_.find(node);
   return it == nodes_.end() ? 0 : it->second.used;
 }

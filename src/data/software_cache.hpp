@@ -11,6 +11,7 @@
 #include <list>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sim/platform.hpp"
 
@@ -31,15 +32,15 @@ class SoftwareCache final : public sim::InstallModel {
  public:
   explicit SoftwareCache(SoftwareCacheConfig config = {});
 
-  sim::InstallOutcome install(const std::string& node, const std::string& package,
+  sim::InstallOutcome install(std::string_view node, std::string_view package,
                               std::uint64_t bytes, double cold_seconds) override;
-  void commit(const std::string& node, const std::string& package,
+  void commit(std::string_view node, std::string_view package,
               std::uint64_t bytes) override;
 
   /// Whether `node` currently caches `package`.
-  [[nodiscard]] bool cached(const std::string& node, const std::string& package) const;
+  [[nodiscard]] bool cached(std::string_view node, std::string_view package) const;
   /// Bytes cached on `node` (0 for unknown nodes).
-  [[nodiscard]] std::uint64_t node_bytes(const std::string& node) const;
+  [[nodiscard]] std::uint64_t node_bytes(std::string_view node) const;
 
   /// Telemetry since construction.
   struct Stats {
@@ -59,16 +60,20 @@ class SoftwareCache final : public sim::InstallModel {
     std::list<std::string>::iterator lru_pos;  ///< position in NodeCache::lru
     std::uint64_t bytes = 0;
   };
+  /// Both maps look names up by view (std::less<>), so pricing an
+  /// install builds no string.
+  using Entries = std::map<std::string, Entry, std::less<>>;
   struct NodeCache {
     std::list<std::string> lru;  ///< front = most recently used package
-    std::map<std::string, Entry> entries;
+    Entries entries;
     std::uint64_t used = 0;
   };
 
-  void touch(NodeCache& node, const std::string& package);
+  /// Moves the package at `entry` to the front of `node`'s LRU list.
+  static void touch(NodeCache& node, Entries::iterator entry);
 
   SoftwareCacheConfig config_;
-  std::map<std::string, NodeCache> nodes_;
+  std::map<std::string, NodeCache, std::less<>> nodes_;
   Stats stats_;
 };
 

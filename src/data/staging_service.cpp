@@ -14,7 +14,9 @@ StagingService::StagingService(sim::EventQueue& queue, wms::ExecutionService& in
       inner_(inner),
       transfers_(transfers),
       replicas_(replicas),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      node_label_(config_.execution_site + "-se"),
+      self_(std::make_shared<StagingService*>(this)) {
   if (config_.submit_site.empty()) {
     throw common::InvalidArgument("StagingService: empty submit_site");
   }
@@ -22,6 +24,8 @@ StagingService::StagingService(sim::EventQueue& queue, wms::ExecutionService& in
     throw common::InvalidArgument("StagingService: empty execution_site");
   }
 }
+
+StagingService::~StagingService() { *self_ = nullptr; }
 
 void StagingService::submit(const wms::ConcreteJob& job) {
   const bool staging_job = (job.kind == wms::JobKind::kStageIn ||
@@ -39,10 +43,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
   ++own_outstanding_;
   ++staged_jobs_;
   auto staging = std::make_shared<StagingJob>();
-  staging->job_id = job.id;
   staging->job = job.index;
-  staging->transformation = job.transformation;
-  staging->site = config_.execution_site;
   staging->submit_time = queue_.now();
   staging->remaining = job.args.size();
 
@@ -57,7 +58,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
       bypassed_bytes_ += element.held_bytes(lfn);
       ++bypassed_files_;
       element.touch(lfn);
-      if (--staging->remaining == 0) complete(staging);
+      if (--staging->remaining == 0) complete(*staging);
       continue;
     }
     std::string source = inbound ? config_.submit_site : exec_site;
@@ -74,7 +75,9 @@ void StagingService::stage(const wms::ConcreteJob& job) {
       if (replica.has_value() && replica->size_bytes > 0) bytes = replica->size_bytes;
     }
     transfers_.transfer(lfn, bytes, source, dest,
-                        [this, staging](const TransferResult& result) {
+                        [self = self_, staging](const TransferResult& result) {
+                          StagingService* service = *self;
+                          if (service == nullptr) return;  // its workflow is gone
                           if (staging->first_start < 0 ||
                               result.start_time < staging->first_start) {
                             staging->first_start = result.start_time;
@@ -90,30 +93,28 @@ void StagingService::stage(const wms::ConcreteJob& job) {
                               staging->error = result.lfn + ": " + result.failure;
                             }
                           }
-                          if (--staging->remaining == 0) complete(staging);
+                          if (--staging->remaining == 0) service->complete(*staging);
                         });
   }
 }
 
-void StagingService::complete(const std::shared_ptr<StagingJob>& staging) {
+void StagingService::complete(StagingJob& staging) {
   wms::TaskAttempt attempt;
-  attempt.job_id = staging->job_id;
-  attempt.job = staging->job;
-  attempt.transformation = staging->transformation;
-  attempt.success = staging->all_ok;
-  attempt.error = staging->error;
-  attempt.node = staging->site + "-se";
-  attempt.submit_time = staging->submit_time;
+  attempt.job = staging.job;
+  attempt.success = staging.all_ok;
+  if (!staging.error.empty()) attempt.error = errors_.emplace_back(std::move(staging.error));
+  attempt.node = node_label_;
+  attempt.submit_time = staging.submit_time;
   // A job whose every file was bypassed never ran a transfer, leaving
   // last_end at 0 — clamp to the submit instant so time never runs
   // backwards in the attempt record.
-  attempt.end_time = std::max(staging->last_end, staging->submit_time);
+  attempt.end_time = std::max(staging.last_end, staging.submit_time);
   const double start =
-      staging->first_start < 0 ? staging->submit_time : staging->first_start;
-  attempt.wait_seconds = start - staging->submit_time;
+      staging.first_start < 0 ? staging.submit_time : staging.first_start;
+  attempt.wait_seconds = start - staging.submit_time;
   attempt.exec_seconds = attempt.end_time - start;
-  attempt.transferred_bytes = staging->bytes;
-  attempt.transfer_attempts = staging->attempts;
+  attempt.transferred_bytes = staging.bytes;
+  attempt.transfer_attempts = staging.attempts;
   completed_.push_back(std::move(attempt));
   --own_outstanding_;
   if (delivered_ != nullptr) *delivered_ = 1;

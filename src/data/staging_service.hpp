@@ -46,12 +46,20 @@ struct StagingConfig {
 /// Decorates a simulation-backed ExecutionService with modeled staging.
 /// The inner service must share `queue` (its completions and the
 /// transfer events interleave on one clock); this matches SimService.
+///
+/// A staged attempt echoes its job's handle and reports the node
+/// "<execution_site>-se". The service may be destroyed with transfers
+/// still running on the shared TransferManager (a workflow that gave up on
+/// a staging job); those transfers finish, and their results are dropped.
 class StagingService final : public wms::ExecutionService {
  public:
   /// All references must outlive the service.
   StagingService(sim::EventQueue& queue, wms::ExecutionService& inner,
                  TransferManager& transfers, const wms::ReplicaCatalog& replicas,
                  StagingConfig config = {});
+  ~StagingService() override;
+  StagingService(const StagingService&) = delete;
+  StagingService& operator=(const StagingService&) = delete;
 
   void submit(const wms::ConcreteJob& job) override;
   std::vector<wms::TaskAttempt> wait() override;
@@ -83,10 +91,7 @@ class StagingService final : public wms::ExecutionService {
  private:
   /// Aggregates the per-file transfers of one staging job.
   struct StagingJob {
-    std::string job_id;
     std::uint32_t job = 0;  ///< ConcreteJob::index, echoed in the attempt
-    std::string transformation;
-    std::string site;
     double submit_time = 0;
     std::size_t remaining = 0;
     bool all_ok = true;
@@ -98,7 +103,7 @@ class StagingService final : public wms::ExecutionService {
   };
 
   void stage(const wms::ConcreteJob& job);
-  void complete(const std::shared_ptr<StagingJob>& staging);
+  void complete(StagingJob& staging);
   /// Everything finished so far: own staged attempts + the inner
   /// service's, drained without advancing time.
   std::vector<wms::TaskAttempt> drain();
@@ -108,8 +113,14 @@ class StagingService final : public wms::ExecutionService {
   TransferManager& transfers_;
   const wms::ReplicaCatalog& replicas_;
   StagingConfig config_;
+  std::string node_label_;  ///< "<execution_site>-se"; attempts view it
+  /// Points at this service until it is destroyed, then at null. Transfer
+  /// callbacks hold a share and skip their work once it reads null.
+  std::shared_ptr<StagingService*> self_;
 
   std::deque<wms::TaskAttempt> completed_;
+  /// Error texts of failed staging attempts; TaskAttempt::error views them.
+  std::deque<std::string> errors_;
   std::uint8_t* delivered_ = nullptr;  ///< see set_delivery_flag
   std::size_t own_outstanding_ = 0;
   std::size_t inner_outstanding_ = 0;

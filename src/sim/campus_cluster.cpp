@@ -11,7 +11,7 @@ namespace {
 
 constexpr std::size_t kNodes = 44;  ///< physical nodes, used round-robin
 
-/// Node labels, built once per process; attempt records point into it.
+/// Node labels, built once per process; attempt records index it.
 const std::vector<std::string>& node_labels() {
   static const std::vector<std::string> labels = [] {
     std::vector<std::string> out;
@@ -26,6 +26,7 @@ const std::vector<std::string>& node_labels() {
 CampusClusterPlatform::CampusClusterPlatform(EventQueue& queue,
                                              const CampusClusterConfig& config)
     : queue_(queue), config_(config), rng_(config.seed) {
+  node_labels_ = node_labels();
   constexpr const char* kWhere = "CampusCluster";
   require_finite(kWhere, "dispatch_mu", config.dispatch_mu);
   require_finite(kWhere, "dispatch_sigma", config.dispatch_sigma);
@@ -48,22 +49,21 @@ void CampusClusterPlatform::avoid_node(const std::string& node) {
   avoided_.insert(node);
 }
 
-const std::string& CampusClusterPlatform::pick_node() {
+std::uint32_t CampusClusterPlatform::pick_node() {
   // 44 physical nodes in round-robin; a blacklisted node is skipped unless
   // every node is blacklisted (the batch system must place the job somewhere).
-  const std::vector<std::string>& nodes = node_labels();
   for (std::size_t tried = 0; tried < kNodes; ++tried) {
-    const std::string& node = nodes[node_counter_++ % kNodes];
-    if (!avoided_.count(node)) return node;
+    const auto node = static_cast<std::uint32_t>(node_counter_++ % kNodes);
+    if (!avoided_.count(node_labels_[node])) return node;
   }
-  return nodes[node_counter_++ % kNodes];
+  return static_cast<std::uint32_t>(node_counter_++ % kNodes);
 }
 
-void CampusClusterPlatform::submit(SimJob job, AttemptCallback on_complete) {
-  check_job("CampusCluster", job);
+void CampusClusterPlatform::submit(SinkId sink, const SimJob& job) {
+  check_submit("CampusCluster", sink, job);
   // Batch semantics: the job enters the FIFO immediately; the (small)
   // scheduler dispatch latency is paid when a slot is assigned.
-  waiting_.push_back(open_attempt(std::move(job), std::move(on_complete), queue_.now()));
+  waiting_.push_back(open_attempt(sink, job, queue_.now()));
   try_dispatch();
 }
 
@@ -78,7 +78,8 @@ void CampusClusterPlatform::try_dispatch() {
     const double latency = rng_.lognormal(config_.dispatch_mu, config_.dispatch_sigma);
     const double speed = rng_.uniform(config_.node_speed_min, config_.node_speed_max);
     const double exec = job.cpu_seconds / speed;
-    const std::string& node = pick_node();
+    const std::uint32_t node = pick_node();
+    const std::string& label = node_labels_[node];
 
     // Default config models the preinstalled stack: install_max == 0, no
     // charge and — deliberately — no RNG draw, so existing seeded runs
@@ -88,17 +89,17 @@ void CampusClusterPlatform::try_dispatch() {
     bool cache_hit = false;
     if (job.needs_software_setup && config_.install_max > 0) {
       install = rng_.uniform(config_.install_min, config_.install_max);
-      if (install_model_ != nullptr) {
+      if (install_model_ != nullptr && sink_live(record)) {
         const InstallOutcome outcome =
-            install_model_->install(node, job.transformation, job.software_bytes, install);
+            install_model_->install(label, job.transformation, job.software_bytes, install);
         install = std::min(outcome.seconds, install);
         cache_hit = outcome.cache_hit;
         // The cluster never preempts, so every install runs to completion.
-        install_model_->commit(node, job.transformation, job.software_bytes);
+        install_model_->commit(label, job.transformation, job.software_bytes);
       }
     }
 
-    record.node = &node;
+    record.node = node;
     record.start_time = queue_.now() + latency;
     record.install_seconds = install;
     record.install_cache_hit = cache_hit;

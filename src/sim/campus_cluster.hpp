@@ -45,7 +45,7 @@ class CampusClusterPlatform final : public ExecutionPlatform {
  public:
   CampusClusterPlatform(EventQueue& queue, const CampusClusterConfig& config);
 
-  void submit(SimJob job, AttemptCallback on_complete) override;
+  void submit(SinkId sink, const SimJob& job) override;
   void avoid_node(const std::string& node) override;
   [[nodiscard]] std::string name() const override { return "sandhills"; }
   [[nodiscard]] std::size_t slots() const override { return config_.allocated_slots; }
@@ -55,7 +55,8 @@ class CampusClusterPlatform final : public ExecutionPlatform {
 
  private:
   void try_dispatch();
-  const std::string& pick_node();
+  /// Index of the next node label to place an attempt on.
+  std::uint32_t pick_node();
 
   EventQueue& queue_;
   CampusClusterConfig config_;

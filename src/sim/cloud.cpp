@@ -27,11 +27,12 @@ CloudPlatform::CloudPlatform(EventQueue& queue, const CloudConfig& config)
   for (std::size_t vm = 0; vm < config.vms; ++vm) {
     vm_names_.push_back("cloud-vm-" + std::to_string(vm));
   }
+  node_labels_ = vm_names_;
 }
 
-void CloudPlatform::submit(SimJob job, AttemptCallback on_complete) {
-  check_job("Cloud", job);
-  waiting_.push_back(open_attempt(std::move(job), std::move(on_complete), queue_.now()));
+void CloudPlatform::submit(SinkId sink, const SimJob& job) {
+  check_submit("Cloud", sink, job);
+  waiting_.push_back(open_attempt(sink, job, queue_.now()));
   try_dispatch();
 }
 
@@ -68,7 +69,7 @@ void CloudPlatform::try_dispatch() {
       ++provisioned_;
     }
     const double exec = job.cpu_seconds / config_.node_speed;
-    const std::string& node = vm_names_[vm];
+    const std::string& label = vm_names_[vm];
 
     // Stock image: install_max == 0, stack baked in — no charge and no RNG
     // draw (keeps seeded runs replayable). Nonzero bounds model a bare
@@ -77,17 +78,17 @@ void CloudPlatform::try_dispatch() {
     bool cache_hit = false;
     if (job.needs_software_setup && config_.install_max > 0) {
       install = rng_.uniform(config_.install_min, config_.install_max);
-      if (install_model_ != nullptr) {
+      if (install_model_ != nullptr && sink_live(record)) {
         const InstallOutcome outcome =
-            install_model_->install(node, job.transformation, job.software_bytes, install);
+            install_model_->install(label, job.transformation, job.software_bytes, install);
         install = std::min(outcome.seconds, install);
         cache_hit = outcome.cache_hit;
         // VMs are reliable: installs always complete.
-        install_model_->commit(node, job.transformation, job.software_bytes);
+        install_model_->commit(label, job.transformation, job.software_bytes);
       }
     }
 
-    record.node = &node;
+    record.node = static_cast<std::uint32_t>(vm);
     record.start_time = queue_.now() + provision;
     record.install_seconds = install;
     record.install_cache_hit = cache_hit;

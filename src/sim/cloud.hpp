@@ -37,7 +37,7 @@ class CloudPlatform final : public ExecutionPlatform {
  public:
   CloudPlatform(EventQueue& queue, const CloudConfig& config);
 
-  void submit(SimJob job, AttemptCallback on_complete) override;
+  void submit(SinkId sink, const SimJob& job) override;
   [[nodiscard]] std::string name() const override { return "cloud"; }
   [[nodiscard]] std::size_t slots() const override { return config_.vms; }
 

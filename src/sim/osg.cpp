@@ -12,7 +12,7 @@ namespace {
 
 constexpr std::size_t kSites = 23;  ///< notional glidein sites, round-robin
 
-/// Site labels, built once per process; attempt records point into it.
+/// Site labels, built once per process; attempt records index it.
 const std::vector<std::string>& site_labels() {
   static const std::vector<std::string> labels = [] {
     std::vector<std::string> out;
@@ -26,6 +26,7 @@ const std::vector<std::string>& site_labels() {
 
 OsgPlatform::OsgPlatform(EventQueue& queue, const OsgConfig& config)
     : queue_(queue), config_(config), rng_(config.seed), capacity_(config.base_slots) {
+  node_labels_ = site_labels();
   constexpr const char* kWhere = "Osg";
   require_finite(kWhere, "capacity_wobble", config.capacity_wobble);
   require_finite(kWhere, "capacity_period", config.capacity_period);
@@ -78,26 +79,24 @@ void OsgPlatform::schedule_capacity_change() {
 
 void OsgPlatform::avoid_node(const std::string& node) { avoided_.insert(node); }
 
-const std::string& OsgPlatform::pick_node() {
+std::uint32_t OsgPlatform::pick_node() {
   // The glidein pool cycles through 23 notional sites; honour the
   // scheduler's blacklist by skipping avoided sites, falling back to the
   // next site in rotation when every site is blacklisted.
-  const std::vector<std::string>& sites = site_labels();
   for (std::size_t tried = 0; tried < kSites; ++tried) {
-    const std::string& node = sites[node_counter_++ % kSites];
-    if (!avoided_.count(node)) return node;
+    const auto site = static_cast<std::uint32_t>(node_counter_++ % kSites);
+    if (!avoided_.count(node_labels_[site])) return site;
   }
-  return sites[node_counter_++ % kSites];
+  return static_cast<std::uint32_t>(node_counter_++ % kSites);
 }
 
-void OsgPlatform::submit(SimJob job, AttemptCallback on_complete) {
-  check_job("Osg", job);
+void OsgPlatform::submit(SinkId sink, const SimJob& job) {
+  check_submit("Osg", sink, job);
   if (!capacity_process_started_ && config_.capacity_wobble > 0) {
     capacity_process_started_ = true;
     schedule_capacity_change();
   }
-  const std::uint32_t slot =
-      open_attempt(std::move(job), std::move(on_complete), queue_.now());
+  const std::uint32_t slot = open_attempt(sink, job, queue_.now());
   // Opportunistic matchmaking delay, heavy-tailed.
   const double match_delay = rng_.lognormal(config_.wait_mu, config_.wait_sigma);
   queue_.schedule_in(match_delay, [this, slot] {
@@ -116,7 +115,11 @@ void OsgPlatform::try_dispatch() {
 
     // pick_node() draws no randomness, so hoisting it above the RNG calls
     // keeps the stream (and golden logs) identical to the pre-cache model.
-    const std::string& node = pick_node();
+    const std::uint32_t node = pick_node();
+    const std::string& label = node_labels_[node];
+    // An attempt whose sink is gone has no live transformation label: it
+    // runs uncached, and draws exactly what a cached attempt would.
+    const bool cache_model = install_model_ != nullptr && sink_live(record);
 
     const double speed = rng_.uniform(config_.node_speed_min, config_.node_speed_max);
     // Always burn the cold-install draw for flagged jobs — the attached
@@ -126,16 +129,16 @@ void OsgPlatform::try_dispatch() {
                                  : 0.0;
     double install = cold_install;
     bool cache_hit = false;
-    if (job.needs_software_setup && install_model_ != nullptr) {
+    if (job.needs_software_setup && cache_model) {
       const InstallOutcome outcome =
-          install_model_->install(node, job.transformation, job.software_bytes, cold_install);
+          install_model_->install(label, job.transformation, job.software_bytes, cold_install);
       install = std::min(outcome.seconds, cold_install);
       cache_hit = outcome.cache_hit;
     }
     const double exec_needed = job.cpu_seconds / speed;
     const double time_to_preempt = rng_.exponential(config_.preempt_mean);
 
-    record.node = &node;
+    record.node = node;
     record.start_time = queue_.now();
     record.install_seconds = install;
     record.install_cache_hit = cache_hit;
@@ -144,7 +147,7 @@ void OsgPlatform::try_dispatch() {
     if (time_to_preempt < install + exec_needed) {
       // The resource owner reclaimed the machine mid-attempt.
       ++preemptions_;
-      record.failure = "preempted";
+      record.failure = AttemptFailure::kPreempted;
       duration = time_to_preempt;
       record.install_seconds = std::min(install, time_to_preempt);
       record.exec_seconds = std::max(0.0, time_to_preempt - install);
@@ -154,8 +157,8 @@ void OsgPlatform::try_dispatch() {
     }
     // A preemption that cut the download short leaves the node without the
     // bundle; only a completed install populates the cache.
-    if (job.needs_software_setup && install_model_ != nullptr && time_to_preempt >= install) {
-      install_model_->commit(node, job.transformation, job.software_bytes);
+    if (job.needs_software_setup && cache_model && time_to_preempt >= install) {
+      install_model_->commit(label, job.transformation, job.software_bytes);
     }
     record.end_time = queue_.now() + duration;
 

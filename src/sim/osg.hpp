@@ -44,7 +44,7 @@ class OsgPlatform final : public ExecutionPlatform {
  public:
   OsgPlatform(EventQueue& queue, const OsgConfig& config);
 
-  void submit(SimJob job, AttemptCallback on_complete) override;
+  void submit(SinkId sink, const SimJob& job) override;
   void avoid_node(const std::string& node) override;
   [[nodiscard]] std::string name() const override { return "osg"; }
   [[nodiscard]] std::size_t slots() const override { return config_.base_slots; }
@@ -59,7 +59,8 @@ class OsgPlatform final : public ExecutionPlatform {
  private:
   void try_dispatch();
   void schedule_capacity_change();
-  const std::string& pick_node();
+  /// Index of the next site label to place an attempt on.
+  std::uint32_t pick_node();
 
   EventQueue& queue_;
   OsgConfig config_;

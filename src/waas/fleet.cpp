@@ -491,6 +491,8 @@ FleetResult FleetController::run(
   result.workflows_succeeded = telemetry_.workflows_succeeded();
   result.peak_jobs_in_flight = telemetry_.peak_jobs_in_flight();
   result.events_processed = queue_.processed() - start_events;
+  result.dropped_completions =
+      campus_->dropped_completions() + (osg_ ? osg_->dropped_completions() : 0);
   result.engine_events = telemetry_.engine_events();
   result.engine_steps = engine_steps;
   result.finished_at_seconds = queue_.now();

@@ -147,6 +147,10 @@ struct FleetResult {
   std::size_t workflows_succeeded = 0;
   std::size_t peak_jobs_in_flight = 0;
   std::uint64_t events_processed = 0;  ///< queue events this run consumed
+  /// Platform results that landed after their workflow was reaped (an
+  /// attempt the engine had already written off by timeout) and were
+  /// dropped.
+  std::size_t dropped_completions = 0;
   std::size_t engine_events = 0;       ///< EngineEvents across all engines
   /// step_cooperative calls across all engines and rounds; engines whose
   /// step is provably a no-op are skipped and not counted.

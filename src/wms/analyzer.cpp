@@ -26,7 +26,7 @@ Analysis analyze_run(const RunReport& report, const ConcreteWorkflow& workflow) 
     diagnosis.transformation = run.transformation;
     diagnosis.attempts = run.attempts.size();
     diagnosis.last_error = run.attempts.back().error;
-    for (const TaskAttempt& attempt : run.attempts) {
+    for (const RecordedAttempt& attempt : run.attempts) {
       if (!attempt.success) diagnosis.wasted_seconds += attempt.exec_seconds;
     }
     if (workflow.has_job(run.id)) {
@@ -104,7 +104,7 @@ std::string render_timeline(const RunReport& report, const TimelineOptions& opti
       return static_cast<std::size_t>(
           std::clamp<long>(c, 0, static_cast<long>(options.width) - 1));
     };
-    for (const TaskAttempt& attempt : run->attempts) {
+    for (const RecordedAttempt& attempt : run->attempts) {
       const double exec_start = attempt.end_time - attempt.exec_seconds -
                                 attempt.install_seconds;
       if (options.include_waiting) {
@@ -126,7 +126,7 @@ std::vector<UtilizationSample> utilization(const RunReport& report) {
   // Event sweep over execution intervals (install+exec time on a node).
   std::map<double, long> delta;
   for (const JobRun& run : report.runs) {
-    for (const TaskAttempt& attempt : run.attempts) {
+    for (const RecordedAttempt& attempt : run.attempts) {
       const double start =
           attempt.end_time - attempt.exec_seconds - attempt.install_seconds;
       if (attempt.end_time <= start) continue;
@@ -156,7 +156,7 @@ std::string attempts_csv(const RunReport& report) {
   os << "job,transformation,attempt,success,node,submit,start,end,wait,install,exec\n";
   for (const JobRun& run : report.runs) {
     std::size_t attempt_number = 1;
-    for (const TaskAttempt& attempt : run.attempts) {
+    for (const RecordedAttempt& attempt : run.attempts) {
       const double start =
           attempt.end_time - attempt.exec_seconds - attempt.install_seconds;
       os << run.id << ',' << run.transformation << ',' << attempt_number++

@@ -34,13 +34,15 @@ RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow, bool lean)
 }
 
 void RunReportBuilder::on_event(const EngineEvent& event) {
-  if (format_jobstate_line(event, line_)) {
+  JobstateLine line;
+  if (format_jobstate_line(event, line)) {
     // The fold matches common::lines_digest (per line, then '\n') byte for
     // byte, so lean mode fingerprints the log it never stores.
-    digest_ = common::fnv1a(digest_, line_);
+    line.for_each_part(
+        [this](std::string_view part) { digest_ = common::fnv1a(digest_, part); });
     digest_ = common::fnv1a(digest_, "\n");
     ++report_.jobstate_lines;
-    if (!lean_) report_.jobstate_log.push_back(line_);
+    if (!lean_) report_.jobstate_log.push_back(line.str());
   }
   switch (event.type) {
     case EngineEventType::kRunStarted:
@@ -64,7 +66,7 @@ void RunReportBuilder::on_event(const EngineEvent& event) {
       ++report_.total_attempts;
       if (!lean_) {
         JobRun& run = runs_.at(event.job);
-        run.attempts.push_back(*event.result);
+        run.attempts.push_back(record_attempt(*event.result));
         if (event.success) run.succeeded = true;
       }
       break;
@@ -223,6 +225,8 @@ EngineInstance::EngineInstance(const EngineOptions& options,
       in_flight_(workflow.jobs().size()),
       stale_attempts_(workflow.jobs().size(), 0),
       backoff_rng_(options.backoff_seed),
+      timeout_error_("attempt timed out after " +
+                     common::format_fixed(options.attempt_timeout_seconds, 3) + " s"),
       timeout_on_(options.attempt_timeout_seconds > 0) {
   const std::size_t total_jobs = workflow_.jobs().size();
 
@@ -363,13 +367,16 @@ std::size_t EngineInstance::submit_ready(std::size_t budget) {
 void EngineInstance::handle_attempt(std::uint32_t index, TaskAttempt attempt) {
   // Node ledger: consecutive failures blacklist a node; success clears it.
   if (options_.node_blacklist_threshold > 0 && !attempt.node.empty()) {
+    auto streak = node_fail_streak_.find(attempt.node);
+    if (streak == node_fail_streak_.end()) {
+      streak = node_fail_streak_.emplace(attempt.node, 0).first;
+    }
     if (attempt.success) {
-      node_fail_streak_[attempt.node] = 0;
-    } else if (!blacklisted_.count(attempt.node) &&
-               ++node_fail_streak_[attempt.node] >=
-                   options_.node_blacklist_threshold) {
-      blacklisted_.insert(attempt.node);
-      service_.avoid_node(attempt.node);
+      streak->second = 0;
+    } else if (!blacklisted_.contains(attempt.node) &&
+               ++streak->second >= options_.node_blacklist_threshold) {
+      blacklisted_.emplace(attempt.node);
+      service_.avoid_node(streak->first);
       EngineEvent event = job_event(EngineEventType::kNodeBlacklisted, index);
       event.node = attempt.node;
       bus_.emit(event);
@@ -422,12 +429,9 @@ void EngineInstance::handle_attempt(std::uint32_t index, TaskAttempt attempt) {
 // Declares the outstanding attempt of `index` dead by timeout.
 void EngineInstance::expire_attempt(std::uint32_t index, const InFlight& info) {
   TaskAttempt timed_out;
-  timed_out.job_id = std::string(ids_.name(index));
-  timed_out.transformation = workflow_.job_at(index).transformation;
+  timed_out.job = index;
   timed_out.success = false;
-  timed_out.error =
-      "attempt timed out after " +
-      common::format_fixed(options_.attempt_timeout_seconds, 3) + " s";
+  timed_out.error = timeout_error_;
   timed_out.submit_time = info.submitted_at;
   timed_out.end_time = service_.now();
   ++stale_attempts_[index];
@@ -442,21 +446,17 @@ bool EngineInstance::process_attempts(std::vector<TaskAttempt>& attempts) {
   const std::size_t total_jobs = workflow_.jobs().size();
   bool progress = false;
   for (auto& attempt : attempts) {
-    // Services that echo the submit handle save the hash lookup; the
-    // name check keeps a buggy echo from corrupting another job.
-    std::uint32_t index = attempt.job;
-    if (index >= total_jobs || ids_.name(index) != attempt.job_id) {
-      index = ids_.find(attempt.job_id);
-    }
-    const bool current = index != IdTable::kInvalid && in_flight_[index].active &&
+    // Every service echoes the handle it was submitted: it names the job.
+    const std::uint32_t index = attempt.job;
+    const bool known = index < total_jobs;
+    const bool current = known && in_flight_[index].active &&
                          attempt.submit_time + kEps >= in_flight_[index].submitted_at;
     if (!current) {
       // A completion for an attempt we already wrote off (timed out), or
       // one we never submitted: drop it rather than corrupt accounting.
-      if (index != IdTable::kInvalid && stale_attempts_[index] > 0) {
-        --stale_attempts_[index];
-      }
-      common::log_debug() << "dropping stale completion for " << attempt.job_id;
+      if (known && stale_attempts_[index] > 0) --stale_attempts_[index];
+      common::log_debug() << "dropping stale completion for "
+                          << (known ? ids_.name(index) : std::string_view("unknown handle"));
       continue;
     }
     inflight_remove(index);

@@ -101,14 +101,14 @@ struct JobRun {
   std::string id;
   std::string transformation;
   JobKind kind = JobKind::kCompute;
-  std::vector<TaskAttempt> attempts;
+  std::vector<RecordedAttempt> attempts;
   bool succeeded = false;
   bool skipped_by_rescue = false;
   /// Total seconds this job spent cooling off between retries.
   double backoff_seconds = 0;
 
   /// The successful attempt (the last one when succeeded).
-  [[nodiscard]] const TaskAttempt* final_attempt() const {
+  [[nodiscard]] const RecordedAttempt* final_attempt() const {
     return attempts.empty() ? nullptr : &attempts.back();
   }
 };
@@ -149,12 +149,13 @@ struct RunReport {
 
 /// Assembles a RunReport purely from the engine-event stream, in one of
 /// two modes chosen by EngineOptions::lean_report. Both modes count the
-/// same scalars from the typed events and stream each jobstate line
-/// (format_jobstate_line, events.hpp) through the FNV-1a fold of
-/// common::lines_digest. Full mode also stores the lines and keeps the
-/// per-job roster (attempt records from kAttemptFinished); lean mode stores
-/// neither, so report memory stays O(1) in job count. The engine subscribes
-/// one per run, ahead of every other observer.
+/// same scalars from the typed events and fold each jobstate line
+/// (format_jobstate_line, events.hpp), part by part, through the FNV-1a
+/// fold of common::lines_digest. Full mode also stores the lines and keeps
+/// the per-job roster (attempt records from kAttemptFinished, copied out
+/// of the services that delivered them); lean mode stores neither and
+/// builds no string per line, so report memory stays O(1) in job count.
+/// The engine subscribes one per run, ahead of every other observer.
 class RunReportBuilder final : public EngineObserver {
  public:
   /// Full mode copies its roster (id, transformation, kind) from
@@ -170,7 +171,6 @@ class RunReportBuilder final : public EngineObserver {
   /// emits them sorted by id. Empty in lean mode.
   std::vector<JobRun> runs_;
   std::uint64_t digest_ = common::kFnv1aOffset;  ///< streamed line digest
-  std::string line_;  ///< format scratch, reused across events
   bool lean_;
 };
 
@@ -280,8 +280,8 @@ class EngineInstance {
   [[nodiscard]] double wait_horizon() const;
   void handle_attempt(std::uint32_t index, TaskAttempt attempt);
   void expire_attempt(std::uint32_t index, const InFlight& info);
-  /// Matches completions to in-flight attempts and feeds handle_attempt;
-  /// returns true when any attempt was consumed.
+  /// Matches completions to in-flight attempts by their echoed handles and
+  /// feeds handle_attempt; returns true when any attempt was consumed.
   bool process_attempts(std::vector<TaskAttempt>& attempts);
   /// Expires every in-flight attempt past its deadline; true if any.
   bool expire_due();
@@ -304,9 +304,12 @@ class EngineInstance {
   std::vector<std::uint32_t> inflight_list_;
   /// Attempts declared timed out whose real completion may still surface.
   std::vector<int> stale_attempts_;
-  std::map<std::string, int> node_fail_streak_;
-  std::set<std::string> blacklisted_;
+  /// Node ledger, looked up by the attempts' node views (std::less<>).
+  std::map<std::string, int, std::less<>> node_fail_streak_;
+  std::set<std::string, std::less<>> blacklisted_;
   common::Rng backoff_rng_;
+  /// The error text of every timed-out attempt; their TaskAttempt views it.
+  std::string timeout_error_;
   /// Topological order: the shared frozen graph's when the workflow has
   /// one, else own_topo_, sorted once at construction.
   std::vector<std::uint32_t> own_topo_;

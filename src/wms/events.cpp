@@ -1,8 +1,7 @@
 #include "wms/events.hpp"
 
+#include <charconv>
 #include <string>
-
-#include "common/strings.hpp"
 
 namespace pga::wms {
 
@@ -32,7 +31,7 @@ void EventBus::emit(const EngineEvent& event) {
   for (EngineObserver* observer : observers_) observer->on_event(event);
 }
 
-bool format_jobstate_line(const EngineEvent& event, std::string& line) {
+bool format_jobstate_line(const EngineEvent& event, JobstateLine& line) {
   std::string_view text;
   std::string_view suffix;  // only BLACKLIST carries one (the node)
   switch (event.type) {
@@ -50,19 +49,22 @@ bool format_jobstate_line(const EngineEvent& event, std::string& line) {
       break;
     default: return false;  // not a jobstate line
   }
-  // One string build, no stringstream: this runs once per logged event and
-  // dominated the observer fan-out's allocation profile at scale.
-  line = common::format_fixed(event.time, 3);
-  line.reserve(line.size() + event.job_id.size() + text.size() + suffix.size() + 3);
-  line += ' ';
-  line += event.job_id;
-  line += ' ';
-  line += text;
-  if (!suffix.empty()) {
-    line += ' ';
-    line += suffix;
-  }
+  // to_chars(fixed) prints what printf("%.3f") and common::format_fixed
+  // print; the buffer holds any double, so it cannot run out.
+  const auto printed = std::to_chars(line.time_chars.data(),
+                                     line.time_chars.data() + line.time_chars.size(),
+                                     event.time, std::chars_format::fixed, 3);
+  line.time_size = static_cast<std::size_t>(printed.ptr - line.time_chars.data());
+  line.job = event.job_id;
+  line.text = text;
+  line.suffix = suffix;
   return true;
+}
+
+std::string JobstateLine::str() const {
+  std::string out;
+  for_each_part([&out](std::string_view part) { out += part; });
+  return out;
 }
 
 void StatusBoardObserver::on_event(const EngineEvent& event) {

@@ -13,6 +13,7 @@
 // byte-for-byte (tests/wms_golden_log_test.cpp pins this).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -91,13 +92,45 @@ class EventBus {
   std::vector<EngineObserver*> observers_;
 };
 
-/// Formats the DAGMan-style jobstate line ("<t> <job> <EVENT>") for
-/// `event` into `line`; returns false (leaving `line` untouched) for event
-/// types that don't produce one. Exactly the events the pre-refactor engine
-/// logged become lines: RESCUED, SUBMIT/RETRY, SUCCESS, BACKOFF, FAILED,
-/// TIMEOUT, BLACKLIST <node>. RunReportBuilder hashes (and in full mode
-/// stores) every line it returns.
-bool format_jobstate_line(const EngineEvent& event, std::string& line);
+/// One DAGMan-style jobstate line ("<t> <job> <EVENT>[ <node>]") in parts:
+/// the time, printed with three decimals into a buffer the line carries,
+/// and views of the event's job id, the event text and the BLACKLIST node.
+/// The views are valid while the event is. Building one allocates nothing.
+struct JobstateLine {
+  /// Room for any double printed with three decimals.
+  static constexpr std::size_t kTimeChars = 320;
+
+  std::array<char, kTimeChars> time_chars;
+  std::size_t time_size = 0;
+  std::string_view job;
+  std::string_view text;
+  std::string_view suffix;  ///< the node of a BLACKLIST line, else empty
+
+  /// Calls `part(std::string_view)` on each piece in order; the pieces
+  /// concatenate to the line.
+  template <typename Part>
+  void for_each_part(Part&& part) const {
+    part(std::string_view(time_chars.data(), time_size));
+    part(std::string_view(" "));
+    part(job);
+    part(std::string_view(" "));
+    part(text);
+    if (!suffix.empty()) {
+      part(std::string_view(" "));
+      part(suffix);
+    }
+  }
+  /// The whole line as one string.
+  [[nodiscard]] std::string str() const;
+};
+
+/// Formats the jobstate line for `event` into `line`; returns false
+/// (leaving `line` untouched) for event types that don't produce one.
+/// Exactly the events the pre-refactor engine logged become lines:
+/// RESCUED, SUBMIT/RETRY, SUCCESS, BACKOFF, FAILED, TIMEOUT,
+/// BLACKLIST <node>. RunReportBuilder hashes (and in full mode stores)
+/// every line it returns.
+bool format_jobstate_line(const EngineEvent& event, JobstateLine& line);
 
 /// Adapts a StatusBoard to the event stream (begin, set_state, retry/
 /// timeout counters, and the data layer's cache-hit and staged-bytes

@@ -26,28 +26,26 @@ void LocalService::submit(const ConcreteJob& job) {
   // and delivers its completion through completed_ instead.
   (void)pool_.submit([this, job, submit_time] {
     TaskAttempt attempt;
-    attempt.job_id = job.id;
     attempt.job = job.index;
-    attempt.transformation = job.transformation;
     attempt.node = "local";
     attempt.submit_time = submit_time;
     const double start = clock_.seconds();
     attempt.wait_seconds = start - submit_time;
+    std::string error;
     try {
       runner_(job);
       attempt.success = true;
     } catch (const std::exception& e) {
-      attempt.success = false;
-      attempt.error = e.what();
+      error = e.what();
     } catch (...) {
-      attempt.success = false;
-      attempt.error = "unknown exception";
+      error = "unknown exception";
     }
     attempt.end_time = clock_.seconds();
     attempt.exec_seconds = attempt.end_time - start;
     {
       const std::scoped_lock lock(mutex_);
-      completed_.push_back(std::move(attempt));
+      if (!attempt.success) attempt.error = errors_.emplace_back(std::move(error));
+      completed_.push_back(attempt);
       --outstanding_;
     }
     cv_.notify_all();
@@ -79,39 +77,62 @@ std::vector<TaskAttempt> LocalService::wait_for(double timeout_seconds) {
 
 double LocalService::now() { return clock_.seconds(); }
 
+RecordedAttempt record_attempt(const TaskAttempt& attempt) {
+  RecordedAttempt kept;
+  kept.job = attempt.job;
+  kept.success = attempt.success;
+  kept.error = attempt.error;
+  kept.node = attempt.node;
+  kept.submit_time = attempt.submit_time;
+  kept.end_time = attempt.end_time;
+  kept.wait_seconds = attempt.wait_seconds;
+  kept.install_seconds = attempt.install_seconds;
+  kept.exec_seconds = attempt.exec_seconds;
+  kept.install_cache_hit = attempt.install_cache_hit;
+  kept.transferred_bytes = attempt.transferred_bytes;
+  kept.transfer_attempts = attempt.transfer_attempts;
+  return kept;
+}
+
 // ------------------------------------------------------------ SimService
 
 SimService::SimService(sim::EventQueue& queue, sim::ExecutionPlatform& platform)
-    : queue_(queue), platform_(platform) {}
+    : queue_(queue), platform_(platform), sink_(platform.add_sink(*this)) {}
+
+SimService::~SimService() { platform_.remove_sink(sink_); }
 
 void SimService::submit(const ConcreteJob& job) {
-  sim::SimJob sim_job;
-  sim_job.id = job.id;
-  sim_job.transformation = job.transformation;
-  sim_job.cpu_seconds = job.cpu_seconds_hint;
-  sim_job.needs_software_setup = job.needs_software_setup;
-  sim_job.software_bytes = job.software_bytes;
-  // The result's strings are moved, not copied, into the TaskAttempt.
-  platform_.submit(std::move(sim_job), [this, index = job.index](sim::AttemptResult&& result) {
-    TaskAttempt& attempt = completed_.emplace_back();
-    attempt.job_id = std::move(result.job_id);
-    attempt.job = index;
-    attempt.transformation = std::move(result.transformation);
-    attempt.success = result.success;
-    attempt.error = std::move(result.failure);
-    attempt.node = std::move(result.node);
-    attempt.submit_time = result.submit_time;
-    attempt.end_time = result.end_time;
-    attempt.wait_seconds = result.wait_seconds;
-    attempt.install_seconds = result.install_seconds;
-    attempt.exec_seconds = result.exec_seconds;
-    attempt.install_cache_hit = result.install_cache_hit;
-    --outstanding_;
-    if (delivered_ != nullptr) *delivered_ = 1;
-  });
+  const sim::SimJob sim_job{.job = job.index,
+                            .transformation = job.transformation,
+                            .cpu_seconds = job.cpu_seconds_hint,
+                            .software_bytes = job.software_bytes,
+                            .needs_software_setup = job.needs_software_setup};
+  try {
+    platform_.submit(sink_, sim_job);
+  } catch (const common::InvalidArgument& err) {
+    // The platform knows the job by handle only; name it for the caller.
+    throw common::InvalidArgument(std::string(err.what()) + " (job '" + job.id + "')");
+  }
   // Counted only once the platform accepted the job: a rejected submit
   // leaves nothing outstanding.
   ++outstanding_;
+}
+
+void SimService::on_attempt(const sim::AttemptResult& result) {
+  if (completed_.capacity() == 0) completed_.reserve(last_batch_);
+  TaskAttempt& attempt = completed_.emplace_back();
+  attempt.job = result.job;
+  attempt.success = result.success;
+  attempt.error = result.failure;
+  attempt.node = result.node;
+  attempt.submit_time = result.submit_time;
+  attempt.end_time = result.end_time;
+  attempt.wait_seconds = result.wait_seconds;
+  attempt.install_seconds = result.install_seconds;
+  attempt.exec_seconds = result.exec_seconds;
+  attempt.install_cache_hit = result.install_cache_hit;
+  --outstanding_;
+  if (delivered_ != nullptr) *delivered_ = 1;
 }
 
 void SimService::pump(std::optional<double> deadline) {
@@ -139,6 +160,7 @@ void SimService::pump(std::optional<double> deadline) {
 }
 
 std::vector<TaskAttempt> SimService::take_completed() {
+  if (!completed_.empty()) last_batch_ = completed_.size();
   return std::exchange(completed_, {});
 }
 

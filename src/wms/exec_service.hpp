@@ -15,6 +15,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stopwatch.hpp"
@@ -24,18 +25,19 @@
 
 namespace pga::wms {
 
-/// One attempt at one concrete job, in the service's time base.
-struct TaskAttempt {
-  std::string job_id;
-  /// Optional echo of ConcreteJob::index from the submitted job. When a
-  /// service fills it, the engine verifies the name and skips the hash
-  /// lookup that matching completions by job_id costs; 0xFFFFFFFFu
-  /// (IdTable::kInvalid) means "not set, match by job_id".
+/// One attempt at one concrete job, in the service's time base. The job's
+/// id and transformation are not carried: the workflow owns both, and the
+/// handle names the job. `Text` is std::string_view for an attempt on its
+/// way from a service to the engine (TaskAttempt) and std::string for one
+/// a report keeps (RecordedAttempt).
+template <typename Text>
+struct BasicAttempt {
+  /// ConcreteJob::index of the attempted job, echoed from submit(). The
+  /// engine matches a completion to its job by this handle alone.
   std::uint32_t job = 0xFFFFFFFFu;
-  std::string transformation;
   bool success = false;
-  std::string error;
-  std::string node;
+  Text error;
+  Text node;
   double submit_time = 0;
   double end_time = 0;
   double wait_seconds = 0;     ///< "Waiting Time" (queue + match)
@@ -45,6 +47,18 @@ struct TaskAttempt {
   std::uint64_t transferred_bytes = 0;  ///< bytes moved by a staging attempt
   std::size_t transfer_attempts = 0;    ///< transfer tries incl. retries
 };
+
+/// An attempt as a service delivers it. `node` and `error` view text that
+/// the delivering service, or the platform under it, owns and keeps for
+/// its lifetime: the engine reads them while it handles the completion,
+/// and whatever keeps the attempt longer copies it (record_attempt).
+using TaskAttempt = BasicAttempt<std::string_view>;
+/// An attempt that owns its text: a full-mode RunReport's roster entry or
+/// a parsed kickstart record.
+using RecordedAttempt = BasicAttempt<std::string>;
+
+/// Copies `attempt`, text included, out of the service that delivered it.
+RecordedAttempt record_attempt(const TaskAttempt& attempt);
 
 /// Completion-pump interface. The engine calls submit() for ready jobs and
 /// wait() to collect finished attempts; implementations choose their own
@@ -122,7 +136,8 @@ class ExecutionService {
 ///
 /// The `runner` receives each ConcreteJob and performs its actual work
 /// (reading/writing workspace files). Thrown exceptions become failed
-/// attempts. Wall-clock timings feed the same statistics as the simulator.
+/// attempts, whose error text the service keeps for its lifetime.
+/// Wall-clock timings feed the same statistics as the simulator.
 class LocalService final : public ExecutionService {
  public:
   using JobRunner = std::function<void(const ConcreteJob&)>;
@@ -146,6 +161,9 @@ class LocalService final : public ExecutionService {
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<TaskAttempt> completed_;
+  /// Error texts of failed attempts; TaskAttempt::error views them. A
+  /// deque never moves its elements, so the views stay valid.
+  std::deque<std::string> errors_;
   std::size_t outstanding_ = 0;
 
   // Declared last on purpose: the pool's destructor joins its worker
@@ -155,10 +173,22 @@ class LocalService final : public ExecutionService {
 };
 
 /// Simulated execution on a platform model; time is the event queue's.
-class SimService final : public ExecutionService {
+///
+/// The service registers once with its platform as a completion sink and
+/// removes itself on destruction, so the platform drops (and counts) the
+/// results of attempts still running for a service that is gone. A job
+/// goes to the platform as its handle and a view of its transformation;
+/// results come back as handles and views of the platform's labels.
+class SimService final : public ExecutionService, private sim::CompletionSink {
  public:
-  /// `queue` must outlive the service and be the platform's queue.
+  /// `queue` must outlive the service and be the platform's queue; the
+  /// platform must outlive the service.
   SimService(sim::EventQueue& queue, sim::ExecutionPlatform& platform);
+  ~SimService() override;
+  SimService(const SimService&) = delete;
+  SimService& operator=(const SimService&) = delete;
+
+  /// Throws InvalidArgument naming the job when the platform rejects it.
 
   void submit(const ConcreteJob& job) override;
   std::vector<TaskAttempt> wait() override;
@@ -178,10 +208,15 @@ class SimService final : public ExecutionService {
   void pump(std::optional<double> deadline);
   /// Hands completed_ over to the caller (its buffer, no element copies).
   std::vector<TaskAttempt> take_completed();
+  void on_attempt(const sim::AttemptResult& result) override;
 
   sim::EventQueue& queue_;
   sim::ExecutionPlatform& platform_;
+  sim::SinkId sink_;  ///< this service's id on platform_
   std::vector<TaskAttempt> completed_;
+  /// Size of the last batch handed over; the next batch's buffer starts
+  /// at that capacity instead of doubling up from one.
+  std::size_t last_batch_ = 0;
   std::size_t outstanding_ = 0;
   std::uint8_t* delivered_ = nullptr;  ///< see set_delivery_flag
 };

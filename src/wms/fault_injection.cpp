@@ -1,8 +1,8 @@
 #include "wms/fault_injection.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
-#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -10,6 +10,9 @@ namespace pga::wms {
 
 namespace {
 constexpr double kEps = 1e-9;
+/// Nodes a chaos-mode corruption reports; attempts view these labels.
+constexpr std::array<std::string_view, 4> kChaosNodes{"chaos-node-0", "chaos-node-1",
+                                                      "chaos-node-2", "chaos-node-3"};
 }  // namespace
 
 // -------------------------------------------------------------- FaultPlan
@@ -91,44 +94,23 @@ FaultyService::FaultyService(ExecutionService& inner, FaultPlan plan)
       plan_(std::move(plan)),
       rng_(plan_.chaos_config() ? plan_.chaos_config()->seed : 0) {}
 
-FaultyService::JobSlot& FaultyService::slot_for(std::uint32_t handle,
-                                                const std::string& id) {
-  if (handle != IdTable::kInvalid) {
-    if (handle >= by_handle_.size()) {
-      // Grow geometrically: handles arrive roughly in order, one at a time.
-      by_handle_.resize(std::max<std::size_t>(handle + 1, 2 * by_handle_.size()));
-    }
-    JobSlot& slot = by_handle_[handle];
-    if (slot.id.empty()) slot.id = id;
-    if (slot.id == id) return slot;
+FaultyService::JobSlot& FaultyService::slot_for(std::uint32_t handle) {
+  if (handle >= by_handle_.size()) {
+    // Grow geometrically: handles arrive roughly in order, one at a time.
+    by_handle_.resize(std::max<std::size_t>(handle + 1, 2 * by_handle_.size()));
   }
-  return by_id_[id];
+  return by_handle_[handle];
 }
 
-template <typename Self>
-auto* FaultyService::find_slot(Self& self, std::uint32_t handle,
-                               const std::string& id) {
-  using Slot = std::remove_reference_t<decltype(self.by_handle_.front())>;
-  if (handle < self.by_handle_.size() && self.by_handle_[handle].id == id) {
-    return &self.by_handle_[handle];
-  }
-  if (const auto it = self.by_id_.find(id); it != self.by_id_.end()) {
-    return &it->second;
-  }
-  // An inner service that does not echo handles: search the slots.
-  for (Slot& slot : self.by_handle_) {
-    if (slot.id == id) return &slot;
-  }
-  return static_cast<Slot*>(nullptr);
-}
-
-int FaultyService::attempts_seen(const std::string& job) const {
-  const JobSlot* slot = find_slot(*this, IdTable::kInvalid, job);
-  return slot == nullptr ? 0 : slot->attempts;
+int FaultyService::attempts_seen(std::uint32_t job) const {
+  return job < by_handle_.size() ? by_handle_[job].attempts : 0;
 }
 
 void FaultyService::submit(const ConcreteJob& job) {
-  JobSlot& slot = slot_for(job.index, job.id);
+  if (job.index == IdTable::kInvalid) {
+    throw common::InvalidArgument("FaultyService: job '" + job.id + "' has no handle");
+  }
+  JobSlot& slot = slot_for(job.index);
   const int attempt = ++slot.attempts;
   const auto matches = plan_.match(job.id, attempt);
 
@@ -150,7 +132,7 @@ void FaultyService::submit(const ConcreteJob& job) {
   // Chaos mode fills in when nothing is scripted for this submission. One
   // uniform draw per submission keeps the stream a pure function of
   // (seed, submission order).
-  std::string chaos_fail_error;
+  std::string_view chaos_fail_error;
   if (matches.empty() && plan_.chaos_config()) {
     const ChaosConfig& c = *plan_.chaos_config();
     const double u = rng_.uniform();
@@ -162,7 +144,7 @@ void FaultyService::submit(const ConcreteJob& job) {
       post.delay_seconds = rng_.uniform(0.0, c.max_delay_seconds);
     } else if (u < c.fail_probability + c.hang_probability + c.delay_probability +
                        c.corrupt_probability) {
-      post.corrupt_node = "chaos-node-" + std::to_string(rng_.below(4));
+      post.corrupt_node = kChaosNodes[rng_.below(kChaosNodes.size())];
     }
   }
 
@@ -174,14 +156,12 @@ void FaultyService::submit(const ConcreteJob& job) {
   if (do_fail != nullptr || !chaos_fail_error.empty()) {
     ++injected_failures_;
     TaskAttempt failed;
-    failed.job_id = job.id;
     failed.job = job.index;
-    failed.transformation = job.transformation;
     failed.success = false;
-    failed.error = do_fail != nullptr ? do_fail->error : chaos_fail_error;
+    failed.error = do_fail != nullptr ? std::string_view(do_fail->error) : chaos_fail_error;
     failed.node = !post.corrupt_node.empty() ? post.corrupt_node
-                  : do_fail != nullptr       ? do_fail->node
-                                             : "chaos-node";
+                  : do_fail != nullptr       ? std::string_view(do_fail->node)
+                                             : std::string_view("chaos-node");
     failed.submit_time = inner_.now();
     failed.end_time = failed.submit_time;
     due_.push_back(std::move(failed));
@@ -190,16 +170,17 @@ void FaultyService::submit(const ConcreteJob& job) {
 
   if (post.delay_seconds > 0 || !post.corrupt_node.empty()) {
     slot.has_post = true;
-    slot.post = std::move(post);
+    slot.post = post;
   }
   inner_.submit(job);
 }
 
 bool FaultyService::apply_post(TaskAttempt& attempt) {
-  JobSlot* slot = find_slot(*this, attempt.job, attempt.job_id);
-  if (slot == nullptr || !slot->has_post) return false;
-  slot->has_post = false;
-  const Post post = std::move(slot->post);
+  if (attempt.job >= by_handle_.size()) return false;
+  JobSlot& slot = by_handle_[attempt.job];
+  if (!slot.has_post) return false;
+  slot.has_post = false;
+  const Post post = slot.post;
   if (!post.corrupt_node.empty()) {
     ++corrupted_nodes_;
     attempt.node = post.corrupt_node;

@@ -16,9 +16,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -115,16 +115,14 @@ class FaultPlan {
 ///
 /// Not thread-safe: call submit()/wait()/wait_for() from one thread (the
 /// engine's), exactly like every other ExecutionService. Assumes at most
-/// one attempt of a given job id is in flight at a time, which is how the
+/// one attempt of a given job is in flight at a time, which is how the
 /// DAGMan engine drives services.
 ///
-/// Per-job state (attempt counts, pending rewrites) is keyed by the job's
-/// dense handle (ConcreteJob::index, echoed back in TaskAttempt::job), so
-/// the submit and completion paths index a vector instead of searching a
-/// string-keyed map. A job without a handle, or whose handle's slot
-/// already belongs to another id, falls back to a map keyed by id. Job
-/// ids must therefore keep one handle each for the service's lifetime —
-/// true of one workflow, and of re-runs of it.
+/// Per-job state (attempt counts, pending rewrites) is indexed by the
+/// job's dense handle (ConcreteJob::index, echoed back in
+/// TaskAttempt::job); submit() rejects a job without one. Directives still
+/// match by job id, read from the submitted job. Injected node and error
+/// texts are views of the plan's strings or of static chaos labels.
 class FaultyService final : public ExecutionService {
  public:
   FaultyService(ExecutionService& inner, FaultPlan plan);
@@ -164,18 +162,18 @@ class FaultyService final : public ExecutionService {
   [[nodiscard]] std::size_t injected_hangs() const { return injected_hangs_; }
   [[nodiscard]] std::size_t injected_delays() const { return injected_delays_; }
   [[nodiscard]] std::size_t corrupted_nodes() const { return corrupted_nodes_; }
-  /// Submissions seen so far for `job` (the next submission is attempt n+1).
-  [[nodiscard]] int attempts_seen(const std::string& job) const;
+  /// Submissions seen so far for the job with handle `job` (the next
+  /// submission is attempt n+1).
+  [[nodiscard]] int attempts_seen(std::uint32_t job) const;
 
  private:
   /// Post-processing scheduled at submit time, applied at completion time.
   struct Post {
     double delay_seconds = 0;
-    std::string corrupt_node;
+    std::string_view corrupt_node;  ///< plan-owned or a static chaos label
   };
   /// One job's bookkeeping.
   struct JobSlot {
-    std::string id;  ///< owner of a handle-keyed slot; empty = unclaimed
     int attempts = 0;
     bool has_post = false;
     Post post;       ///< the pending rewrite when has_post
@@ -192,20 +190,13 @@ class FaultyService final : public ExecutionService {
   /// attempt was parked in held_ (delayed) instead of being ready now.
   bool apply_post(TaskAttempt& attempt);
   [[nodiscard]] double earliest_release() const;
-  /// The slot of job `id` with handle `handle`, claimed on first sight.
-  JobSlot& slot_for(std::uint32_t handle, const std::string& id);
-  /// The slot slot_for gave job `id`, or null when it was never submitted.
-  /// Searches by id when `handle` is unset or names another job. `Self` is
-  /// FaultyService or const FaultyService.
-  template <typename Self>
-  [[nodiscard]] static auto* find_slot(Self& self, std::uint32_t handle,
-                                       const std::string& id);
+  /// The slot of the job with handle `handle`, made on first sight.
+  JobSlot& slot_for(std::uint32_t handle);
 
   ExecutionService& inner_;
   FaultPlan plan_;
   common::Rng rng_;
   std::vector<JobSlot> by_handle_;        ///< indexed by job handle
-  std::map<std::string, JobSlot> by_id_;  ///< jobs without a usable handle
   std::deque<TaskAttempt> due_;           ///< synthesized, ready to deliver
   std::vector<Held> held_;                ///< delayed completions
   std::size_t hung_outstanding_ = 0;

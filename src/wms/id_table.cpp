@@ -88,12 +88,8 @@ std::uint32_t IdTable::find(std::string_view id) const {
   return kInvalid;
 }
 
-std::string_view IdTable::name(std::uint32_t handle) const {
-  if (handle >= names_.size()) {
-    throw common::InvalidArgument("IdTable: unknown handle " +
-                                  std::to_string(handle));
-  }
-  return names_[handle];
+void IdTable::throw_unknown(std::uint32_t handle) {
+  throw common::InvalidArgument("IdTable: unknown handle " + std::to_string(handle));
 }
 
 void IdTable::reserve(std::size_t ids, std::size_t bytes) {

@@ -46,8 +46,12 @@ class IdTable {
   }
 
   /// The interned spelling of `handle`; valid for the table's lifetime.
-  /// Throws InvalidArgument for out-of-range handles.
-  [[nodiscard]] std::string_view name(std::uint32_t handle) const;
+  /// Throws InvalidArgument for out-of-range handles. Inline: the engine
+  /// names the job of every event it emits.
+  [[nodiscard]] std::string_view name(std::uint32_t handle) const {
+    if (handle >= names_.size()) throw_unknown(handle);
+    return names_[handle];
+  }
 
   [[nodiscard]] std::size_t size() const { return names_.size(); }
   [[nodiscard]] bool empty() const { return names_.empty(); }
@@ -67,6 +71,8 @@ class IdTable {
   /// Grows the open-addressing index to `slot_count` slots (power of two)
   /// and reinserts every interned id.
   void rehash(std::size_t slot_count);
+
+  [[noreturn]] static void throw_unknown(std::uint32_t handle);
 
   std::vector<std::unique_ptr<char[]>> blocks_;
   std::size_t block_used_ = 0;

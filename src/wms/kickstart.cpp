@@ -16,12 +16,12 @@ namespace pga::wms {
 
 using common::ParseError;
 
-std::string to_invocation_xml(const std::string& job_id, std::size_t attempt_number,
-                              const TaskAttempt& attempt) {
+std::string to_invocation_xml(std::string_view job_id, std::string_view transformation,
+                              std::size_t attempt_number, const RecordedAttempt& attempt) {
   std::ostringstream os;
   os << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n";
   os << "<invocation job=\"" << xml::escape(job_id) << "\" transformation=\""
-     << xml::escape(attempt.transformation) << "\" attempt=\"" << attempt_number
+     << xml::escape(transformation) << "\" attempt=\"" << attempt_number
      << "\" host=\"" << xml::escape(attempt.node) << "\" status=\""
      << (attempt.success ? "success" : xml::escape(attempt.error.empty()
                                                        ? "failed"
@@ -47,8 +47,8 @@ InvocationRecord from_invocation_xml(const std::string& xml_text) {
     throw ParseError("kickstart attempt must be >= 0: " + root.attr("attempt"));
   }
   record.attempt_number = static_cast<std::size_t>(attempt);
-  record.attempt.job_id = root.attr("job");
-  record.attempt.transformation = root.attr("transformation");
+  record.job_id = root.attr("job");
+  record.transformation = root.attr("transformation");
   record.attempt.node = root.attr("host");
   const std::string& status = root.attr("status");
   record.attempt.success = status == "success";
@@ -79,10 +79,11 @@ std::vector<std::filesystem::path> write_invocation_records(
   std::vector<std::filesystem::path> paths;
   for (const JobRun& run : report.runs) {
     std::size_t attempt_number = 1;
-    for (const TaskAttempt& attempt : run.attempts) {
+    for (const RecordedAttempt& attempt : run.attempts) {
       auto path =
           dir / (run.id + "." + std::to_string(attempt_number) + ".out.xml");
-      common::write_file(path, to_invocation_xml(run.id, attempt_number, attempt));
+      common::write_file(
+          path, to_invocation_xml(run.id, run.transformation, attempt_number, attempt));
       paths.push_back(std::move(path));
       ++attempt_number;
     }
@@ -117,7 +118,7 @@ RunReport report_from_records(const std::vector<InvocationRecord>& records,
   // Group by job id, order attempts by number.
   std::map<std::string, std::vector<const InvocationRecord*>> by_job;
   for (const auto& record : records) {
-    by_job[record.attempt.job_id].push_back(&record);
+    by_job[record.job_id].push_back(&record);
   }
   report.jobs_total = by_job.size();
   double start = std::numeric_limits<double>::max();
@@ -129,7 +130,7 @@ RunReport report_from_records(const std::vector<InvocationRecord>& records,
               });
     JobRun run;
     run.id = job_id;
-    run.transformation = job_records.front()->attempt.transformation;
+    run.transformation = job_records.front()->transformation;
     for (const InvocationRecord* record : job_records) {
       run.attempts.push_back(record->attempt);
       start = std::min(start, record->attempt.submit_time);

@@ -4,11 +4,12 @@
 // XML "invocation record" of the execution (host, timings, exit status);
 // pegasus-statistics is computed from these records. This module provides
 // the same provenance layer: one XML record per attempt, serializable to a
-// records directory and parseable back into TaskAttempt form.
+// records directory and parseable back into RecordedAttempt form.
 #pragma once
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "wms/engine.hpp"
@@ -21,13 +22,15 @@ namespace pga::wms {
 ///     <timing submit="1200.000" start="1260.500" end="2400.000"
 ///             wait="60.500" install="300.000" exec="839.500"/>
 ///   </invocation>
-std::string to_invocation_xml(const std::string& job_id, std::size_t attempt_number,
-                              const TaskAttempt& attempt);
+std::string to_invocation_xml(std::string_view job_id, std::string_view transformation,
+                              std::size_t attempt_number, const RecordedAttempt& attempt);
 
-/// Parsed record: the attempt plus its ordinal.
+/// Parsed record: the job, the attempt and its ordinal.
 struct InvocationRecord {
+  std::string job_id;
+  std::string transformation;
   std::size_t attempt_number = 1;
-  TaskAttempt attempt;
+  RecordedAttempt attempt;
 };
 
 /// Parses a record produced by to_invocation_xml. Throws ParseError on

@@ -44,8 +44,8 @@ struct ConcreteJob {
   /// Longest-task-first scheduling sets this from the cost hint.
   int priority = 0;
   /// Dense handle assigned by ConcreteWorkflow::add_job (== position in
-  /// jobs()). Execution services may echo it back in TaskAttempt::job so
-  /// the engine matches completions without a hash lookup; kInvalid until
+  /// jobs()). Execution services echo it back in TaskAttempt::job, which
+  /// is how the engine matches a completion to its job; kInvalid until
   /// the job is added to a workflow.
   std::uint32_t index = 0xFFFFFFFFu;
   JobKind kind = JobKind::kCompute;

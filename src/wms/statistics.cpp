@@ -25,7 +25,7 @@ WorkflowStatistics WorkflowStatistics::from_run(const RunReport& report) {
     ++tf.jobs;
     double job_wait = 0;
     double job_install = 0;
-    for (const TaskAttempt& attempt : run.attempts) {
+    for (const RecordedAttempt& attempt : run.attempts) {
       ++stats.attempts_;
       ++tf.attempts;
       job_wait += attempt.wait_seconds;

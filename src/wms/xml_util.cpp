@@ -27,7 +27,7 @@ bool Element::has_attr(const std::string& attr_name) const {
   return attrs.count(attr_name) != 0;
 }
 
-std::string escape(const std::string& text) {
+std::string escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (const char c : text) {

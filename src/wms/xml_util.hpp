@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pga::wms::xml {
@@ -30,7 +31,7 @@ struct Element {
 Element parse_document(const std::string& input);
 
 /// Escapes &<>"' for attribute/text contexts.
-std::string escape(const std::string& text);
+std::string escape(std::string_view text);
 
 /// Reverses escape(); throws ParseError on unknown entities.
 std::string unescape(const std::string& text);

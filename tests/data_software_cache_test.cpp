@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "common/error.hpp"
+#include "sim/osg.hpp"
+#include "sim_test_sink.hpp"
 
 namespace pga::data {
 namespace {
@@ -114,6 +118,34 @@ TEST(SoftwareCache, DeterministicReplay) {
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.bytes_cached, b.bytes_cached);
   EXPECT_GT(a.hits, 0u);
+}
+
+TEST(SoftwareCache, AttemptsOfARemovedSinkRunUncached) {
+  // The transformation label is a view its workflow owns. Attempts still
+  // waiting for a node when their sink is removed outlive that label, so
+  // dispatch must not hand it to the cache: they run uncached and their
+  // results are dropped.
+  sim::EventQueue queue;
+  sim::OsgConfig config;
+  config.capacity_wobble = 0;
+  config.preempt_mean = 1e12;
+  sim::OsgPlatform platform(queue, config);
+  SoftwareCache cache;
+  platform.set_install_model(&cache);
+  {
+    const auto label = std::make_unique<std::string>("a-transformation-label-off-the-stack");
+    sim::CallbackSink sink(platform, [](const sim::AttemptResult&) { ADD_FAILURE(); });
+    for (std::uint32_t job = 0; job < 2; ++job) {
+      sink.submit({.job = job,
+                   .transformation = *label,
+                   .cpu_seconds = 100,
+                   .software_bytes = kMiB,
+                   .needs_software_setup = true});
+    }
+  }  // the label and the sink go before any attempt is matched to a node
+  queue.run();
+  EXPECT_EQ(platform.dropped_completions(), 2u);
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
 }
 
 TEST(SoftwareCache, RejectsNegativeHitSeconds) {

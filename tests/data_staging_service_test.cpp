@@ -46,7 +46,7 @@ TEST(StagingService, RunsTheStagingHeavyDagEndToEnd) {
   ASSERT_TRUE(report.success);
   EXPECT_EQ(h.staging.staged_jobs(), 2u);  // stage_in_0 + stage_out_0
 
-  std::map<std::string, const wms::TaskAttempt*> final;
+  std::map<std::string, const wms::RecordedAttempt*> final;
   for (const auto& run : report.runs) final[run.id] = run.final_attempt();
   // Stage-in moved the 4 reference files; sizes come from the replicas.
   ASSERT_NE(final["stage_in_0"], nullptr);
@@ -115,6 +115,46 @@ TEST(StagingService, ExhaustedTransferRetriesFailTheAttemptNotTheEngine) {
               std::string::npos);
   }
   EXPECT_GT(h.transfers.stats().failed, 0u);
+}
+
+TEST(StagingService, AttemptsEchoTheirHandles) {
+  // Staged and passed-through attempts alike come back under the handle
+  // of the job they ran, whatever order they finish in.
+  Harness h;
+  const wms::ConcreteWorkflow workflow = wms::testing::staging_heavy_dag(4);
+  for (const char* id : {"stage_in_0", "run_cap3_2", "stage_out_0"}) {
+    h.staging.submit(workflow.job(id));
+  }
+  std::map<std::uint32_t, std::string> nodes;
+  for (int round = 0; round < 10 && nodes.size() < 3; ++round) {
+    for (const auto& attempt : h.staging.wait()) {
+      EXPECT_TRUE(attempt.success);
+      EXPECT_TRUE(nodes.emplace(attempt.job, attempt.node).second) << attempt.job;
+    }
+  }
+  ASSERT_EQ(nodes.size(), 3u);
+  EXPECT_EQ(nodes.at(workflow.ids().find("stage_in_0")), "osg-se");
+  EXPECT_EQ(nodes.at(workflow.ids().find("stage_out_0")), "osg-se");
+  EXPECT_TRUE(nodes.at(workflow.ids().find("run_cap3_2")).starts_with("sandhills-node-"));
+}
+
+TEST(StagingService, TransfersThatOutliveTheServiceAreDropped) {
+  // A workflow that gave up on a staging job is torn down with the job's
+  // transfers still queued on the shared manager: they run to their end,
+  // and their callbacks must not touch the destroyed service.
+  sim::EventQueue queue;
+  sim::CampusClusterPlatform platform(queue, {});
+  wms::SimService sim_service(queue, platform);
+  TransferManager transfers(queue, {});
+  const wms::ReplicaCatalog replicas = wms::testing::staging_heavy_replicas(4);
+  const wms::ConcreteWorkflow workflow = wms::testing::staging_heavy_dag(4);
+  {
+    StagingService staging(queue, sim_service, transfers, replicas,
+                           Harness::on_osg({}));
+    staging.submit(workflow.job("stage_in_0"));
+  }
+  queue.run();
+  EXPECT_EQ(transfers.stats().completed, 4u);
 }
 
 TEST(StagingService, RejectsEmptySubmitSite) {

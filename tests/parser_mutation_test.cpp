@@ -236,9 +236,7 @@ TEST(ParserMutation, DaxXml) {
 }
 
 TEST(ParserMutation, InvocationXml) {
-  wms::TaskAttempt attempt;
-  attempt.job_id = "run_cap3_7";
-  attempt.transformation = "run_cap3";
+  wms::RecordedAttempt attempt;
   attempt.success = false;
   attempt.error = "preempted";
   attempt.node = "osg-site-3";
@@ -247,10 +245,10 @@ TEST(ParserMutation, InvocationXml) {
   attempt.wait_seconds = 60.5;
   attempt.install_seconds = 300.0;
   attempt.exec_seconds = 839.5;
-  const std::string valid = wms::to_invocation_xml("run_cap3_7", 2, attempt);
+  const std::string valid = wms::to_invocation_xml("run_cap3_7", "run_cap3", 2, attempt);
   expect_both(sweep(valid, 15, [](const std::string& text) -> std::string {
     const wms::InvocationRecord record = wms::from_invocation_xml(text);
-    const wms::TaskAttempt& a = record.attempt;
+    const wms::RecordedAttempt& a = record.attempt;
     for (const double value : {a.submit_time, a.end_time, a.wait_seconds,
                                a.install_seconds, a.exec_seconds}) {
       if (!finite_non_negative(value)) return "timing " + std::to_string(value);

@@ -17,6 +17,7 @@
 #include "core/workload.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/osg.hpp"
+#include "sim_test_sink.hpp"
 #include "wms/dax_xml.hpp"
 
 namespace pga {
@@ -137,11 +138,13 @@ TEST_P(SeedProperty, SimulatedAttemptTimingInvariants) {
   config.preempt_mean = 3'000;
   sim::OsgPlatform platform(queue, config);
   std::vector<sim::AttemptResult> attempts;
-  for (int i = 0; i < 40; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", 2'000, true},
-                    [&attempts](const sim::AttemptResult& r) {
-                      attempts.push_back(r);
-                    });
+  sim::CallbackSink sink(platform,
+                         [&attempts](const sim::AttemptResult& r) { attempts.push_back(r); });
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    sink.submit({.job = i,
+                 .transformation = "t",
+                 .cpu_seconds = 2'000,
+                 .needs_software_setup = true});
   }
   queue.run();
   ASSERT_EQ(attempts.size(), 40u);
@@ -162,11 +165,11 @@ TEST_P(SeedProperty, CampusClusterNeverFails) {
   config.allocated_slots = 8;
   sim::CampusClusterPlatform platform(queue, config);
   std::size_t successes = 0;
-  for (int i = 0; i < 50; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", 500, false},
-                    [&successes](const sim::AttemptResult& r) {
-                      if (r.success) ++successes;
-                    });
+  sim::CallbackSink sink(platform, [&successes](const sim::AttemptResult& r) {
+    if (r.success) ++successes;
+  });
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    sink.submit({.job = i, .transformation = "t", .cpu_seconds = 500});
   }
   queue.run();
   EXPECT_EQ(successes, 50u);

@@ -9,6 +9,7 @@
 #include "common/summary.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/osg.hpp"
+#include "sim_test_sink.hpp"
 
 namespace pga::sim {
 namespace {
@@ -18,9 +19,12 @@ std::vector<AttemptResult> collect(ExecutionPlatform& platform, EventQueue& queu
                                    std::size_t jobs, double cpu_seconds,
                                    bool setup) {
   std::vector<AttemptResult> attempts;
-  for (std::size_t i = 0; i < jobs; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", cpu_seconds, setup},
-                    [&attempts](const AttemptResult& r) { attempts.push_back(r); });
+  CallbackSink sink(platform, [&attempts](const AttemptResult& r) { attempts.push_back(r); });
+  for (std::uint32_t i = 0; i < jobs; ++i) {
+    sink.submit({.job = i,
+                 .transformation = "t",
+                 .cpu_seconds = cpu_seconds,
+                 .needs_software_setup = setup});
   }
   queue.run();
   return attempts;
@@ -135,12 +139,12 @@ TEST(CampusDistributions, UtilizationSaturatesAtAllocation) {
   // 64 long jobs on 16 slots: the queue must hold ~48 once saturated.
   std::size_t max_queued = 0;
   std::vector<AttemptResult> attempts;
-  for (std::size_t i = 0; i < 64; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", 10'000, false},
-                    [&](const AttemptResult& r) {
-                      attempts.push_back(r);
-                      max_queued = std::max(max_queued, platform.queued());
-                    });
+  CallbackSink sink(platform, [&](const AttemptResult& r) {
+    attempts.push_back(r);
+    max_queued = std::max(max_queued, platform.queued());
+  });
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    sink.submit({.job = i, .transformation = "t", .cpu_seconds = 10'000});
   }
   queue.run();
   ASSERT_EQ(attempts.size(), 64u);

@@ -10,6 +10,7 @@
 #include "sim/campus_cluster.hpp"
 #include "sim/cloud.hpp"
 #include "sim/osg.hpp"
+#include "sim_test_sink.hpp"
 
 namespace pga::sim {
 namespace {
@@ -17,8 +18,22 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-SimJob job(const std::string& id, double cpu, bool setup = false) {
-  return SimJob{id, "run_cap3", cpu, setup};
+/// A named job for the harness, which submits it under its position.
+struct TestJob {
+  std::string id;
+  double cpu = 0;
+  bool setup = false;
+};
+
+TestJob job(const std::string& id, double cpu, bool setup = false) {
+  return TestJob{id, cpu, setup};
+}
+
+SimJob sim_job(std::uint32_t handle, double cpu, bool setup = false) {
+  return SimJob{.job = handle,
+                .transformation = "run_cap3",
+                .cpu_seconds = cpu,
+                .needs_software_setup = setup};
 }
 
 /// Submits jobs, retrying failures up to `max_retries`, and returns one
@@ -28,22 +43,24 @@ struct Harness {
   std::map<std::string, AttemptResult> final_results;
   std::map<std::string, int> attempts;
 
-  void run_all(ExecutionPlatform& platform, const std::vector<SimJob>& jobs,
+  void run_all(ExecutionPlatform& platform, const std::vector<TestJob>& jobs,
                int max_retries = 10) {
-    for (const auto& j : jobs) submit_with_retry(platform, j, max_retries);
-    queue.run();
-  }
-
-  void submit_with_retry(ExecutionPlatform& platform, const SimJob& j,
-                         int retries_left) {
-    platform.submit(j, [this, &platform, j, retries_left](const AttemptResult& r) {
+    std::vector<int> retries_left(jobs.size(), max_retries);
+    CallbackSink sink(platform);
+    sink.callback = [&](const AttemptResult& r) {
+      const TestJob& j = jobs.at(r.job);
       ++attempts[j.id];
-      if (r.success || retries_left == 0) {
+      if (r.success || retries_left[r.job] == 0) {
         final_results[j.id] = r;
       } else {
-        submit_with_retry(platform, j, retries_left - 1);
+        --retries_left[r.job];
+        sink.submit(sim_job(r.job, j.cpu, j.setup));
       }
-    });
+    };
+    for (std::uint32_t i = 0; i < jobs.size(); ++i) {
+      sink.submit(sim_job(i, jobs[i].cpu, jobs[i].setup));
+    }
+    queue.run();
   }
 };
 
@@ -54,7 +71,7 @@ TEST(CampusCluster, RunsAllJobsSuccessfully) {
   CampusClusterConfig config;
   config.allocated_slots = 4;
   CampusClusterPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 20; ++i) jobs.push_back(job("j" + std::to_string(i), 600));
   h.run_all(platform, jobs);
   EXPECT_EQ(h.final_results.size(), 20u);
@@ -70,7 +87,7 @@ TEST(CampusCluster, WaitingTimeSmallWhenUnsaturated) {
   CampusClusterConfig config;
   config.allocated_slots = 32;
   CampusClusterPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 10; ++i) jobs.push_back(job("j" + std::to_string(i), 3'600));
   h.run_all(platform, jobs);
   for (const auto& [id, r] : h.final_results) {
@@ -87,7 +104,7 @@ TEST(CampusCluster, SlotsLimitConcurrency) {
   config.node_speed_min = 1.0;
   config.node_speed_max = 1.0;
   CampusClusterPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 8; ++i) jobs.push_back(job("j" + std::to_string(i), 1'000));
   h.run_all(platform, jobs);
   double makespan = 0;
@@ -110,7 +127,7 @@ TEST(CampusCluster, DeterministicForSeed) {
     CampusClusterConfig config;
     config.seed = 77;
     CampusClusterPlatform platform(h.queue, config);
-    std::vector<SimJob> jobs;
+    std::vector<TestJob> jobs;
     for (int i = 0; i < 12; ++i) jobs.push_back(job("j" + std::to_string(i), 500));
     h.run_all(platform, jobs);
     double makespan = 0;
@@ -182,7 +199,7 @@ TEST(Osg, PreemptionCausesRetries) {
   config.preempt_mean = 1'000;  // brutal: jobs of 3000s rarely survive
   config.seed = 11;
   OsgPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 30; ++i) jobs.push_back(job("j" + std::to_string(i), 3'000, true));
   h.run_all(platform, jobs, /*max_retries=*/50);
   EXPECT_GT(platform.preemptions(), 0u);
@@ -199,16 +216,16 @@ TEST(Osg, PreemptedAttemptReportsPartialExecution) {
   config.seed = 13;
   OsgPlatform platform(h.queue, config);
   bool saw_preemption = false;
-  for (int i = 0; i < 20 && !saw_preemption; ++i) {
-    platform.submit(job("p" + std::to_string(i), 50'000, true),
-                    [&](const AttemptResult& r) {
-                      if (!r.success) {
-                        saw_preemption = true;
-                        EXPECT_EQ(r.failure, "preempted");
-                        EXPECT_LT(r.exec_seconds, 50'000.0 / config.node_speed_max);
-                        EXPECT_GE(r.end_time, r.start_time);
-                      }
-                    });
+  CallbackSink sink(platform, [&](const AttemptResult& r) {
+    if (!r.success) {
+      saw_preemption = true;
+      EXPECT_EQ(r.failure, "preempted");
+      EXPECT_LT(r.exec_seconds, 50'000.0 / config.node_speed_max);
+      EXPECT_GE(r.end_time, r.start_time);
+    }
+  });
+  for (std::uint32_t i = 0; i < 20 && !saw_preemption; ++i) {
+    sink.submit(sim_job(i, 50'000, true));
   }
   h.queue.run();
   EXPECT_TRUE(saw_preemption);
@@ -220,7 +237,7 @@ TEST(Osg, WaitingTimeHeavyTailed) {
   config.preempt_mean = 1e12;
   config.seed = 17;
   OsgPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 200; ++i) jobs.push_back(job("j" + std::to_string(i), 10));
   h.run_all(platform, jobs);
   double max_wait = 0, min_wait = 1e18;
@@ -241,15 +258,14 @@ TEST(Osg, CapacityFluctuates) {
   config.preempt_mean = 1e12;
   config.seed = 19;
   OsgPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 50; ++i) jobs.push_back(job("j" + std::to_string(i), 5'000));
   // Track capacity over the run via completion callbacks.
   std::vector<std::size_t> capacities;
-  for (const auto& j : jobs) {
-    platform.submit(j, [&](const AttemptResult&) {
-      capacities.push_back(platform.current_capacity());
-    });
-  }
+  CallbackSink sink(platform, [&](const AttemptResult&) {
+    capacities.push_back(platform.current_capacity());
+  });
+  for (std::uint32_t i = 0; i < jobs.size(); ++i) sink.submit(sim_job(i, jobs[i].cpu));
   h.queue.run();
   std::set<std::size_t> distinct(capacities.begin(), capacities.end());
   EXPECT_GT(distinct.size(), 1u);
@@ -289,7 +305,7 @@ TEST(Cloud, ProvisionsVmsOnceAndReusesThem) {
   CloudConfig config;
   config.vms = 4;
   CloudPlatform platform(h.queue, config);
-  std::vector<SimJob> jobs;
+  std::vector<TestJob> jobs;
   for (int i = 0; i < 16; ++i) jobs.push_back(job("j" + std::to_string(i), 1'000));
   h.run_all(platform, jobs);
   EXPECT_EQ(h.final_results.size(), 16u);
@@ -334,25 +350,33 @@ TEST(Cloud, ConfigValidation) {
 
 TEST(Platforms, BadJobCostIsRejectedWithoutLeakingASlot) {
   // With one slot, a job that took the slot and never freed it would
-  // strand every later job. Each platform must reject the cost up front.
-  // The reference run submits only the good job: a rejected submit that
-  // drew from the RNG would shift the good job's timings.
+  // strand every later job. Each platform must reject the cost up front,
+  // naming the bad job by its handle. The reference run submits only the
+  // good job: a rejected submit that drew from the RNG would shift the
+  // good job's timings.
   const auto run = [](const char* name, auto make) {
     SCOPED_TRACE(name);
     const auto good_end_time = [&](std::optional<double> bad_cost) {
       EventQueue q;
       std::unique_ptr<ExecutionPlatform> platform = make(q);
+      CallbackSink sink(*platform);
       if (bad_cost.has_value()) {
-        EXPECT_THROW(platform->submit(job("bad", *bad_cost),
-                                      [](const AttemptResult&) { ADD_FAILURE(); }),
-                     common::InvalidArgument)
-            << *bad_cost;
+        sink.callback = [](const AttemptResult&) { ADD_FAILURE(); };
+        try {
+          sink.submit(sim_job(7, *bad_cost));
+          ADD_FAILURE() << "accepted cpu_seconds " << *bad_cost;
+        } catch (const common::InvalidArgument& err) {
+          EXPECT_NE(std::string(err.what()).find("job 7 "), std::string::npos)
+              << err.what();
+        }
         EXPECT_TRUE(q.empty());
       }
       std::optional<double> end_time;
-      platform->submit(job("good", 100), [&](const AttemptResult& r) {
+      sink.callback = [&](const AttemptResult& r) {
+        EXPECT_EQ(r.job, 8u);
         if (r.success) end_time = r.end_time;
-      });
+      };
+      sink.submit(sim_job(8, 100));
       q.run();
       return end_time;
     };
@@ -379,6 +403,97 @@ TEST(Platforms, BadJobCostIsRejectedWithoutLeakingASlot) {
     config.vms = 1;
     return std::make_unique<CloudPlatform>(q, config);
   });
+}
+
+TEST(Platforms, ResultEchoesTheHandleAndViewsThePlatformsLabels) {
+  EventQueue q;
+  CampusClusterConfig campus_config;
+  campus_config.allocated_slots = 2;
+  CampusClusterPlatform campus(q, campus_config);
+  OsgConfig osg_config;
+  osg_config.preempt_mean = 1e12;
+  OsgPlatform osg(q, osg_config);
+  CloudPlatform cloud(q, {});
+  // Per platform: job handle -> reported node, in submission order.
+  std::map<std::string, std::map<std::uint32_t, std::string>> nodes;
+  const auto sink_for = [&](ExecutionPlatform& platform, const std::string& label) {
+    return std::make_unique<CallbackSink>(platform, [&nodes, label](const AttemptResult& r) {
+      EXPECT_TRUE(r.success);
+      EXPECT_TRUE(r.failure.empty());
+      EXPECT_TRUE(nodes[label].emplace(r.job, r.node).second) << label << " " << r.job;
+    });
+  };
+  const auto campus_sink = sink_for(campus, "campus");
+  const auto osg_sink = sink_for(osg, "osg");
+  const auto cloud_sink = sink_for(cloud, "cloud");
+  for (std::uint32_t i = 40; i < 42; ++i) {
+    campus_sink->submit(sim_job(i, 100.0 * (i - 39)));
+    cloud_sink->submit(sim_job(i, 100.0 * (i - 39)));
+  }
+  osg_sink->submit(sim_job(40, 100));
+  q.run();
+  using Nodes = std::map<std::uint32_t, std::string>;
+  EXPECT_EQ(nodes["campus"], (Nodes{{40, "sandhills-node-0"}, {41, "sandhills-node-1"}}));
+  EXPECT_EQ(nodes["osg"], (Nodes{{40, "osg-site-0"}}));
+  EXPECT_EQ(nodes["cloud"], (Nodes{{40, "cloud-vm-0"}, {41, "cloud-vm-1"}}));
+}
+
+TEST(Platforms, RemovedSinkDropsItsResultsAndFreesTheirSlots) {
+  // One slot: the removed sink's attempt runs to its end, frees the slot
+  // for the next sink's job, and its result is counted, never delivered —
+  // not even to the sink that is handed the same id afterwards.
+  const auto run = [](const char* name, auto make) {
+    SCOPED_TRACE(name);
+    EventQueue q;
+    std::unique_ptr<ExecutionPlatform> platform = make(q);
+    std::vector<std::uint32_t> delivered;
+    const auto record = [&delivered](const AttemptResult& r) { delivered.push_back(r.job); };
+    SinkId old_id = 0;
+    {
+      CallbackSink gone(*platform, record);
+      old_id = gone.id();
+      gone.submit(sim_job(1, 500));
+      gone.submit(sim_job(2, 500));
+    }
+    CallbackSink next(*platform, record);
+    EXPECT_EQ(next.id(), old_id);  // the id is handed out again
+    next.submit(sim_job(3, 500));
+    q.run();
+    EXPECT_EQ(delivered, (std::vector<std::uint32_t>{3}));
+    EXPECT_EQ(platform->dropped_completions(), 2u);
+  };
+  run("campus", [](EventQueue& q) {
+    CampusClusterConfig config;
+    config.allocated_slots = 1;
+    return std::make_unique<CampusClusterPlatform>(q, config);
+  });
+  run("osg", [](EventQueue& q) {
+    OsgConfig config;
+    config.base_slots = 1;
+    config.capacity_wobble = 0;
+    config.preempt_mean = 1e12;
+    return std::make_unique<OsgPlatform>(q, config);
+  });
+  run("cloud", [](EventQueue& q) {
+    CloudConfig config;
+    config.vms = 1;
+    return std::make_unique<CloudPlatform>(q, config);
+  });
+}
+
+TEST(Platforms, UnknownSinksAreRejected) {
+  EventQueue q;
+  CampusClusterPlatform platform(q, {});
+  EXPECT_THROW(platform.submit(0, sim_job(1, 10)), common::InvalidArgument);
+  EXPECT_THROW(platform.remove_sink(0), common::InvalidArgument);
+  SinkId id = 0;
+  {
+    CallbackSink sink(platform);
+    id = sink.id();
+  }
+  EXPECT_THROW(platform.submit(id, sim_job(1, 10)), common::InvalidArgument);
+  EXPECT_THROW(platform.remove_sink(id), common::InvalidArgument);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -269,6 +269,50 @@ TEST(FleetController, TimeoutBackoffBlacklistStreamDigestIsPinned) {
   EXPECT_EQ(result.engine_steps, 1'590u);  // 21'323 without the idle skip
 }
 
+TEST(FleetController, LateCompletionsOfAReapedWorkflowAreDropped) {
+  // Six campus slots against eight bursting workflows: attempts queue past
+  // the 400 s timeout, the engines write them off and retry, and workflows
+  // finish — and are reaped, services and all — while written-off
+  // attempts still hold platform slots. Their results must be counted and
+  // dropped, never delivered to a destroyed service.
+  FleetOptions options;
+  options.tenants = 1;
+  options.dual_platform = true;
+  options.engine.retries = 50;
+  options.engine.attempt_timeout_seconds = 400;
+  options.campus.allocated_slots = 6;
+  const auto requests =
+      burst_requests(8, 1, spec_of(workload::Shape::kBlast2cap3, 8, 11));
+  const FleetResult first = run_fleet(options, requests);
+  EXPECT_EQ(first.workflows_completed, 8u);
+  EXPECT_GT(first.dropped_completions, 0u);
+  const FleetResult second = run_fleet(options, requests);
+  EXPECT_EQ(second.digest, first.digest);
+  EXPECT_EQ(second.dropped_completions, first.dropped_completions);
+}
+
+TEST(FleetController, LateTransfersOfAReapedWorkflowAreDropped) {
+  // A stage-in job that times out with no retry left fails its workflow,
+  // which is reaped while the job's transfers are still running on the
+  // shared TransferManager; the next arrival keeps the clock running until
+  // they land. Their callbacks must not reach the destroyed staging
+  // service.
+  FleetOptions options;
+  options.tenants = 1;
+  options.model_staging = true;
+  options.engine.retries = 0;
+  options.engine.attempt_timeout_seconds = 1;
+  auto requests = burst_requests(4, 1, spec_of(workload::Shape::kBlast2cap3, 4, 21));
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].arrival_seconds = 1.5 * static_cast<double>(i);
+  }
+  const FleetResult first = run_fleet(options, requests);
+  EXPECT_EQ(first.workflows_completed, 4u);
+  EXPECT_EQ(first.workflows_succeeded, 0u);
+  const FleetResult second = run_fleet(options, requests);
+  EXPECT_EQ(second.digest, first.digest);
+}
+
 TEST(FleetController, EqualWeightsFinishTogether) {
   // Two tenants, identical burst of work, equal weights: their last
   // completions must land close together (neither tenant starves).

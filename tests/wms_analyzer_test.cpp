@@ -5,11 +5,9 @@
 namespace pga::wms {
 namespace {
 
-TaskAttempt attempt(const std::string& id, bool success, double submit,
-                    double start, double end, double install = 0) {
-  TaskAttempt a;
-  a.job_id = id;
-  a.transformation = "tf";
+RecordedAttempt attempt(bool success, double submit, double start, double end,
+                        double install = 0) {
+  RecordedAttempt a;
   a.success = success;
   a.error = success ? "" : "preempted";
   a.node = "node";
@@ -48,15 +46,15 @@ struct FailedRunFixture {
     a.id = "a";
     a.transformation = "tf";
     a.succeeded = true;
-    a.attempts.push_back(attempt("a", true, 0, 5, 30));
+    a.attempts.push_back(attempt(true, 0, 5, 30));
     report.runs.push_back(a);
 
     JobRun b;
     b.id = "b";
     b.transformation = "tf";
     b.succeeded = false;
-    b.attempts.push_back(attempt("b", false, 30, 35, 60));
-    b.attempts.push_back(attempt("b", false, 60, 65, 100));
+    b.attempts.push_back(attempt(false, 30, 35, 60));
+    b.attempts.push_back(attempt(false, 60, 65, 100));
     report.runs.push_back(b);
 
     JobRun c;
@@ -97,7 +95,7 @@ TEST(Analyzer, CleanRunHasNoFailures) {
   fx.report.success = true;
   fx.report.runs[1].succeeded = true;
   fx.report.runs[2].succeeded = true;
-  fx.report.runs[2].attempts.push_back(attempt("c", true, 60, 65, 90));
+  fx.report.runs[2].attempts.push_back(attempt(true, 60, 65, 90));
   const auto analysis = analyze_run(fx.report, fx.workflow);
   EXPECT_TRUE(analysis.failures.empty());
   EXPECT_EQ(analysis.jobs_never_ran, 0u);
@@ -128,7 +126,7 @@ TEST(Timeline, RowCapRespected) {
     run.id = "job" + std::to_string(i);
     run.transformation = "tf";
     run.succeeded = true;
-    run.attempts.push_back(attempt(run.id, true, 0, 1, 9));
+    run.attempts.push_back(attempt(true, 0, 1, 9));
     report.runs.push_back(run);
   }
   const std::string text = render_timeline(report, {.width = 40, .max_rows = 5});
@@ -147,7 +145,7 @@ TEST(Utilization, CountsOverlappingExecutions) {
     run.id = id;
     run.transformation = "tf";
     run.succeeded = true;
-    run.attempts.push_back(attempt(id, true, 0, s, e));
+    run.attempts.push_back(attempt(true, 0, s, e));
     report.runs.push_back(run);
   }
   EXPECT_EQ(peak_utilization(report), 2u);

@@ -24,16 +24,15 @@ class FakeService final : public ExecutionService {
   std::map<std::string, int> failures_before_success;
 
   void submit(const ConcreteJob& job) override {
-    pending_.push_back(job.id);
+    pending_.emplace_back(job.id, job.index);
     order.push_back(job.id);
   }
 
   std::vector<TaskAttempt> wait() override {
     std::vector<TaskAttempt> out;
-    for (const auto& id : pending_) {
+    for (const auto& [id, handle] : pending_) {
       TaskAttempt attempt;
-      attempt.job_id = id;
-      attempt.transformation = "tf";
+      attempt.job = handle;
       attempt.submit_time = time_;
       attempt.wait_seconds = 1;
       attempt.exec_seconds = 10;
@@ -59,7 +58,7 @@ class FakeService final : public ExecutionService {
   std::vector<std::string> order;  ///< submission order observed
 
  private:
-  std::vector<std::string> pending_;
+  std::vector<std::pair<std::string, std::uint32_t>> pending_;  ///< id, handle
   double time_ = 0;
 };
 
@@ -236,7 +235,7 @@ TEST(Engine, ThrottleLimitsInFlightJobs) {
   class CountingService final : public ExecutionService {
    public:
     void submit(const ConcreteJob& job) override {
-      pending_.push_back(job.id);
+      pending_.push_back(job.index);
       peak_ = std::max(peak_, pending_.size());
     }
     std::vector<TaskAttempt> wait() override {
@@ -244,8 +243,7 @@ TEST(Engine, ThrottleLimitsInFlightJobs) {
       if (pending_.empty()) return out;
       // Complete ONE job per wait() so the engine refills under throttle.
       TaskAttempt attempt;
-      attempt.job_id = pending_.front();
-      attempt.transformation = "tf";
+      attempt.job = pending_.front();
       attempt.success = true;
       pending_.erase(pending_.begin());
       out.push_back(std::move(attempt));
@@ -256,7 +254,7 @@ TEST(Engine, ThrottleLimitsInFlightJobs) {
     std::size_t peak_ = 0;
 
    private:
-    std::vector<std::string> pending_;
+    std::vector<std::uint32_t> pending_;  ///< job handles
   };
 
   ConcreteWorkflow wf("wide", "x");
@@ -296,7 +294,7 @@ class TimedStubService final : public ExecutionService {
       ++swallowed_;
       return;  // the attempt vanishes; only a timeout can clear it
     }
-    pending_.push_back({job.id, time_});
+    pending_.push_back({job.id, job.index, time_});
   }
 
   std::vector<TaskAttempt> wait() override { return drain(); }
@@ -318,6 +316,7 @@ class TimedStubService final : public ExecutionService {
  private:
   struct Pending {
     std::string id;
+    std::uint32_t handle;
     double submitted_at;
   };
 
@@ -326,8 +325,7 @@ class TimedStubService final : public ExecutionService {
     std::vector<TaskAttempt> out;
     for (const auto& p : pending_) {
       TaskAttempt attempt;
-      attempt.job_id = p.id;
-      attempt.transformation = "tf";
+      attempt.job = p.handle;
       attempt.node = node;
       attempt.submit_time = p.submitted_at;
       attempt.wait_seconds = 2;
@@ -629,7 +627,8 @@ class RecordingObserver final : public EngineObserver {
     if (event.type == EngineEventType::kAttemptFinished) {
       // The attempt pointer is only valid during the callback.
       ASSERT_NE(event.result, nullptr);
-      attempt_jobs.push_back(event.result->job_id);
+      EXPECT_EQ(event.result->job, event.job);
+      attempt_jobs.emplace_back(event.job_id);
     }
   }
   std::vector<EngineEventType> types;

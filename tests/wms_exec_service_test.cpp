@@ -18,12 +18,16 @@
 namespace pga::wms {
 namespace {
 
-ConcreteJob job(const std::string& id, double cost = 10, bool setup = false) {
+/// `handle` stands in for the index a workflow would give the job; the
+/// services echo it back in TaskAttempt::job.
+ConcreteJob job(const std::string& id, double cost = 10, bool setup = false,
+                std::uint32_t handle = 0) {
   ConcreteJob j;
   j.id = id;
   j.transformation = "tf";
   j.cpu_seconds_hint = cost;
   j.needs_software_setup = setup;
+  j.index = handle;
   return j;
 }
 
@@ -78,10 +82,10 @@ TEST(LocalService, CapturesExceptions) {
   LocalService service(2, [](const ConcreteJob&) {
     throw std::runtime_error("task exploded");
   });
-  service.submit(job("exploding"));
+  service.submit(job("exploding", 10, false, 4));
   const auto batch = service.wait();
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].job_id, "exploding");
+  EXPECT_EQ(batch[0].job, 4u);
   EXPECT_FALSE(batch[0].success);
   EXPECT_EQ(batch[0].error, "task exploded");
 }
@@ -101,10 +105,10 @@ TEST(LocalService, FailureDoesNotPoisonLaterJobs) {
   });
   service.submit(job("bad"));
   ASSERT_FALSE(service.wait().front().success);
-  service.submit(job("good"));
+  service.submit(job("good", 10, false, 1));
   const auto batch = service.wait();
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].job_id, "good");
+  EXPECT_EQ(batch[0].job, 1u);
   EXPECT_TRUE(batch[0].success);
 }
 
@@ -122,15 +126,15 @@ TEST(LocalService, WaitTimeGrowsWhenSaturated) {
   LocalService service(1, [](const ConcreteJob& j) {
     if (j.id == "first") std::this_thread::sleep_for(std::chrono::milliseconds(60));
   });
-  service.submit(job("first"));
-  service.submit(job("second"));
+  service.submit(job("first", 10, false, 0));
+  service.submit(job("second", 10, false, 1));
   std::vector<TaskAttempt> done;
   while (done.size() < 2) {
     auto batch = service.wait();
     ASSERT_FALSE(batch.empty());
     for (auto& attempt : batch) done.push_back(std::move(attempt));
   }
-  ASSERT_EQ(done[1].job_id, "second");  // one slot: strictly in order
+  ASSERT_EQ(done[1].job, 1u);  // one slot: strictly in order
   EXPECT_GE(done[1].wait_seconds, 0.05);
 }
 
@@ -201,15 +205,20 @@ TEST(SimService, RejectedSubmitLeavesNothingOutstanding) {
   config.allocated_slots = 1;
   sim::CampusClusterPlatform platform(queue, config);
   SimService service(queue, platform);
-  EXPECT_THROW(service.submit(job("bad", std::numeric_limits<double>::quiet_NaN())),
-               common::InvalidArgument);
+  try {
+    service.submit(job("bad", std::numeric_limits<double>::quiet_NaN(), false, 2));
+    ADD_FAILURE() << "a NaN cost was accepted";
+  } catch (const common::InvalidArgument& err) {
+    // The platform names the handle; the service adds the job's id.
+    EXPECT_NE(std::string(err.what()).find("job 2 "), std::string::npos) << err.what();
+    EXPECT_NE(std::string(err.what()).find("'bad'"), std::string::npos) << err.what();
+  }
   EXPECT_TRUE(service.wait().empty());
-  service.submit(job("good", 100));
+  service.submit(job("good", 100, false, 3));
   const std::vector<TaskAttempt> done = service.wait();
   ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].job_id, "good");
+  EXPECT_EQ(done[0].job, 3u);
   EXPECT_TRUE(done[0].success);
-  EXPECT_EQ(done[0].transformation, "tf");
   EXPECT_EQ(done[0].node, "sandhills-node-0");
 }
 
@@ -247,9 +256,7 @@ TEST(Statistics, RenderMentionsHeadlineNumbers) {
   run.id = "cap3_0";
   run.transformation = "run_cap3";
   run.succeeded = true;
-  TaskAttempt attempt;
-  attempt.job_id = "cap3_0";
-  attempt.transformation = "run_cap3";
+  RecordedAttempt attempt;
   attempt.success = true;
   attempt.exec_seconds = 9'000;
   attempt.wait_seconds = 50;

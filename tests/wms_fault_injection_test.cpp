@@ -21,7 +21,7 @@ namespace {
 class StubService final : public ExecutionService {
  public:
   void submit(const ConcreteJob& job) override {
-    pending_.push_back(job.id);
+    pending_.push_back(job.index);
     submissions.push_back(job.id);
   }
 
@@ -44,10 +44,9 @@ class StubService final : public ExecutionService {
  private:
   std::vector<TaskAttempt> complete_pending() {
     std::vector<TaskAttempt> out;
-    for (const auto& id : pending_) {
+    for (const std::uint32_t handle : pending_) {
       TaskAttempt attempt;
-      attempt.job_id = id;
-      attempt.transformation = "tf";
+      attempt.job = handle;
       attempt.success = true;
       attempt.node = node;
       attempt.submit_time = time_;
@@ -60,7 +59,7 @@ class StubService final : public ExecutionService {
     return out;
   }
 
-  std::vector<std::string> pending_;
+  std::vector<std::uint32_t> pending_;  ///< job handles
   double time_ = 0;
 };
 
@@ -293,23 +292,26 @@ TEST(FaultyService, ComposesWithSimService) {
   EXPECT_GT(report.wall_seconds(), 2'000.0);
 }
 
-TEST(FaultyService, KeysJobsByHandleAndFallsBackToTheId) {
-  // Attempt counts and pending rewrites live in a slot per job handle. A
-  // job without a handle, or whose handle's slot another id holds, is kept
-  // by id; the stub echoes no handles, so completions are matched by id.
+TEST(FaultyService, KeysJobsByHandleAndEchoesThem) {
+  // Attempt counts and pending rewrites live in a slot per job handle, and
+  // every attempt — forwarded, rewritten or synthesized — comes back under
+  // the handle it was submitted with. Directives still match by job id.
   StubService stub;
   FaultyService faulty(
       stub, FaultPlan().corrupt_node("a", 2, "bad-node").fail("c", 2, "late"));
   ConcreteJob a = job("a");
   a.index = 0;
-  const ConcreteJob b = job("b");  // no handle
+  ConcreteJob b = job("b");
+  b.index = 5;
   ConcreteJob c = job("c");
-  c.index = 0;  // the slot of handle 0 belongs to "a"
+  c.index = 1;
   const auto run = [&](const ConcreteJob& j) {
     faulty.submit(j);
     auto done = faulty.wait();
     EXPECT_EQ(done.size(), 1u) << j.id;
-    return done.empty() ? TaskAttempt{} : done.front();
+    if (done.empty()) return TaskAttempt{};
+    EXPECT_EQ(done.front().job, j.index) << j.id;
+    return done.front();
   };
   EXPECT_EQ(run(a).node, "stub-node");
   EXPECT_TRUE(run(b).success);
@@ -318,13 +320,42 @@ TEST(FaultyService, KeysJobsByHandleAndFallsBackToTheId) {
   const TaskAttempt late = run(c);
   EXPECT_FALSE(late.success);
   EXPECT_EQ(late.error, "late");
-  EXPECT_EQ(faulty.attempts_seen("a"), 2);
-  EXPECT_EQ(faulty.attempts_seen("b"), 1);
-  EXPECT_EQ(faulty.attempts_seen("c"), 2);
-  EXPECT_EQ(faulty.attempts_seen("d"), 0);
+  EXPECT_EQ(late.node, "injected");
+  EXPECT_EQ(faulty.attempts_seen(0), 2);
+  EXPECT_EQ(faulty.attempts_seen(5), 1);
+  EXPECT_EQ(faulty.attempts_seen(1), 2);
+  EXPECT_EQ(faulty.attempts_seen(2), 0);
+  EXPECT_EQ(faulty.attempts_seen(99), 0);
   EXPECT_EQ(faulty.corrupted_nodes(), 1u);
   EXPECT_EQ(faulty.injected_failures(), 1u);
   EXPECT_EQ(stub.submissions.size(), 4u);  // the injected failure never ran
+  // A job outside any workflow has no handle to echo.
+  EXPECT_THROW(faulty.submit(job("orphan")), common::InvalidArgument);
+  EXPECT_EQ(stub.submissions.size(), 4u);
+}
+
+TEST(FaultyService, ChaosAttemptsEchoTheirHandles) {
+  // Synthesized chaos failures and chaos-corrupted completions carry the
+  // submitted handle and a chaos-node label.
+  StubService stub;
+  ChaosConfig chaos;
+  chaos.fail_probability = 0.4;
+  chaos.corrupt_probability = 0.4;
+  chaos.seed = 3;
+  FaultyService faulty(stub, FaultPlan().chaos(chaos));
+  std::size_t chaos_nodes = 0;
+  for (std::uint32_t handle = 0; handle < 40; ++handle) {
+    ConcreteJob j = job("j" + std::to_string(handle));
+    j.index = handle;
+    faulty.submit(j);
+    const auto done = faulty.wait();
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].job, handle);
+    if (done[0].node.starts_with("chaos-node")) ++chaos_nodes;
+  }
+  EXPECT_EQ(chaos_nodes, faulty.injected_failures() + faulty.corrupted_nodes());
+  EXPECT_GT(faulty.injected_failures(), 0u);
+  EXPECT_GT(faulty.corrupted_nodes(), 0u);
 }
 
 }  // namespace

@@ -10,10 +10,8 @@
 namespace pga::wms {
 namespace {
 
-TaskAttempt sample_attempt(bool success) {
-  TaskAttempt a;
-  a.job_id = "run_cap3_7";
-  a.transformation = "run_cap3";
+RecordedAttempt sample_attempt(bool success) {
+  RecordedAttempt a;
   a.success = success;
   a.error = success ? "" : "preempted";
   a.node = "osg-site-3";
@@ -27,10 +25,11 @@ TaskAttempt sample_attempt(bool success) {
 
 TEST(Kickstart, XmlRoundTripSuccess) {
   const auto original = sample_attempt(true);
-  const auto record = from_invocation_xml(to_invocation_xml("run_cap3_7", 2, original));
+  const auto record =
+      from_invocation_xml(to_invocation_xml("run_cap3_7", "run_cap3", 2, original));
   EXPECT_EQ(record.attempt_number, 2u);
-  EXPECT_EQ(record.attempt.job_id, original.job_id);
-  EXPECT_EQ(record.attempt.transformation, original.transformation);
+  EXPECT_EQ(record.job_id, "run_cap3_7");
+  EXPECT_EQ(record.transformation, "run_cap3");
   EXPECT_EQ(record.attempt.node, original.node);
   EXPECT_TRUE(record.attempt.success);
   EXPECT_TRUE(record.attempt.error.empty());
@@ -43,7 +42,7 @@ TEST(Kickstart, XmlRoundTripSuccess) {
 
 TEST(Kickstart, XmlRoundTripFailureKeepsError) {
   const auto record =
-      from_invocation_xml(to_invocation_xml("j", 1, sample_attempt(false)));
+      from_invocation_xml(to_invocation_xml("j", "run_cap3", 1, sample_attempt(false)));
   EXPECT_FALSE(record.attempt.success);
   EXPECT_EQ(record.attempt.error, "preempted");
 }
@@ -93,19 +92,13 @@ TEST(Kickstart, DirectoryRoundTrip) {
   run_a.id = "a";
   run_a.transformation = "tf";
   run_a.succeeded = true;
-  auto first = sample_attempt(false);
-  first.job_id = "a";
-  auto second = sample_attempt(true);
-  second.job_id = "a";
-  run_a.attempts = {first, second};
+  run_a.attempts = {sample_attempt(false), sample_attempt(true)};
   report.runs.push_back(run_a);
   JobRun run_b;
   run_b.id = "b";
   run_b.transformation = "tf";
   run_b.succeeded = true;
-  auto only = sample_attempt(true);
-  only.job_id = "b";
-  run_b.attempts = {only};
+  run_b.attempts = {sample_attempt(true)};
   report.runs.push_back(run_b);
 
   common::ScratchDir dir("kickstart-test");
@@ -117,11 +110,12 @@ TEST(Kickstart, DirectoryRoundTrip) {
 
   const auto records = read_invocation_records(dir.path());
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].attempt.job_id, "a");
+  EXPECT_EQ(records[0].job_id, "a");
+  EXPECT_EQ(records[0].transformation, "tf");
   EXPECT_FALSE(records[0].attempt.success);
   EXPECT_EQ(records[1].attempt_number, 2u);
   EXPECT_TRUE(records[1].attempt.success);
-  EXPECT_EQ(records[2].attempt.job_id, "b");
+  EXPECT_EQ(records[2].job_id, "b");
 }
 
 TEST(Kickstart, ReportFromRecordsReconstructsStatistics) {
@@ -168,7 +162,7 @@ TEST(Kickstart, ReportFromRecordsReconstructsStatistics) {
 
 TEST(Kickstart, ReportFromRecordsDetectsFailedJobs) {
   std::vector<InvocationRecord> records;
-  records.push_back({1, sample_attempt(false)});
+  records.push_back({"run_cap3_7", "run_cap3", 1, sample_attempt(false)});
   const auto report = report_from_records(records);
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.jobs_failed, 1u);
@@ -184,7 +178,7 @@ TEST(Kickstart, ReportFromEmptyRecords) {
 TEST(Kickstart, SpecialCharactersEscaped) {
   auto attempt = sample_attempt(false);
   attempt.error = "node <lost> & \"held\"";
-  const auto record = from_invocation_xml(to_invocation_xml("j", 1, attempt));
+  const auto record = from_invocation_xml(to_invocation_xml("j", "tf", 1, attempt));
   EXPECT_EQ(record.attempt.error, "node <lost> & \"held\"");
 }
 

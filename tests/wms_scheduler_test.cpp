@@ -321,7 +321,7 @@ TEST(SchedulingPolicy, FactoryKnowsEveryKnobNameAndRejectsOthers) {
 class SerializingService final : public ExecutionService {
  public:
   void submit(const ConcreteJob& job) override {
-    pending_.push_back(job.id);
+    pending_.push_back(job.index);
     order.push_back(job.id);
   }
   std::vector<TaskAttempt> wait() override {
@@ -329,8 +329,7 @@ class SerializingService final : public ExecutionService {
     if (pending_.empty()) return out;
     time_ += 1;
     TaskAttempt attempt;
-    attempt.job_id = pending_.front();
-    attempt.transformation = "tf";
+    attempt.job = pending_.front();
     attempt.success = true;
     attempt.submit_time = time_ - 1;
     attempt.end_time = time_;
@@ -344,7 +343,7 @@ class SerializingService final : public ExecutionService {
   std::vector<std::string> order;
 
  private:
-  std::vector<std::string> pending_;
+  std::vector<std::uint32_t> pending_;  ///< job handles
   double time_ = 0;
 };
 
