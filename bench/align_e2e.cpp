@@ -1,7 +1,7 @@
 // E2E + kernel benchmark for the fast science kernels (banded SW rewrite,
-// flat seed accumulator, parallel overlap phase).
+// two-hit BLASTX seeding, parallel overlap phase).
 //
-// Full mode sweeps three layers and writes BENCH_align.json:
+// Full mode sweeps four layers and writes BENCH_align.json:
 //   kernel  — banded traceback, banded score-only and full-matrix DP
 //             throughput in cells/sec (counted by the kernel itself, so
 //             the rates are exact, not estimated);
@@ -9,14 +9,18 @@
 //             thread-pool parallel, with pruning statistics and a
 //             bit-identity check between the two runs;
 //   e2e     — the quality_blast2cap3-shaped pipeline (whole-set CAP3 +
-//             blastx + per-cluster CAP3), serial vs parallel.
+//             blastx + per-cluster CAP3), serial vs parallel;
+//   blastx_scaling — pooled BLASTX search_all at 40, 160 and 640
+//             families: wall, score-only extensions, DP cells, hits and
+//             the process peak RSS after each row.
 //
 // --smoke runs the CI perf guard instead: machine-independent assertions
 // on DP cell-count envelopes, score-only == traceback scores,
 // serial == parallel overlap identity, AVX2 == scalar kernels (protein,
-// and DNA at the overlap band), batch == per-pair score-only, and
-// serial == pooled BLASTX bytes with pinned DP counts. Exits non-zero on
-// violation.
+// and DNA at the overlap band), batch == per-pair score-only,
+// serial == pooled BLASTX bytes with pinned DP counts, and BLASTX
+// extensions that do not grow per transcript with the database. Exits
+// non-zero on violation.
 //
 // Usage: align_e2e [--smoke] [--out PATH] [--workers N]
 #include <algorithm>
@@ -290,15 +294,127 @@ E2eResult bench_e2e(std::size_t workers) {
 }
 
 // ---------------------------------------------------------------------------
+// BLASTX scaling: pooled search_all over growing perfbench-shaped
+// transcriptomes (2 paralogs x 8 fragments per family, 150-residue
+// proteins), so transcripts and database proteins grow together.
+
+struct BlastxScalingRow {
+  std::size_t families = 0;
+  std::size_t transcripts = 0;
+  double search_seconds = 0;  ///< median of kBlastxScalingTrials
+  double search_seconds_min = 0;
+  double search_seconds_max = 0;
+  std::uint64_t score_only = 0;
+  std::uint64_t cells = 0;
+  std::size_t hits = 0;
+  double peak_rss_mb = 0;  ///< process peak once the row has run
+};
+
+constexpr int kBlastxScalingTrials = 3;
+
+BlastxScalingRow bench_blastx_scaling(std::size_t families, std::size_t workers) {
+  bio::TranscriptomeParams params;
+  params.families = families;
+  params.paralogs_min = params.paralogs_max = 2;
+  params.fragments_min = params.fragments_max = 8;
+  params.zipf_s = 0;
+  params.protein_min = params.protein_max = 150;
+  params.fragment_min_frac = 0.6;
+  params.repeat_gene_fraction = 0.35;
+  params.seed = 7;
+  const auto txm = bio::generate_transcriptome(params);
+  const align::BlastxSearch search(txm.proteins);
+  common::ThreadPool pool(workers);
+
+  BlastxScalingRow row;
+  row.families = families;
+  row.transcripts = txm.transcripts.size();
+  std::vector<double> seconds;
+  for (int trial = 0; trial < kBlastxScalingTrials; ++trial) {
+    align::reset_dp_counters();
+    const common::Stopwatch watch;
+    const auto hits = search.search_all(txm.transcripts, &pool);
+    seconds.push_back(watch.seconds());
+    // The counts are deterministic; every trial reads the same.
+    const auto c = align::dp_counters();
+    row.score_only = c.score_only;
+    row.cells = c.cells;
+    row.hits = hits.size();
+  }
+  std::sort(seconds.begin(), seconds.end());
+  row.search_seconds = seconds[seconds.size() / 2];
+  row.search_seconds_min = seconds.front();
+  row.search_seconds_max = seconds.back();
+  row.peak_rss_mb = static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0);
+  return row;
+}
+
+// ---------------------------------------------------------------------------
 // Smoke mode: deterministic, machine-independent guards for CI.
 
 /// DP work of the smoke's fixed overlap phase (check 4).
 constexpr std::uint64_t kOverlapCells = 8206383;
 constexpr std::uint64_t kOverlapTracebacks = 189;
 /// DP work of the smoke's fixed BLASTX search (check 8).
-constexpr std::uint64_t kBlastxCells = 171261363;
-constexpr std::uint64_t kBlastxScoreOnly = 72292;
+constexpr std::uint64_t kBlastxCells = 1949042;
+constexpr std::uint64_t kBlastxScoreOnly = 340;
 constexpr std::uint64_t kBlastxTracebacks = 271;
+/// Check 9: how much a per-transcript or per-pair extension rate may grow
+/// from the 12- to the 48-family database, and the ceiling on extensions
+/// random diagonals trigger per (transcript, protein) pair.
+constexpr double kExtensionGrowth = 1.25;
+constexpr double kRandomExtensionsPerPair = 0.1;
+
+/// The smoke BLASTX transcriptome (checks 8 and 9) at `families`.
+bio::Transcriptome smoke_transcriptome(std::size_t families) {
+  bio::TranscriptomeParams params;
+  params.families = families;
+  params.protein_min = 100;
+  params.protein_max = 200;
+  params.fragment_min_frac = 0.6;
+  params.seed = 77;
+  return bio::generate_transcriptome(params);
+}
+
+/// Score-only (gapped) extensions of a serial search_all, split by
+/// subject: those on each transcript's own family protein, and the rest,
+/// which random diagonals trigger.
+struct ExtensionRates {
+  std::size_t transcripts = 0;
+  double per_transcript = 0;  ///< all extensions / transcripts
+  double own_per_transcript = 0;  ///< own-family extensions / transcripts
+  double other_per_pair = 0;  ///< the rest / (transcript, other protein) pairs
+};
+
+ExtensionRates blastx_extension_rates(std::size_t families) {
+  const auto txm = smoke_transcriptome(families);
+  const align::BlastxSearch search(txm.proteins);
+  align::reset_dp_counters();
+  (void)search.search_all(txm.transcripts);
+  const std::uint64_t all = align::dp_counters().score_only;
+
+  // A one-protein search extends exactly the diagonals the full search
+  // extends on that protein: seeding state and the diagonal cap are per
+  // subject, and the E-value's database size only gates tracebacks.
+  std::map<std::string, align::BlastxSearch> by_family;
+  for (const auto& p : txm.proteins) {
+    by_family.emplace(p.id, align::BlastxSearch(std::vector<bio::SeqRecord>{p}));
+  }
+  align::reset_dp_counters();
+  for (const auto& t : txm.transcripts) {
+    (void)by_family.at(txm.family_of_transcript(t.id)).search(t);
+  }
+  const std::uint64_t own = align::dp_counters().score_only;
+
+  ExtensionRates r;
+  r.transcripts = txm.transcripts.size();
+  const auto n = static_cast<double>(r.transcripts);
+  r.per_transcript = static_cast<double>(all) / n;
+  r.own_per_transcript = static_cast<double>(own) / n;
+  r.other_per_pair = static_cast<double>(all - own) /
+                     (n * static_cast<double>(txm.proteins.size() - 1));
+  return r;
+}
 
 int run_smoke(const std::string& out_path) {
   int failures = 0;
@@ -556,13 +672,7 @@ int run_smoke(const std::string& out_path) {
   // are the same on the scalar and AVX2 kernels; a change to seeding, the
   // neighborhood table or the gate moves them.
   {
-    bio::TranscriptomeParams params;
-    params.families = 12;
-    params.protein_min = 100;
-    params.protein_max = 200;
-    params.fragment_min_frac = 0.6;
-    params.seed = 77;
-    const auto txm = bio::generate_transcriptome(params);
+    const auto txm = smoke_transcriptome(12);
     const align::BlastxSearch search(txm.proteins);
     const auto tabular = [](const std::vector<align::TabularHit>& hits) {
       std::string text;
@@ -588,6 +698,30 @@ int run_smoke(const std::string& out_path) {
     expect(c.cells == kBlastxCells && c.score_only == kBlastxScoreOnly &&
                c.tracebacks == kBlastxTracebacks,
            "blastx DP cells / score-only / tracebacks == pinned counts");
+  }
+
+  // 9. BLASTX extensions follow the hits, not the database. From 12 to 48
+  // families, the extensions on a transcript's own family protein stay
+  // put, and the extensions random diagonals trigger on other proteins
+  // stay a small rate per (transcript, protein) pair: per transcript they
+  // grow at most linearly in database size, as BLAST's random triggers
+  // do. Exhaustive two-seed seeding ran about 22 extensions per pair.
+  {
+    const ExtensionRates small = blastx_extension_rates(12);
+    const ExtensionRates large = blastx_extension_rates(48);
+    for (const ExtensionRates* r : {&small, &large}) {
+      std::printf("  blastx extensions: %zu transcripts, %.3f per transcript "
+                  "(own family %.3f), %.4f per other-protein pair\n",
+                  r->transcripts, r->per_transcript, r->own_per_transcript,
+                  r->other_per_pair);
+    }
+    expect(large.own_per_transcript <= kExtensionGrowth * small.own_per_transcript,
+           "blastx own-family extensions/transcript 48 vs 12 fam <= 1.25x");
+    expect(large.other_per_pair <= kExtensionGrowth * small.other_per_pair,
+           "blastx random extensions/pair 48 vs 12 fam <= 1.25x");
+    expect(small.other_per_pair <= kRandomExtensionsPerPair &&
+               large.other_per_pair <= kRandomExtensionsPerPair,
+           "blastx random extensions <= 0.1 per pair");
   }
 
   std::ofstream out(out_path);
@@ -659,6 +793,20 @@ int main(int argc, char** argv) {
   std::printf("e2e: serial %.2fs, parallel %.2fs (x%.2f, identical=%s)\n",
               e2e.serial_seconds, e2e.parallel_seconds, e2e.speedup,
               e2e.identical ? "yes" : "NO");
+  // Read before the scaling rows, so peak_rss_mb keeps measuring the
+  // kernel, overlap and e2e layers; each row reports its own mark.
+  const double peak_rss_mb =
+      static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0);
+  std::vector<BlastxScalingRow> scaling;
+  for (const std::size_t families : {40, 160, 640}) {
+    const BlastxScalingRow& row = scaling.emplace_back(bench_blastx_scaling(families, workers));
+    std::printf("blastx %zu families: %zu transcripts, search %.3fs (%.1f us/transcript), "
+                "%llu score-only, %llu cells, %zu hits\n",
+                row.families, row.transcripts, row.search_seconds,
+                1e6 * row.search_seconds / static_cast<double>(row.transcripts),
+                static_cast<unsigned long long>(row.score_only),
+                static_cast<unsigned long long>(row.cells), row.hits);
+  }
 
   std::ofstream out(out_path);
   char buf[4096];
@@ -700,9 +848,7 @@ int main(int argc, char** argv) {
       "    \"parallel_seconds\": %.4f,\n"
       "    \"speedup\": %.2f,\n"
       "    \"identical\": %s\n"
-      "  },\n"
-      "  \"peak_rss_mb\": %.1f\n"
-      "}\n",
+      "  },\n",
       cores, workers, align::active_simd_isa(),
       align::cpu_supports_avx2() ? "true" : "false",
       kernel.banded_cells_per_sec, kernel.score_only_cells_per_sec,
@@ -715,8 +861,26 @@ int main(int argc, char** argv) {
       overlap.pairs_per_sec_serial, overlap.pairs_per_sec_parallel,
       overlap.speedup, overlap.identical ? "true" : "false", e2e.transcripts,
       e2e.serial_seconds, e2e.parallel_seconds, e2e.speedup,
-      e2e.identical ? "true" : "false",
-      static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
+      e2e.identical ? "true" : "false");
+  out << buf;
+  out << "  \"blastx_scaling\": [\n";
+  for (std::size_t i = 0; i < scaling.size(); ++i) {
+    const BlastxScalingRow& row = scaling[i];
+    std::snprintf(
+        buf, sizeof(buf),
+        "    {\"families\": %zu, \"transcripts\": %zu, "
+        "\"search_s\": %.4f, \"search_s_min\": %.4f, \"search_s_max\": %.4f, "
+        "\"search_us_per_transcript\": %.1f, \"score_only\": %llu, "
+        "\"dp_cells\": %llu, \"hits\": %zu, \"peak_rss_mb\": %.1f}%s\n",
+        row.families, row.transcripts, row.search_seconds,
+        row.search_seconds_min, row.search_seconds_max,
+        1e6 * row.search_seconds / static_cast<double>(row.transcripts),
+        static_cast<unsigned long long>(row.score_only),
+        static_cast<unsigned long long>(row.cells), row.hits, row.peak_rss_mb,
+        i + 1 < scaling.size() ? "," : "");
+    out << buf;
+  }
+  std::snprintf(buf, sizeof(buf), "  ],\n  \"peak_rss_mb\": %.1f\n}\n", peak_rss_mb);
   out << buf;
   std::printf("wrote %s\n", out_path.c_str());
 

@@ -64,7 +64,10 @@ build/bench/scale_dag --smoke --out build/BENCH_scale_smoke.json
 # byte-equivalent, the parallel overlap phase is bit-identical to
 # serial with pinned DP cell / traceback counts, and a fixed BLASTX search gives the same outfmt-6 bytes pooled
 # as serial with pinned DP cell / score-only / traceback counts (the
-# traceback gate runs at most one traceback per score-only winner). Runs twice — dispatch forced scalar, then auto (AVX2 where the
+# traceback gate runs at most one traceback per score-only winner), and
+# BLASTX extensions per transcript on the own family protein, and per
+# (transcript, protein) pair on the others, do not grow from a 12- to a
+# 48-family database. Runs twice — dispatch forced scalar, then auto (AVX2 where the
 # CPU has it) — so both code paths stay green on every CI run.
 # BENCH_align.json in the repo root is the committed full benchmark;
 # regenerate with `build/bench/align_e2e`.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "align/sw.hpp"
@@ -13,34 +14,54 @@ namespace pga::align {
 
 namespace {
 
-/// Packs a (subject, diagonal) seed into one sortable key: subject in the
-/// high 32 bits, the diagonal bias-shifted so unsigned key order equals
-/// (subject asc, diagonal asc) — the iteration order the old
-/// std::map<pair<subject, diag>> accumulator produced, which downstream
-/// tie-breaking depends on.
-constexpr std::uint64_t kDiagBias = 1ULL << 31;
+// Gapped BLAST's seeding constants (Altschul et al., Nucleic Acids Res.
+// 25:3389, 1997) at NCBI blastx's defaults. The bit values convert to raw
+// BLOSUM62 scores with the *ungapped* Karlin–Altschul parameters
+// (lambda = 0.3176, K = 0.134), the way BLAST converts them:
+//   X-drop   7 bits: 7 ln2 / lambda = 15.3, rounded up to 16;
+//   trigger 22 bits: (22 ln2 + ln K) / lambda = 41.7, truncated to 41.
+/// Two-hit window A: a hit more than this many residues past the last
+/// recorded hit on its diagonal starts a new pair instead of extending.
+/// The window is inclusive here (a pair exactly A apart extends); NCBI's
+/// word finder starts a new pair at A, so it extends one distance fewer.
+constexpr std::int32_t kTwoHitWindow = 40;
+/// An ungapped extension stops once it falls this far below its best.
+constexpr int kUngappedXDrop = 16;
+/// An ungapped extension reaching this score marks its diagonal for the
+/// gapped banded DP.
+constexpr int kGapTrigger = 41;
 
-inline std::uint64_t pack_seed(std::uint32_t subject, long diag) {
-  return (static_cast<std::uint64_t>(subject) << 32) |
-         static_cast<std::uint32_t>(static_cast<long long>(diag) + kDiagBias);
-}
-inline std::uint32_t seed_subject(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key >> 32);
-}
-inline long seed_diag(std::uint64_t key) {
-  return static_cast<long>(static_cast<long long>(key & 0xffffffffULL) -
-                           static_cast<long long>(kDiagBias));
-}
+/// Seeding state of one (subject, diagonal), valid only while `stamp`
+/// equals the current frame's stamp: a new frame invalidates every entry
+/// at once, so the array is never cleared between frames or searches.
+struct DiagonalEntry {
+  std::uint32_t stamp = 0;
+  std::int32_t last_hit = 0;  ///< query offset of the last recorded hit
+  std::uint16_t seeds = 0;    ///< word hits on the diagonal (saturating)
+  bool triggered = false;     ///< an ungapped extension reached kGapTrigger
+};
+static_assert(sizeof(DiagonalEntry) <= 16);
+
+/// A diagonal whose ungapped extension reached the trigger.
+struct MarkedDiagonal {
+  std::uint32_t subject;
+  std::int32_t diagonal;  ///< q_pos - s_pos
+  std::size_t entry;      ///< its index in the diagonal array
+  std::uint32_t seeds;    ///< the entry's seed count once the frame is scanned
+};
 
 /// Per-thread scratch reused across search() calls: frame translations,
-/// the reverse-complement buffer, the word-hit list and the flat seed
-/// accumulator. Steady-state searches allocate nothing here.
+/// the reverse-complement buffer, the word-hit list, the diagonal array
+/// and the candidate buffers. Steady-state searches allocate nothing here.
 struct SearchScratch {
   std::vector<bio::FrameTranslation> frames;
   std::string rc;
   std::vector<WordHit> word_hits;
-  std::vector<std::uint64_t> seeds;
-  std::vector<std::pair<std::size_t, long>> diags;  // (count, diagonal)
+  /// One slab per subject, one entry per diagonal it can share with the
+  /// query (see BlastxSearch::search for the layout).
+  std::vector<DiagonalEntry> diagonals;
+  std::uint32_t stamp = 0;  ///< the current frame's stamp
+  std::vector<MarkedDiagonal> marked;  ///< the frame's marked diagonals
   PreparedSeq frame_query;  ///< current frame protein, encoded once
   /// The frame's candidate diagonals, every subject's in subject order,
   /// and their score-only results from one batch call.
@@ -48,11 +69,68 @@ struct SearchScratch {
   std::vector<ScoreOnlyResult> scores;
   /// Per subject with candidates: (subject, end of its candidate run).
   std::vector<std::pair<std::uint32_t, std::size_t>> subject_runs;
+
+  /// Starts a frame with a fresh stamp. When the stamp wraps (once per
+  /// 2^32 frames) the array is cleared for real.
+  void next_frame() {
+    if (++stamp == 0) {
+      std::fill(diagonals.begin(), diagonals.end(), DiagonalEntry{});
+      stamp = 1;
+    }
+  }
 };
 
 SearchScratch& search_scratch() {
   thread_local SearchScratch scratch;
   return scratch;
+}
+
+/// Gapped BLAST's ungapped two-hit extension, on one diagonal, of the word
+/// hit at query offset `q` / subject offset `s` whose first hit ends at
+/// query offset `first_end`. The extension starts after the
+/// word's best-scoring prefix and runs left with X-drop; only if its best
+/// extent reaches back to `first_end` does it continue to the right.
+/// Returns the best ungapped score found.
+int two_hit_extension(const PreparedSeq& query, const PreparedSeq& subject,
+                      std::size_t q, std::size_t s, std::size_t first_end,
+                      std::size_t k, const ScoringProfile& profile) {
+  const std::uint8_t* qc = query.codes();
+  const std::uint8_t* sc = subject.codes();
+  int score = 0;
+  int left = 0;
+  std::size_t prefix = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    score += profile.score(qc[q + i], sc[s + i]);
+    if (score > left) {
+      left = score;
+      prefix = i + 1;
+    }
+  }
+  // Left from the last residue of the best prefix: `reach` is the leftmost
+  // query offset of the best left extent.
+  const std::size_t q_end = q + prefix;
+  const std::size_t s_end = s + prefix;
+  left = 0;
+  score = 0;
+  std::size_t reach = q_end;
+  for (std::size_t d = 1; d <= std::min(q_end, s_end); ++d) {
+    score += profile.score(qc[q_end - d], sc[s_end - d]);
+    if (score > left) {
+      left = score;
+      reach = q_end - d;
+    }
+    if (left - score >= kUngappedXDrop) break;
+  }
+  if (reach > first_end) return left;
+  int best = left;
+  score = left;
+  for (std::size_t i = q_end, j = s_end; i < query.size() && j < subject.size();
+       ++i, ++j) {
+    score += profile.score(qc[i], sc[j]);
+    best = std::max(best, score);
+    if (score <= 0 || best - score >= kUngappedXDrop) break;
+  }
+  return best;
 }
 
 /// Converts a frame-protein residue range to 1-based nucleotide query
@@ -101,8 +179,10 @@ BlastxSearch::BlastxSearch(std::vector<bio::SeqRecord> proteins, BlastxParams pa
       index_(proteins_, params_.word_size, params_.neighbor_threshold) {
   const ScoringProfile& profile = ScoringProfile::protein_blosum62();
   prepared_subjects_.resize(proteins_.size());
+  residue_offsets_.assign(proteins_.size() + 1, 0);
   for (std::size_t i = 0; i < proteins_.size(); ++i) {
     prepared_subjects_[i].assign(proteins_[i].seq, profile);
+    residue_offsets_[i + 1] = residue_offsets_[i] + proteins_[i].seq.size();
   }
 }
 
@@ -118,63 +198,93 @@ std::vector<TabularHit> BlastxSearch::search(const bio::SeqRecord& transcript) c
   std::unordered_map<std::uint32_t, TabularHit> best_per_subject;
 
   bio::six_frame_translate(transcript.seq, scratch.frames, scratch.rc);
+  // Diagonal array layout: subject i owns |subject i| + Q entries starting
+  // at residue_offsets_[i] + i * Q, where Q is the longest frame; the word
+  // hit (q_pos, s_pos) lands at that start + Q + s_pos - q_pos. The array
+  // only grows, and stale entries are told apart by their stamp.
+  std::size_t longest_frame = 0;
+  for (const auto& ft : scratch.frames) {
+    longest_frame = std::max(longest_frame, ft.protein.size());
+  }
+  const std::size_t slab = longest_frame;
+  const std::size_t array_size = residue_offsets_.back() + proteins_.size() * slab;
+  if (scratch.diagonals.size() < array_size) scratch.diagonals.resize(array_size);
+
   for (const auto& ft : scratch.frames) {
     const std::string& fp = ft.protein;
     if (fp.size() < k) continue;
-    // Encode the frame protein once; every candidate diagonal of every
-    // subject below reuses it.
+    // Encode the frame protein once; the ungapped extensions and every
+    // candidate diagonal of every subject below reuse it.
     scratch.frame_query.assign(fp, profile);
+    scratch.next_frame();
+    const std::uint32_t stamp = scratch.stamp;
 
-    // Collect word seeds as packed (subject, diagonal) keys — a flat
-    // append + sort + run-length scan instead of a node-based map insert
-    // per word hit.
-    std::vector<std::uint64_t>& seeds = scratch.seeds;
-    seeds.clear();
+    // Scan word hits in query order. Each diagonal sees its hits in
+    // ascending q_pos (one subject word per q_pos and diagonal), so the
+    // two-hit rule needs only the diagonal's last recorded hit.
+    std::vector<MarkedDiagonal>& marked = scratch.marked;
+    marked.clear();
     std::vector<WordHit>& word_hits = scratch.word_hits;
     for (std::size_t q_pos = 0; q_pos + k <= fp.size(); ++q_pos) {
       word_hits.clear();
       index_.neighborhood(std::string_view(fp).substr(q_pos, k), word_hits);
+      const auto q = static_cast<std::int32_t>(q_pos);
       for (const WordHit& wh : word_hits) {
-        const long diag = static_cast<long>(q_pos) - static_cast<long>(wh.position);
-        seeds.push_back(pack_seed(wh.subject, diag));
+        const std::size_t index = residue_offsets_[wh.subject] +
+                                  (wh.subject + 1) * slab + wh.position - q_pos;
+        DiagonalEntry& entry = scratch.diagonals[index];
+        if (entry.stamp != stamp) entry = {stamp, -kTwoHitWindow - 1, 0, false};
+        if (entry.seeds != std::numeric_limits<std::uint16_t>::max()) ++entry.seeds;
+        if (entry.triggered) continue;
+        const std::int32_t distance = q - entry.last_hit;
+        // A hit overlapping the last recorded one adds no evidence and
+        // does not replace it.
+        if (distance < params_.word_size) continue;
+        if (distance > kTwoHitWindow) {
+          entry.last_hit = q;
+          continue;
+        }
+        const std::size_t first_end = static_cast<std::size_t>(entry.last_hit) + k;
+        if (two_hit_extension(scratch.frame_query, prepared_subjects_[wh.subject], q_pos,
+                              wh.position, first_end, k, profile) >= kGapTrigger) {
+          entry.triggered = true;
+          marked.push_back({wh.subject, q - static_cast<std::int32_t>(wh.position),
+                            index, 0});
+        } else {
+          entry.last_hit = q;
+        }
       }
     }
-    std::sort(seeds.begin(), seeds.end());
 
-    // Walk runs of equal keys; a subject's candidate diagonals arrive in
-    // ascending-diagonal order, exactly as the old map iteration fed them.
+    // Only marked diagonals with min_seeds_per_diagonal word hits become
+    // candidates (a marked diagonal has at least two), ranked per subject
+    // by (seed count desc, diagonal asc) and capped. The key is
+    // unique per diagonal, so the order is total: any sort gives the
+    // stable ranking.
+    for (MarkedDiagonal& m : marked) m.seeds = scratch.diagonals[m.entry].seeds;
+    std::erase_if(marked, [&](const MarkedDiagonal& m) {
+      return m.seeds < params_.min_seeds_per_diagonal;
+    });
+    std::sort(marked.begin(), marked.end(),
+              [](const MarkedDiagonal& a, const MarkedDiagonal& b) {
+                if (a.subject != b.subject) return a.subject < b.subject;
+                if (a.seeds != b.seeds) return a.seeds > b.seeds;
+                return a.diagonal < b.diagonal;
+              });
     std::vector<ScoreOnlyCandidate>& candidates = scratch.candidates;
     std::vector<std::pair<std::uint32_t, std::size_t>>& subject_runs =
         scratch.subject_runs;
     candidates.clear();
     subject_runs.clear();
-    std::size_t run = 0;
-    while (run < seeds.size()) {
-      const std::uint32_t subject = seed_subject(seeds[run]);
-      std::vector<std::pair<std::size_t, long>>& diags = scratch.diags;
-      diags.clear();
-      while (run < seeds.size() && seed_subject(seeds[run]) == subject) {
-        const std::uint64_t key = seeds[run];
-        std::size_t count = 0;
-        while (run < seeds.size() && seeds[run] == key) {
-          ++count;
-          ++run;
-        }
-        if (count >= params_.min_seeds_per_diagonal) {
-          diags.push_back({count, seed_diag(key)});
-        }
+    for (std::size_t m = 0; m < marked.size();) {
+      const std::uint32_t subject = marked[m].subject;
+      std::size_t taken = 0;
+      for (; m < marked.size() && marked[m].subject == subject; ++m) {
+        if (taken == params_.max_diagonals_per_subject) continue;
+        candidates.push_back({&prepared_subjects_[subject], marked[m].diagonal});
+        ++taken;
       }
-      if (diags.empty()) continue;
-
-      std::sort(diags.begin(), diags.end(),
-                [](const auto& a, const auto& b) { return a.first > b.first; });
-      if (diags.size() > params_.max_diagonals_per_subject) {
-        diags.resize(params_.max_diagonals_per_subject);
-      }
-      for (const auto& [count, diag] : diags) {
-        candidates.push_back({&prepared_subjects_[subject], diag});
-      }
-      subject_runs.push_back({subject, candidates.size()});
+      if (taken > 0) subject_runs.push_back({subject, candidates.size()});
     }
 
     // One score-only batch over every subject's candidates in this frame.

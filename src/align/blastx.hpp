@@ -1,6 +1,7 @@
 // BLASTX-style translated search: nucleotide queries against a protein
-// database via 6-frame translation, word seeding and banded gapped
-// extension. Produces the tabular hits blast2cap3 consumes.
+// database via 6-frame translation, Gapped-BLAST two-hit word seeding with
+// an ungapped X-drop trigger, and banded gapped extension. Produces the
+// tabular hits blast2cap3 consumes.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +20,8 @@ namespace pga::align {
 struct BlastxParams {
   int word_size = 3;             ///< seed word length (BLAST "W")
   int neighbor_threshold = 12;   ///< neighborhood score cutoff (BLAST "T")
-  std::size_t min_seeds_per_diagonal = 2;  ///< two-hit heuristic
-  std::size_t max_diagonals_per_subject = 4;  ///< extensions attempted per subject
+  std::size_t min_seeds_per_diagonal = 2;  ///< word hits a triggered diagonal needs
+  std::size_t max_diagonals_per_subject = 4;  ///< gapped extensions per subject and frame
   std::size_t band = 12;         ///< half-width of the extension band (residues)
   GapPenalties gaps{};           ///< affine gap costs (11/1 default)
   double evalue_cutoff = 1e-6;   ///< discard hits above this E-value
@@ -64,6 +65,9 @@ class BlastxSearch {
   /// proteins_, which never changes afterwards); every search() reuses
   /// them instead of re-encoding the subject per (subject, diagonal).
   std::vector<PreparedSeq> prepared_subjects_;
+  /// residue_offsets_[i] = residues of proteins 0..i-1; places each
+  /// subject's slab in the per-thread diagonal array.
+  std::vector<std::size_t> residue_offsets_;
 };
 
 }  // namespace pga::align

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -250,6 +251,121 @@ TEST(Blastx, EqualScoreLaterFrameDoesNotReplaceEarlierHit) {
   ASSERT_EQ(minus_only.size(), 1u);
   EXPECT_EQ(minus_only[0].bitscore, hits[0].bitscore);
   EXPECT_GT(minus_only[0].qstart, minus_only[0].qend);
+}
+
+/// Encodes a protein as DNA with one fixed codon per residue, so every
+/// frame of the transcript is known exactly.
+std::string fixed_codons(std::string_view protein) {
+  static const std::map<char, std::string_view> kCodon = {
+      {'A', "GCT"}, {'R', "CGT"}, {'N', "AAT"}, {'D', "GAT"}, {'C', "TGT"},
+      {'Q', "CAA"}, {'E', "GAA"}, {'G', "GGT"}, {'H', "CAT"}, {'I', "ATT"},
+      {'L', "CTT"}, {'K', "AAA"}, {'M', "ATG"}, {'F', "TTT"}, {'P', "CCT"},
+      {'S', "TCT"}, {'T', "ACT"}, {'W', "TGG"}, {'Y', "TAT"}, {'V', "GTT"}};
+  std::string dna;
+  for (const char aa : protein) dna += kCodon.at(aa);
+  return dna;
+}
+
+/// Score-only (gapped) extensions one search starts.
+std::uint64_t extensions_started(const BlastxSearch& search, const std::string& dna) {
+  reset_dp_counters();
+  (void)search.search({"q", "", dna});
+  return dp_counters().score_only;
+}
+
+TEST(BlastxTwoHit, ConsecutiveSeedsOnTheTrueDiagonalStillExtend) {
+  // At 100% identity every query offset is a word hit on the true
+  // diagonal, each overlapping the one before. The two-hit rule compares
+  // a hit with the diagonal's last *recorded* hit, which an overlapping
+  // hit does not replace; comparing with the previous hit instead would
+  // never see two hits word_size apart and lose the alignment.
+  common::Rng rng(41);
+  std::string protein;
+  for (int i = 0; i < 90; ++i) protein.push_back(bio::kAminoAcids[rng.below(20)]);
+  const BlastxSearch search({{"target", "", protein}});
+  reset_dp_counters();
+  const auto hits = search.search({"tx", "", fixed_codons(protein)});
+  const DpCounters counters = dp_counters();
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].sseqid, "target");
+  EXPECT_EQ(hits[0].length, 90);
+  EXPECT_DOUBLE_EQ(hits[0].pident, 100.0);
+  EXPECT_EQ(counters.score_only, 1u);
+  EXPECT_EQ(counters.tracebacks, 1u);
+}
+
+TEST(BlastxTwoHit, MinSeedsPerDiagonalDropsTriggeredDiagonalsWithFewerHits) {
+  // The 90-residue identity puts 88 word hits on the true diagonal of
+  // frame +1, and a triggered diagonal needs min_seeds_per_diagonal of
+  // them to reach the gapped DP.
+  common::Rng rng(41);
+  std::string protein;
+  for (int i = 0; i < 90; ++i) protein.push_back(bio::kAminoAcids[rng.below(20)]);
+  const std::string dna = fixed_codons(protein);
+  for (const auto& [min_seeds, expected] :
+       {std::pair<std::size_t, std::uint64_t>{88, 1}, {89, 0}}) {
+    BlastxParams p;
+    p.min_seeds_per_diagonal = min_seeds;
+    const BlastxSearch search({{"target", "", protein}}, p);
+    EXPECT_EQ(extensions_started(search, dna), expected) << "min seeds " << min_seeds;
+  }
+}
+
+// The next two tests place two seed words on one diagonal of a subject
+// whose background ('W') scores -4 against the query's ('P'). Each word
+// yields three overlapping hits (the word and the two it straddles with
+// the background), so the diagonal's first recorded hit sits one residue
+// before word 1 and the two-hit pair is decided by the first hit of
+// word 2. Residues placed right after word 1 replace background pairs;
+// none of them forms a word that reaches the neighborhood threshold, so
+// they change the ungapped score without adding hits.
+
+/// Query frame-+1 protein and subject for seed words "CYC" and "CHC"
+/// `distance` residues apart, with `query_fill` / `subject_fill` aligned
+/// right after word 1 and background filling the rest.
+std::pair<std::string, std::string> two_seed_diagonal(std::size_t distance,
+                                                      std::string_view query_fill,
+                                                      std::string_view subject_fill) {
+  std::string query = std::string(10, 'P') + "CYCP";
+  std::string subject = std::string(10, 'W') + "CYCW";
+  query += query_fill;
+  subject += subject_fill;
+  const std::size_t word2 = 10 + distance;
+  query += std::string(word2 - 1 - query.size(), 'P');
+  subject += std::string(word2 - 1 - subject.size(), 'W');
+  query += "PCHC" + std::string(10, 'P');
+  subject += "WCHC" + std::string(10, 'W');
+  return {query, subject};
+}
+
+TEST(BlastxTwoHit, HitsFartherApartThanTheWindowStartNoExtension) {
+  // Within the window an I-against-V stretch (+3 per residue) carries
+  // the ungapped extension from word 2 back to word 1, far past the
+  // trigger; one more residue apart than the window, word 2 only
+  // replaces the recorded hit.
+  for (const auto& [distance, expected] :
+       {std::pair<std::size_t, std::uint64_t>{30, 1}, {40, 1}, {41, 0}, {45, 0}}) {
+    const std::string query_fill(distance - 5, 'I');
+    const std::string subject_fill(distance - 5, 'V');
+    const auto [query, subject] = two_seed_diagonal(distance, query_fill, subject_fill);
+    const BlastxSearch search({{"s", "", subject}});
+    EXPECT_EQ(extensions_started(search, fixed_codons(query)), expected)
+        << "seed words " << distance << " apart";
+  }
+}
+
+TEST(BlastxTwoHit, UngappedScoreBelowTheTriggerStartsNoExtension) {
+  // Eight residues apart, the ungapped extension scores both words (25 +
+  // 26) and the five background pairs between them (-20): 31. One
+  // identical fill residue replaces a background pair: T-T (5) gives 40,
+  // one short of the raw trigger 41; N-N (6) gives exactly 41.
+  for (const auto& [fill, expected] :
+       {std::pair<std::string_view, std::uint64_t>{"", 0}, {"T", 0}, {"N", 1}}) {
+    const auto [query, subject] = two_seed_diagonal(8, fill, fill);
+    const BlastxSearch search({{"s", "", subject}});
+    EXPECT_EQ(extensions_started(search, fixed_codons(query)), expected)
+        << "fill '" << fill << "'";
+  }
 }
 
 /// Seeded transcriptome with the blastx golden fixtures' shape.

@@ -129,7 +129,24 @@ inline std::vector<GoldenCase> build_golden_cases() {
                      serialize_tabular(search.search_all(txm.transcripts))});
   }
 
-  // 3. Assembly + raw overlap list over seeded gene fragments.
+  // 3. Divergent hits: more families, long proteins, paralogs that keep
+  // only 60% of their residues and a 3% base error rate. Seeding that
+  // loses recall on weak hits loses it here first.
+  {
+    bio::TranscriptomeParams params;
+    params.families = 40;
+    params.protein_min = 80;
+    params.protein_max = 400;
+    params.paralog_identity = 0.6;
+    params.error_rate = 0.03;
+    params.seed = 9;
+    const auto txm = bio::generate_transcriptome(params);
+    const align::BlastxSearch search(txm.proteins);
+    cases.push_back({"blastx_tabular_divergent_seed9.txt",
+                     serialize_tabular(search.search_all(txm.transcripts))});
+  }
+
+  // 4. Assembly + raw overlap list over seeded gene fragments.
   {
     const auto seqs = gene_fragments(3, 16, 2);
     cases.push_back({"overlaps_fragments_seed2.txt",
@@ -138,7 +155,7 @@ inline std::vector<GoldenCase> build_golden_cases() {
                      serialize_assembly(assembly::assemble(seqs))});
   }
 
-  // 4. Strand-agnostic assembly (both_strands on, every other fragment
+  // 5. Strand-agnostic assembly (both_strands on, every other fragment
   // reverse-complemented).
   {
     auto seqs = gene_fragments(2, 12, 9);

@@ -29,7 +29,7 @@ std::string read_golden(const std::string& name) {
 
 TEST(GoldenOutputs, AlignAndAssemblyFixturesAreByteIdentical) {
   const auto cases = golden::build_golden_cases();
-  ASSERT_EQ(cases.size(), 5u);
+  ASSERT_EQ(cases.size(), 6u);
   for (const auto& c : cases) {
     const std::string expected = read_golden(c.name);
     EXPECT_EQ(c.content, expected)
